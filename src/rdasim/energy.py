@@ -14,8 +14,8 @@ multinomial expansion (sum_i u_i)^p.  The module provides
 * the two exact algebraic identities used to differentiate the energy along
   a PDE trajectory (chain rule and integration-by-parts form),
 * the block matrix whose positive definiteness certifies that the gradient
-  part of the energy evolution is dissipative, a Jacobi eigenvalue routine
-  for it, and a certified doubling search for admissible weights.
+  part of the energy evolution is dissipative, its smallest eigenvalue,
+  and a certified doubling search for admissible weights.
 
 All functions are pure; enumeration tables are cached and immutable.
 """
@@ -39,7 +39,6 @@ __all__ = [
     "BlockMatrix",
     "IndexBudgetError",
     "WeightSearchError",
-    "JacobiConvergenceError",
     "count_multi_indices",
     "enumerate_multi_indices",
     "multinomial_coefficient",
@@ -64,10 +63,6 @@ class IndexBudgetError(RuntimeError):
 
 class WeightSearchError(RuntimeError):
     """The doubling search for admissible weights failed."""
-
-
-class JacobiConvergenceError(RuntimeError):
-    """The Jacobi eigenvalue iteration did not reach tolerance."""
 
 
 @dataclass(frozen=True)
@@ -184,15 +179,14 @@ def multinomial_coefficient(p: int, beta) -> int:
 
 
 def _poly_weights(p: int, idx: np.ndarray) -> np.ndarray:
-    """p!/(b_1! ... b_m!) for every row of an index table (any order <= p)."""
-    fact_p = math.factorial(p)
-    out = np.empty(idx.shape[0], dtype=float)
-    for k, row in enumerate(idx):
-        denom = 1
-        for b in row:
-            denom *= math.factorial(int(b))
-        out[k] = fact_p // denom if fact_p % denom == 0 else fact_p / denom
-    return out
+    """p!/(b_1! ... b_m!) for every row of an index table (any order <= p).
+
+    The factorials are Python integers (object dtype), so every quotient is
+    exact before the conversion to float; the order of a row never exceeds
+    p, so its factorial product divides p!.
+    """
+    factorials = np.array([math.factorial(k) for k in range(p + 1)], dtype=object)
+    return (math.factorial(p) // factorials[idx].prod(axis=1)).astype(float)
 
 
 @dataclass
@@ -456,12 +450,10 @@ def assemble_coupling_matrix(diffusion_mats, weights: WeightVector) -> BlockMatr
     return BlockMatrix(out, m, n)
 
 
-def min_eigenvalue(mat, tol: float = 1e-10, max_sweeps: int = 100) -> float:
-    """Smallest eigenvalue of a symmetric matrix by cyclic Jacobi rotations.
+def min_eigenvalue(mat) -> float:
+    """Smallest eigenvalue of a symmetric matrix (LAPACK symmetric solver).
 
-    Sweeps zero out off-diagonal entries until their Frobenius norm drops
-    below `tol` (which bounds the eigenvalue error).  Raises
-    JacobiConvergenceError after `max_sweeps` sweeps.
+    Raises ValueError for a non-square or non-symmetric input.
     """
     a = mat.matrix if isinstance(mat, BlockMatrix) else np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -469,32 +461,7 @@ def min_eigenvalue(mat, tol: float = 1e-10, max_sweeps: int = 100) -> float:
     scale = np.linalg.norm(a) or 1.0
     if np.linalg.norm(a - a.T) > 1e-12 * scale:
         raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2.0
-    size = a.shape[0]
-    if size == 1:
-        return float(a[0, 0])
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol:
-            return float(np.min(np.diag(a)))
-        for pi in range(size - 1):
-            for qi in range(pi + 1, size):
-                apq = a[pi, qi]
-                if abs(apq) <= 1e-300:
-                    continue
-                tau = (a[qi, qi] - a[pi, pi]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, pi] - s * a[:, qi]
-                rot_q = s * a[:, pi] + c * a[:, qi]
-                a[:, pi], a[:, qi] = rot_p, rot_q
-                rot_p = c * a[pi, :] - s * a[qi, :]
-                rot_q = s * a[pi, :] + c * a[qi, :]
-                a[pi, :], a[qi, :] = rot_p, rot_q
-    raise JacobiConvergenceError(
-        f"off-diagonal norm did not reach {tol} within {max_sweeps} sweeps"
-    )
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def _max_weighted_ratio(system, weights: np.ndarray, p: int, u: np.ndarray) -> float:
@@ -509,11 +476,7 @@ def _max_weighted_ratio(system, weights: np.ndarray, p: int, u: np.ndarray) -> f
     fvals = np.asarray(system.evaluate(x, 0.0, u), dtype=float)
     denom = 1.0 + np.sum(u ** system.intermediate_order, axis=0)
     idx = _index_array(len(weights), p - 1)
-    best = -np.inf
-    for row in idx:
-        coeff = weights ** (2 * row + 1)
-        best = max(best, float(np.max((coeff @ fvals) / denom)))
-    return best
+    return float(np.max((weights ** (2 * idx + 1)) @ fvals / denom))
 
 
 def select_weights(

@@ -11,10 +11,13 @@ If any cell of the solution dips below the positivity tolerance the step
 is retried with a halved dt; states are never clamped, so the discrete
 mass budget stays exact up to linear-solver residuals.
 
-Linear systems are solved by diagonally preconditioned BiCGStab; on 1D
-grids the per-species systems are concatenated into one tridiagonal
-matrix and eliminated directly (banded LAPACK).  Checkpoints serialize a
-state as a flat little-endian binary record.
+The systems I/dt + A_i are cached per dt for each coefficient epoch.  On
+1D grids the per-species systems are stacked into one block-diagonal
+matrix, factorized once by sparse LU and reused for every step at that
+dt; on 2D grids each species is solved by Jacobi-preconditioned BiCGStab,
+warm-started from the old state.  A non-finite reaction stops the step
+with NonFiniteError.  Checkpoints serialize a state as a flat
+little-endian binary record.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import bicgstab, splu
 
 from .diagnostics import Trajectory
 from .grid import (
@@ -45,6 +48,7 @@ __all__ = [
     "SolverError",
     "PositivityError",
     "LinearSolveError",
+    "NonFiniteError",
     "linear_solve",
     "step",
     "run",
@@ -66,6 +70,10 @@ class PositivityError(SolverError):
 
 class LinearSolveError(SolverError):
     """The linear solver did not reach the requested residual."""
+
+
+class NonFiniteError(SolverError):
+    """The reaction evaluated to inf or NaN."""
 
 
 @dataclass
@@ -132,90 +140,45 @@ class Problem:
             raise ValueError("boundary spec and system disagree on species count")
 
 
-def _bicgstab(a, b, tol, max_iter, x0=None):
-    """Diagonally preconditioned BiCGStab; returns (x, iterations, residual)."""
-    n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    diag = a.diagonal()
-    inv_diag = np.where(np.abs(diag) > 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0
-    r = b - a @ x
-    if np.linalg.norm(r) <= tol * bnorm:
-        return x, 0, float(np.linalg.norm(r))
-    r_hat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
-    for it in range(1, max_iter + 1):
-        rho_new = r_hat @ r
-        if rho_new == 0.0 or omega == 0.0:
-            # restart from the current residual
-            r_hat = r.copy()
-            rho_new = r_hat @ r
-            if rho_new == 0.0:
-                break
-            p = np.zeros(n)
-            v = np.zeros(n)
-            rho = alpha = omega = 1.0
-        beta = (rho_new / rho) * (alpha / omega)
-        rho = rho_new
-        p = r + beta * (p - omega * v)
-        p_hat = inv_diag * p
-        v = a @ p_hat
-        denom = r_hat @ v
-        if denom == 0.0:
-            break
-        alpha = rho / denom
-        s = r - alpha * v
-        if np.linalg.norm(s) <= tol * bnorm:
-            x = x + alpha * p_hat
-            return x, it, float(np.linalg.norm(b - a @ x))
-        s_hat = inv_diag * s
-        t_vec = a @ s_hat
-        tt = t_vec @ t_vec
-        if tt == 0.0:
-            break
-        omega = (t_vec @ s) / tt
-        x = x + alpha * p_hat + omega * s_hat
-        r = s - omega * t_vec
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x, it, float(np.linalg.norm(b - a @ x))
-    return x, max_iter, float(np.linalg.norm(b - a @ x))
+def linear_solve(a, b, tol: float = 1e-10, max_iter: int = 500,
+                 x0=None) -> tuple[np.ndarray, int]:
+    """Solve a sparse system to a relative residual by Jacobi-preconditioned BiCGStab.
 
-
-def linear_solve(a, b, tol: float = 1e-10, max_iter: int = 500, x0=None) -> np.ndarray:
-    """Solve a sparse system to a relative residual by preconditioned BiCGStab.
-
-    Raises LinearSolveError with the final residual on non-convergence.
+    Returns (x, iterations).  Raises LinearSolveError with the final
+    residual when BiCGStab breaks down, runs out of iterations, or leaves a
+    true residual above `tol` times the norm of b.
     """
+    a = sp.csr_matrix(a)
     b = np.asarray(b, dtype=float).ravel()
-    x, _, res = _bicgstab(sp.csr_matrix(a), b, tol, max_iter, x0=x0)
+    diag = a.diagonal()
+    jacobi = sp.diags(1.0 / np.where(diag == 0.0, 1.0, diag))
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x, info = bicgstab(
+        a, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=jacobi, callback=count
+    )
     bnorm = np.linalg.norm(b)
-    if bnorm > 0 and res > tol * bnorm:
+    res = np.linalg.norm(b - a @ x)
+    if info != 0 or res > tol * bnorm:
         raise LinearSolveError(
-            f"BiCGStab stalled at relative residual {res / bnorm:.3e} "
-            f"(target {tol:.3e}) after {max_iter} iterations"
+            f"BiCGStab stopped at relative residual {res / bnorm:.3e} "
+            f"(target {tol:.3e}, status {info}) after {iterations} iterations"
         )
-    return x
-
-
-def _tridiagonal_bands(a: sp.csr_matrix) -> np.ndarray:
-    n = a.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = a.diagonal(1)
-    ab[1, :] = a.diagonal(0)
-    ab[2, :-1] = a.diagonal(-1)
-    return ab
+    return x, iterations
 
 
 class TransportOperators:
     """Assembled per-species transport operators for one coefficient epoch.
 
-    Caches the combined (I/dt + A) solve per dt value: one banded
-    elimination over the concatenated species systems in 1D, per-species
-    BiCGStab in 2D.
+    Caches the system I/dt + A_i per dt value.  In 1D that is one sparse LU
+    factorization of the block-diagonal species system, so a step is a
+    single pair of triangular solves.  In 2D it is the per-species CSR
+    matrices, each solved by `linear_solve`: a direct 2D factorization
+    needs more memory than the iterative solve.
     """
 
     def __init__(self, problem: Problem, t: float):
@@ -226,35 +189,31 @@ class TransportOperators:
             a_diff = assemble_diffusion(grid, problem.coefficients, problem.boundary, i, t)
             a_adv = assemble_advection(grid, problem.coefficients, problem.boundary, i, t)
             self.matrices.append((a_diff + a_adv).tocsr())
-        self._band_cache: dict[float, np.ndarray] = {}
+        self._systems: dict[float, object] = {}
+
+    def _system(self, dt: float):
+        cached = self._systems.get(dt)
+        if cached is None:
+            n = self.problem.grid.ncells
+            shifted = [(sp.identity(n) / dt + a).tocsr() for a in self.matrices]
+            if self.problem.grid.dim == 1:
+                cached = splu(sp.block_diag(shifted, format="csc"))
+            else:
+                cached = shifted
+            self._systems[dt] = cached
+        return cached
 
     def solve(self, dt: float, rhs: np.ndarray, cfg: SolverConfig,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         """Solve (I/dt + A_i) u_i = rhs_i for every species; returns (u, iterations)."""
-        m, n = rhs.shape
+        system = self._system(dt)
         if self.problem.grid.dim == 1:
-            ab = self._band_cache.get(dt)
-            if ab is None:
-                full = sp.block_diag(
-                    [sp.eye(n) / dt + a for a in self.matrices], format="csr"
-                )
-                ab = _tridiagonal_bands(full)
-                self._band_cache[dt] = ab
-            sol = scipy.linalg.solve_banded((1, 1), ab, rhs.ravel())
-            return sol.reshape(m, n), 0
+            return system.solve(rhs.ravel()).reshape(rhs.shape), 0
         out = np.empty_like(rhs)
         iterations = 0
-        for i in range(m):
-            system = (sp.eye(n) / dt + self.matrices[i]).tocsr()
+        for i, a in enumerate(system):
             guess = None if x0 is None else x0[i]
-            x, it, res = _bicgstab(system, rhs[i], cfg.linear_tol, cfg.max_linear_iter, x0=guess)
-            bnorm = np.linalg.norm(rhs[i])
-            if bnorm > 0 and res > cfg.linear_tol * bnorm:
-                raise LinearSolveError(
-                    f"species {i}: relative residual {res / bnorm:.3e} after "
-                    f"{cfg.max_linear_iter} iterations"
-                )
-            out[i] = x
+            out[i], it = linear_solve(a, rhs[i], cfg.linear_tol, cfg.max_linear_iter, x0=guess)
             iterations = max(iterations, it)
         return out, iterations
 
@@ -263,9 +222,14 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
          system: ReactionSystem, max_dt: float | None = None) -> tuple[SimState, StepReport]:
     """Advance one accepted IMEX step, halving dt until positivity holds."""
     grid = operators.problem.grid
-    reaction = truncate(
-        system.evaluate(grid.cell_centers, state.t, state.fields), state.eps
-    )
+    raw = np.asarray(system.evaluate(grid.cell_centers, state.t, state.fields), dtype=float)
+    if not np.isfinite(raw).all():
+        species, cell = np.argwhere(~np.isfinite(raw))[0]
+        raise NonFiniteError(
+            f"non-finite reaction {raw[species, cell]} for species {species + 1} "
+            f"in cell {cell} at t={state.t:.6g}"
+        )
+    reaction = truncate(raw, state.eps)
     dt = cfg.dt if max_dt is None else min(cfg.dt, max_dt)
     halvings = 0
     while True:
@@ -341,6 +305,9 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
         if state.t >= boundary - eps_round:
             epoch_idx += 1
             boundary = boundaries[epoch_idx]
+            # release the old epoch's cached systems before assembling the
+            # next ones, so the two are never held at once
+            operators = None
             operators = TransportOperators(problem, state.t + eps_round)
         room = boundary - state.t
         state, report = step(state, cfg, operators, system, max_dt=room)

@@ -231,6 +231,24 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--quiet"]) == 2
 
 
+class TestNonFiniteReaction:
+    @pytest.mark.parametrize("cells, extents", [
+        ([16], [[0.0, 1.0]]),
+        ([6, 6], [[0.0, 1.0], [0.0, 1.0]]),
+    ])
+    def test_overflowing_reaction_exits_4(self, tmp_path, capsys, cells, extents):
+        cfg = heat_config(tmp_path / "out")
+        cfg["grid"] = {"cells": cells, "extents": extents}
+        cfg["system"]["expressions"] = ["u1^2*exp(u1)"]
+        cfg["system"]["initial"] = ["800"]
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert "non-finite reaction inf for species 1 in cell 0 at t=0" in err
+        assert "halvings" not in err
+        assert "Traceback" not in err
+
+
 class TestEnergyReportCommand:
     def test_recompute_after_run(self, tmp_path):
         out = tmp_path / "out"

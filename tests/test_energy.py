@@ -18,6 +18,8 @@ from rdasim.energy import (
     MultiIndex,
     WeightSearchError,
     WeightVector,
+    _index_array,
+    _poly_weights,
     assemble_coupling_matrix,
     count_multi_indices,
     energy_density,
@@ -97,6 +99,15 @@ class TestMultinomialCoefficient:
             math.factorial(5) * math.factorial(7) * math.factorial(8)
         )
         assert multinomial_coefficient(20, beta) == expected
+
+    @pytest.mark.parametrize("m, p", [(1, 4), (2, 5), (3, 6), (4, 3), (3, 25)])
+    def test_poly_weights_match_row_by_row(self, m, p):
+        # p = 25 puts p! beyond int64, so only exact integer arithmetic agrees
+        idx = _index_array(m, p)
+        weights = _poly_weights(p, idx)
+        assert weights.shape == (idx.shape[0],)
+        for row, w in zip(idx, weights):
+            assert w == float(multinomial_coefficient(p, row))
 
 
 class TestEnergyDensity:

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rdasim import integrator
 from rdasim.grid import (
     BoundarySpec,
     CoefficientField,
     Dirichlet,
     NoFluxWithDrift,
+    Robin,
     StructuredGrid,
     discrete_norm,
 )
@@ -62,7 +66,7 @@ class TestLinearSolve:
     def test_identity(self):
         rng = np.random.default_rng(0)
         b = rng.standard_normal(20)
-        x = linear_solve(sp.eye(20).tocsr(), b)
+        x, _ = linear_solve(sp.eye(20).tocsr(), b)
         assert np.allclose(x, b, atol=1e-12)
 
     def test_tridiagonal_vs_banded_oracle(self):
@@ -78,7 +82,7 @@ class TestLinearSolve:
         ab[1] = a.diagonal(0)
         ab[2, :-1] = a.diagonal(-1)
         oracle = scipy.linalg.solve_banded((1, 1), ab, b)
-        x = linear_solve(a, b, tol=1e-12, max_iter=300)
+        x, _ = linear_solve(a, b, tol=1e-12, max_iter=300)
         assert np.max(np.abs(x - oracle)) < 1e-10
 
     def test_random_m_matrix_converges(self):
@@ -88,7 +92,7 @@ class TestLinearSolve:
         np.fill_diagonal(off, 0.0)
         a = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, n))
         b = rng.standard_normal(n)
-        x = linear_solve(sp.csr_matrix(a), b, tol=1e-10, max_iter=500)
+        x, _ = linear_solve(sp.csr_matrix(a), b, tol=1e-10, max_iter=500)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.01
 
     def test_nonconvergence_reports_residual(self):
@@ -98,6 +102,81 @@ class TestLinearSolve:
         a = sp.csr_matrix(a + a.T)
         with pytest.raises(LinearSolveError, match="residual"):
             linear_solve(a, rng.standard_normal(40), tol=1e-14, max_iter=2)
+
+
+def dense_transport_oracle(ops, dt, rhs):
+    n = rhs.shape[1]
+    return np.array([np.linalg.solve(np.eye(n) / dt + a.toarray(), r)
+                     for a, r in zip(ops.matrices, rhs)])
+
+
+def relative_error(u, ref):
+    return np.max(np.abs(u - ref)) / np.max(np.abs(ref))
+
+
+class TestTransportSolve:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        widths=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=12),
+        diffusivity=st.floats(1e-3, 10.0),
+        contrast=st.floats(1.0, 100.0),
+        drift=st.floats(-2.0, 2.0),
+        dt=st.floats(1e-3, 1.0),
+    )
+    def test_1d_matches_dense_oracle(self, widths, diffusivity, contrast, drift, dt):
+        # three species with a diffusivity jump mid-domain and every
+        # boundary kind on some side
+        grid = StructuredGrid([np.array(widths)])
+        n = grid.ncells
+        jump = np.where(np.arange(n) < n // 2, 1.0, contrast)
+        diff = np.array([[diffusivity * jump], [diffusivity / jump], [diffusivity * np.ones(n)]])
+        drifts = np.full((3, 1, n), drift)
+        boundary = BoundarySpec((
+            {"x_lo": Dirichlet(), "x_hi": Robin(0.5)},
+            {"x_lo": Robin(2.0), "x_hi": NoFluxWithDrift()},
+            {"x_lo": NoFluxWithDrift(), "x_hi": Dirichlet()},
+        ), 1)
+        problem = Problem(grid, zero_reactions(3), CoefficientField(grid, diff, drifts), boundary)
+        ops = TransportOperators(problem, 0.0)
+        rhs = np.random.default_rng(n).uniform(0.0, 2.0, size=(3, n))
+        u, iterations = ops.solve(dt, rhs, SolverConfig(dt=dt, t_end=1.0))
+        assert iterations == 0
+        assert relative_error(u, dense_transport_oracle(ops, dt, rhs)) <= 1e-10
+
+    def test_2d_matches_dense_oracle(self):
+        grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 1.0)], [8, 6])
+        rng = np.random.default_rng(11)
+        diff = rng.uniform(0.01, 1.0, size=(2, 2, grid.ncells))
+        drifts = rng.uniform(-1.0, 1.0, size=(2, 2, grid.ncells))
+        problem = Problem(grid, zero_reactions(2), CoefficientField(grid, diff, drifts),
+                          BoundarySpec.uniform(2, 2, NoFluxWithDrift()))
+        ops = TransportOperators(problem, 0.0)
+        rhs = rng.uniform(0.0, 2.0, size=(2, grid.ncells))
+        cfg = SolverConfig(dt=0.1, t_end=1.0, linear_tol=1e-13)
+        u, iterations = ops.solve(0.1, rhs, cfg, x0=rhs)
+        assert iterations > 0
+        assert relative_error(u, dense_transport_oracle(ops, 0.1, rhs)) <= 1e-10
+
+    def test_one_factorization_per_dt(self, monkeypatch):
+        calls = []
+        real_splu = integrator.splu
+
+        def counting_splu(a):
+            calls.append(a.shape)
+            return real_splu(a)
+
+        monkeypatch.setattr(integrator, "splu", counting_splu)
+        problem = make_problem(builtin_reversible_reaction(), n=16, diffusion=0.2, drift=0.3)
+        ops = TransportOperators(problem, 0.0)
+        rhs = np.ones((2, 16))
+        cfg = SolverConfig(dt=0.1, t_end=1.0)
+        first, _ = ops.solve(0.1, rhs, cfg)
+        for _ in range(4):
+            again, _ = ops.solve(0.1, rhs, cfg)
+            assert np.array_equal(again, first)
+        assert calls == [(32, 32)]
+        ops.solve(0.05, rhs, cfg)
+        assert len(calls) == 2
 
 
 class TestStep:
