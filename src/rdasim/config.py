@@ -76,24 +76,8 @@ _VECTOR_SPEC = {
     ]
 }
 
-_DIFFUSION_SPEC = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": _FIELD_SPEC, "minItems": 1, "maxItems": 2},
-        {
-            "type": "object",
-            "properties": {"expr": {"type": "string"}},
-            "required": ["expr"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {"csv": {"type": "string"}},
-            "required": ["csv"],
-            "additionalProperties": False,
-        },
-    ]
-}
+# a scalar, per-axis entries, or one field for all axes
+_DIFFUSION_SPEC = {"oneOf": _VECTOR_SPEC["oneOf"] + _FIELD_SPEC["oneOf"][1:]}
 
 _INITIAL_SPEC = {"oneOf": [{"type": "number"}, {"type": "string"}]}
 

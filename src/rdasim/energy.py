@@ -56,6 +56,9 @@ DEFAULT_INDEX_CAP = 10**6
 # exponent magnitude beyond which float powers are accumulated in log space
 _LOG_DOMAIN_CUTOFF = 700.0
 
+# index rows per block in the sampled reaction ratio
+_RATIO_BLOCK_ROWS = 256
+
 
 class IndexBudgetError(RuntimeError):
     """Multi-index enumeration would exceed the configured cap."""
@@ -475,8 +478,10 @@ def _max_weighted_ratio(system, weights: np.ndarray, p: int, u: np.ndarray) -> f
         x = pos[:, cols]
     fvals = np.asarray(system.evaluate(x, 0.0, u), dtype=float)
     denom = 1.0 + np.sum(u ** system.intermediate_order, axis=0)
-    idx = _index_array(len(weights), p - 1)
-    return float(np.max((weights ** (2 * idx + 1)) @ fvals / denom))
+    powers = weights ** (2 * _index_array(len(weights), p - 1) + 1)
+    # blocks of index rows keep the (rows, batch) temporaries bounded
+    return max(float(np.max(powers[k:k + _RATIO_BLOCK_ROWS] @ fvals / denom))
+               for k in range(0, len(powers), _RATIO_BLOCK_ROWS))
 
 
 def select_weights(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import bicgstab, splu
+from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .diagnostics import Trajectory
 from .grid import (
@@ -150,18 +150,28 @@ def linear_solve(a, b, tol: float = 1e-10, max_iter: int = 500,
     """
     a = sp.csr_matrix(a)
     b = np.asarray(b, dtype=float).ravel()
-    diag = a.diagonal()
-    jacobi = sp.diags(1.0 / np.where(diag == 0.0, 1.0, diag))
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    x, info = bicgstab(
-        a, b, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=jacobi, callback=count
-    )
     bnorm = np.linalg.norm(b)
+    scale = bnorm or 1.0
+    diag = a.diagonal()
+    inv_diag = 1.0 / np.where(diag == 0.0, 1.0, diag)
+    preconditioner_calls = 0
+
+    def jacobi(v):
+        nonlocal preconditioner_calls
+        preconditioner_calls += 1
+        return v * inv_diag
+
+    # scipy's breakdown test |rho| < eps**2 is absolute and rho scales with
+    # |b|**2, so solve for x / |b| to make it relative
+    x, info = bicgstab(
+        a, b / scale, x0=None if x0 is None else np.asarray(x0, dtype=float) / scale,
+        rtol=tol, atol=0.0, maxiter=max_iter,
+        M=LinearOperator(a.shape, matvec=jacobi, dtype=float),
+    )
+    x = x * scale
+    # a full iteration applies the preconditioner twice; one that converges
+    # at its half step applies it once
+    iterations = (preconditioner_calls + 1) // 2
     res = np.linalg.norm(b - a @ x)
     if info != 0 or res > tol * bnorm:
         raise LinearSolveError(

@@ -18,7 +18,9 @@ from rdasim.energy import (
     MultiIndex,
     WeightSearchError,
     WeightVector,
+    _RATIO_BLOCK_ROWS,
     _index_array,
+    _max_weighted_ratio,
     _poly_weights,
     assemble_coupling_matrix,
     count_multi_indices,
@@ -414,6 +416,22 @@ class TestSelectWeights:
         weights, _ = select_weights(system, samples, p=2, samples_per_radius=500)
         assert min_eigenvalue(assemble_coupling_matrix(samples[0], weights)) > 0
         assert max(weights.entries) > 1.0
+
+    def test_blocked_ratio_matches_one_product(self):
+        # m = 4, p - 1 = 10 gives 286 index rows, more than one block; the
+        # heaviest weight on species 1 puts the maximizing row (10, 0, 0, 0) last
+        system = system_from_expressions(
+            ["1 + u2", "u1 * u3 - u2", "1 - u3 + u4", "u1 - u4"],
+            mass_weights=[1.0] * 4, mass_constants=(1.0, 1.0),
+        )
+        weights = np.array([2.0, 1.5, 1.0, 1.25])
+        u = np.random.default_rng(3).uniform(0.0, 2.0, size=(4, 300))
+        idx = _index_array(4, 10)
+        assert idx.shape[0] > _RATIO_BLOCK_ROWS
+        fvals = system.evaluate(None, 0.0, u)
+        denom = 1.0 + np.sum(u ** system.intermediate_order, axis=0)
+        oracle = np.max((weights ** (2 * idx + 1)) @ fvals / denom)
+        assert _max_weighted_ratio(system, weights, 11, u) == pytest.approx(oracle, rel=1e-14)
 
     def test_divergent_ratio_fails_with_message(self):
         cubic = system_from_expressions(

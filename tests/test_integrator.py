@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +95,44 @@ class TestLinearSolve:
         b = rng.standard_normal(n)
         x, _ = linear_solve(sp.csr_matrix(a), b, tol=1e-10, max_iter=500)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.01
+
+    def test_tiny_right_hand_side(self):
+        # scipy's rho breakdown test is absolute; the solve must not depend on |b|
+        rng = np.random.default_rng(1)
+        n = 100
+        off = -np.abs(rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.05)
+        np.fill_diagonal(off, 0.0)
+        a = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, n))
+        b = 1e-20 * rng.standard_normal(n)
+        x, _ = linear_solve(sp.csr_matrix(a), b, tol=1e-10, max_iter=500)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.01
+        x0 = x * (1.0 + 1e-6)
+        x, _ = linear_solve(sp.csr_matrix(a), b, tol=1e-10, max_iter=500, x0=x0)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.01
+
+    def test_zero_right_hand_side(self):
+        x, iterations = linear_solve(sp.eye(5).tocsr(), np.zeros(5), x0=np.ones(5))
+        assert np.array_equal(x, np.zeros(5))
+        assert iterations == 0
+
+    def test_half_step_convergence_counts_one_iteration(self):
+        # Jacobi is exact on a diagonal system: BiCGStab stops at its first half step
+        a = sp.diags(np.linspace(1.0, 4.0, 30)).tocsr()
+        _, iterations = linear_solve(a, np.ones(30))
+        assert iterations == 1
+
+    def test_iterations_match_full_steps(self):
+        n = 50
+        low = np.full(n - 1, -1.0)
+        a = sp.diags([low, np.full(n, 2.0), low], [-1, 0, 1]).tocsr()
+        b = np.random.default_rng(4).standard_normal(n)
+        steps = []
+        scipy.sparse.linalg.bicgstab(
+            a, b / np.linalg.norm(b), rtol=1e-10, atol=0.0, maxiter=500,
+            M=sp.diags(1.0 / a.diagonal()), callback=lambda xk: steps.append(1),
+        )
+        _, iterations = linear_solve(a, b, tol=1e-10, max_iter=500)
+        assert iterations in (len(steps), len(steps) + 1)
 
     def test_nonconvergence_reports_residual(self):
         # an indefinite system BiCGStab cannot crack in two iterations
