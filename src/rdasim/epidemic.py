@@ -200,12 +200,11 @@ def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
             si, sb, sh = sigma_i[cells], sigma_b[cells], phi[cells]
         s, i, r, b = u
         infection = si * s * i + sb * s * b
-        out = np.stack([
-            -infection + gamma_w * r,
-            infection - (lam + alpha) * i,
-            lam * i - gamma_w * r,
-            sh * i - delta_b * b,
-        ])
+        out = np.empty_like(u)
+        out[0] = -infection + gamma_w * r
+        out[1] = infection - (lam + alpha) * i
+        out[2] = lam * i - gamma_w * r
+        out[3] = sh * i - delta_b * b
         return out[:, 0] if single else out
 
     rate_scale = max(float(sigma_i.max()), float(sigma_b.max()), gamma_w, lam + alpha,

@@ -16,12 +16,17 @@ The systems I/dt + A_i are cached per dt for each coefficient epoch.  On
 matrix, factorized once by sparse LU and reused for every step at that
 dt; on 2D grids each species is solved by Jacobi-preconditioned BiCGStab,
 warm-started from the old state.  A non-finite reaction stops the step
-with NonFiniteError.  Checkpoints serialize a state as a flat
-little-endian binary record.
+with NonFiniteError.  `run` writes the reduced summaries of each accepted
+step (time, masses, sup-norms, minimum, cumulative reaction, dt,
+halvings, linear iterations) as one row of a preallocated float array
+rather than as per-step Python objects.  Checkpoints serialize a state
+as a flat little-endian binary record; loading checks its size.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -120,7 +125,6 @@ class StepReport:
     linear_iterations: int
     halvings: int
     min_value: float
-    reaction_magnitude: np.ndarray  # per-species sup-norm of the applied reaction
     reaction_mass: np.ndarray | None = None  # per-species volume integral of it
 
 
@@ -261,7 +265,6 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
         linear_iterations=iterations,
         halvings=halvings,
         min_value=low,
-        reaction_magnitude=np.max(np.abs(reaction), axis=1),
         reaction_mass=reaction @ grid.cell_volumes,
     )
     return new_state, report
@@ -274,8 +277,11 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
     Operators are reassembled whenever a coefficient schedule switch is
     crossed; steps never straddle a switch time.  Snapshots are taken at
     the configured cadence (every step if none); the per-step series
-    (masses, sup-norms, minima, cumulative applied reaction) are always
-    dense.
+    (masses, sup-norms, minima, cumulative applied reaction, dt, halvings,
+    linear iterations) are always dense.  Each accepted step is one row of
+    a preallocated float array, sized for (t_end - t0) / dt steps plus one
+    clipped step per epoch and doubled if halvings outgrow it; the
+    Trajectory step arrays are contiguous copies of its columns.
     """
     grid = problem.grid
     system = problem.system
@@ -293,17 +299,22 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
     switches = [s for s in problem.coefficients.switch_times() if initial.t < s < t_end]
     boundaries = sorted(set(switches + [t_end]))
 
+    m = system.m
+    # series columns: t | masses | sup-norms | min | reaction integrals | dt, halvings, iterations
+    mass, sup, low, react, dt_col = 1, 1 + m, 1 + 2 * m, 2 + 2 * m, 2 + 3 * m
+    capacity = math.ceil((t_end - initial.t) / cfg.dt) + len(boundaries) + 1
+    series = np.zeros((capacity, dt_col + 3))
+
     vol = grid.cell_volumes
     state = initial
     snap_times = [state.t]
     snapshots = [state.fields.copy()]
-    step_times = [state.t]
-    masses = [state.fields @ vol]
-    supnorms = [np.max(np.abs(state.fields), axis=1)]
-    minima = [float(state.fields.min())]
-    reaction_integral = np.zeros(system.m)
-    reaction_integrals = [reaction_integral.copy()]
-    dts, halvings_list, iters_list = [], [], []
+    row = series[0]
+    row[0] = state.t
+    row[mass:sup] = state.fields @ vol
+    row[sup:low] = np.abs(state.fields).max(axis=1)
+    row[low] = state.fields.min()
+    n = 1
 
     next_record = state.t + cfg.record_dt if cfg.record_dt else None
     operators = TransportOperators(problem, state.t)
@@ -321,16 +332,17 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
             operators = TransportOperators(problem, state.t + eps_round)
         room = boundary - state.t
         state, report = step(state, cfg, operators, system, max_dt=room)
-        reaction_integral = reaction_integral + report.dt * report.reaction_mass
 
-        step_times.append(state.t)
-        masses.append(state.fields @ vol)
-        supnorms.append(np.max(np.abs(state.fields), axis=1))
-        minima.append(float(state.fields.min()))
-        reaction_integrals.append(reaction_integral.copy())
-        dts.append(report.dt)
-        halvings_list.append(report.halvings)
-        iters_list.append(report.linear_iterations)
+        if n == series.shape[0]:
+            series = np.concatenate([series, np.zeros_like(series)])
+        row = series[n]
+        row[0] = state.t
+        row[mass:sup] = state.fields @ vol
+        row[sup:low] = np.abs(state.fields).max(axis=1)
+        row[low] = report.min_value
+        row[react:dt_col] = series[n - 1, react:dt_col] + report.dt * report.reaction_mass
+        row[dt_col:] = report.dt, report.halvings, report.linear_iterations
+        n += 1
 
         at_end = state.t >= t_end - eps_round
         if next_record is None or state.t >= next_record - eps_round or at_end:
@@ -340,18 +352,19 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
                 while next_record <= state.t + eps_round:
                     next_record += cfg.record_dt
 
+    series = series[:n]
     return Trajectory(
         grid=grid,
         times=np.asarray(snap_times),
         states=snapshots,
-        step_times=np.asarray(step_times),
-        step_masses=np.asarray(masses),
-        step_supnorms=np.asarray(supnorms),
-        step_minima=np.asarray(minima),
-        reaction_integrals=np.asarray(reaction_integrals),
-        step_dts=np.asarray(dts),
-        step_halvings=np.asarray(halvings_list, dtype=int),
-        step_linear_iterations=np.asarray(iters_list, dtype=int),
+        step_times=series[:, 0].copy(),
+        step_masses=series[:, mass:sup].copy(),
+        step_supnorms=series[:, sup:low].copy(),
+        step_minima=series[:, low].copy(),
+        reaction_integrals=series[:, react:dt_col].copy(),
+        step_dts=series[1:, dt_col].copy(),
+        step_halvings=series[1:, dt_col + 1].astype(int),
+        step_linear_iterations=series[1:, dt_col + 2].astype(int),
         config_echo=config_echo,
     )
 
@@ -422,13 +435,23 @@ def dump_state(state: SimState, grid: StructuredGrid, path) -> None:
 
 
 def load_state(path, grid: StructuredGrid) -> SimState:
-    """Restore a state from a checkpoint record, verifying the grid hash."""
+    """Restore a state from a checkpoint record, verifying the grid hash and the size."""
     with open(path, "rb") as fh:
         raw = fh.read(_CHECKPOINT_HEADER.size)
+        if len(raw) != _CHECKPOINT_HEADER.size:
+            raise ValueError(f"checkpoint {path} has a {len(raw)}-byte header, "
+                             f"expected {_CHECKPOINT_HEADER.size} bytes")
         ghash, m, ncells, t, eps = _CHECKPOINT_HEADER.unpack(raw)
         if ghash != grid.content_hash():
             raise ValueError("checkpoint was written for a different grid")
         if ncells != grid.ncells:
             raise ValueError(f"checkpoint has {ncells} cells for a grid with {grid.ncells}")
-        data = np.frombuffer(fh.read(8 * m * ncells), dtype="<f8").reshape(m, ncells)
+        # compare sizes before reading, so a corrupt species count cannot
+        # request an arbitrarily large buffer
+        expected = 8 * m * ncells
+        actual = os.fstat(fh.fileno()).st_size - _CHECKPOINT_HEADER.size
+        if actual != expected:
+            raise ValueError(f"checkpoint {path} holds {actual} data bytes, expected "
+                             f"{expected} for {m} species x {ncells} cells")
+        data = np.frombuffer(fh.read(expected), dtype="<f8").reshape(m, ncells)
     return SimState(t, data.copy(), TruncationParam(eps))

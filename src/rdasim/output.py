@@ -54,16 +54,19 @@ def write_json(path, payload: dict) -> None:
 
 
 def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
-    """Plain CSV with '#'-prefixed provenance lines before the header."""
+    """Plain CSV with '#'-prefixed provenance lines before the header.
+
+    Rows are formatted and written one at a time, so a long series is never
+    held as one string.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for key, value in sorted((meta or {}).items()):
-        lines.append(f"# {key}={value}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        for key, value in sorted((meta or {}).items()):
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
 
 
 def write_step_series_csv(path, traj, species_names=None, meta=None) -> None:
@@ -72,11 +75,9 @@ def write_step_series_csv(path, traj, species_names=None, meta=None) -> None:
     names = species_names or [f"u{i + 1}" for i in range(m)]
     header = (["time"] + [f"mass_{n}" for n in names]
               + [f"sup_{n}" for n in names] + ["min_value"])
-    rows = []
-    for k in range(traj.step_times.size):
-        rows.append([traj.step_times[k], *traj.step_masses[k], *traj.step_supnorms[k],
-                     traj.step_minima[k]])
-    write_csv(path, header, rows, meta)
+    table = np.column_stack([traj.step_times, traj.step_masses, traj.step_supnorms,
+                             traj.step_minima])
+    write_csv(path, header, (row.tolist() for row in table), meta)
 
 
 def write_norm_series_csv(path, series: dict, species_names=None, meta=None) -> None:
@@ -138,5 +139,5 @@ def write_vtk_structured_points(path, grid, fields: dict, title: str = "rdasim f
         ordered = values if grid.dim == 1 else values.reshape(nx, ny).T.ravel()
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(fmt(v) for v in ordered)
+        lines.extend(map(repr, ordered.tolist()))
     path.write_text("\n".join(lines) + "\n")

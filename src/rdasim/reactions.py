@@ -152,7 +152,7 @@ def truncate(f_values, eps) -> np.ndarray:
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     f = np.asarray(f_values, dtype=float)
-    denom = 1.0 + epsilon * np.sum(np.abs(f), axis=0)
+    denom = 1.0 + epsilon * np.abs(f).sum(axis=0)
     return f / denom
 
 

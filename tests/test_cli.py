@@ -278,6 +278,22 @@ class TestEnergyReportCommand:
         path = write_config(tmp_path, heat_config(out))
         assert main(["energy-report", "--config", str(path), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("keep, expected", [
+        (20, "20-byte header, expected 40 bytes"),  # cut inside the header
+        (40 + 8 * 7 + 3, "holds 59 data bytes, expected 64"),  # cut inside the data
+    ])
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys, keep, expected):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, heat_config(out, cells=8, t_end=0.01))
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+        checkpoint = out / "trajectory" / "state_000001.ck"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:keep])
+        assert main(["energy-report", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "state_000001.ck" in err
+        assert expected in err
+        assert "Traceback" not in err
+
     def test_checkpoint_roundtrip_through_reload(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, heat_config(out, cells=16, t_end=0.01))

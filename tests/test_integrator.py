@@ -303,6 +303,31 @@ class TestRun:
         traj = run(state, SolverConfig(dt=0.02, t_end=2.0), problem)
         assert traj.step_minima.min() >= -1e-12
 
+    def test_step_records_outgrow_their_preallocation(self):
+        # the stiff sink halves every step, so the run takes far more steps
+        # than (t_end - t0) / dt and the step records must grow
+        sink = system_from_expressions(
+            ["0 - 30*u1"], mass_weights=[1.0], mass_constants=(0.0, 0.0),
+            intermediate_order=1.0, growth_order=1.0, growth_constant=30.0,
+        )
+        problem = make_problem(sink, n=8, diffusion=0.01)
+        state = SimState(0.0, np.full((1, 8), 0.5), TruncationParam(1e-6))
+        traj = run(state, SolverConfig(dt=1.0, t_end=2.0, record_dt=None), problem)
+        assert traj.step_halvings.sum() > 0
+        # 4 preallocated rows: the initial one, 2 steps of dt = 1 and 1 epoch
+        assert traj.step_dts.size > 2 * 4
+        states = np.asarray(traj.states)
+        vol = problem.grid.cell_volumes
+        assert np.array_equal(traj.step_times, traj.times)
+        assert np.array_equal(traj.step_masses, states @ vol)
+        assert np.array_equal(traj.step_supnorms, np.max(np.abs(states), axis=2))
+        assert np.array_equal(traj.step_minima, states.min(axis=(1, 2)))
+        np.testing.assert_allclose(traj.step_times[1:] - traj.step_times[:-1],
+                                   traj.step_dts, rtol=1e-12)
+        assert traj.reaction_integrals.shape == (traj.step_times.size, 1)
+        assert np.issubdtype(traj.step_halvings.dtype, np.integer)
+        assert np.issubdtype(traj.step_linear_iterations.dtype, np.integer)
+
     def test_snapshot_cadence(self):
         system = zero_reactions(1)
         problem = make_problem(system, n=8, diffusion=0.1)
