@@ -74,23 +74,34 @@ def _say(quiet: bool, message: str) -> None:
 
 
 def _assemble(cfg, base_dir: Path):
-    """Shared construction: grid, system, coefficients, bc, initial, params."""
-    grid = build_grid(cfg)
-    if "scenario" in cfg:
-        params = build_epi_params(cfg, grid, base_dir)
-        system, boundary = build_epi_system(params)
-        coeff = build_epi_coefficients(params)
-        initial = build_initial(cfg["scenario"]["epi"]["initial"], grid, 4)
-        names = list(epidemic.SPECIES)
-    else:
-        params = None
-        system = build_system(cfg)
-        coeff = build_coefficients(cfg, grid, system.m, base_dir)
-        boundary = build_boundary(cfg, system.m, grid.dim)
-        initial = None
-        if "initial" in cfg.get("system", {}):
-            initial = build_initial(cfg["system"]["initial"], grid, system.m)
-        names = [f"u{i + 1}" for i in range(system.m)]
+    """Shared construction: grid, system, coefficients, bc, initial, params.
+
+    A value the schema cannot see (a missing or non-numeric CSV field, a
+    malformed expression, a non-positive diffusivity, an unknown builtin
+    argument) fails in the constructors below; it becomes a ConfigError
+    naming the cause.  AssumptionViolation passes through unchanged.
+    """
+    try:
+        grid = build_grid(cfg)
+        if "scenario" in cfg:
+            params = build_epi_params(cfg, grid, base_dir)
+            system, boundary = build_epi_system(params)
+            coeff = build_epi_coefficients(params)
+            initial = build_initial(cfg["scenario"]["epi"]["initial"], grid, 4)
+            names = list(epidemic.SPECIES)
+        else:
+            params = None
+            system = build_system(cfg)
+            coeff = build_coefficients(cfg, grid, system.m, base_dir)
+            boundary = build_boundary(cfg, system.m, grid.dim)
+            initial = None
+            if "initial" in cfg.get("system", {}):
+                initial = build_initial(cfg["system"]["initial"], grid, system.m)
+            names = [f"u{i + 1}" for i in range(system.m)]
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from None
     return grid, system, coeff, boundary, initial, params, names
 
 

@@ -25,6 +25,7 @@ from .grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
+    _sides,
 )
 from .integrator import SolverConfig
 from .reactions import BUILTIN_SYSTEMS, compile_expression, system_from_expressions
@@ -170,7 +171,7 @@ CONFIG_SCHEMA = {
                                             "alpha": {"type": "number", "minimum": 0},
                                         },
                                     }
-                                    for side in ("x_lo", "x_hi", "y_lo", "y_hi")
+                                    for side in _sides(2)
                                 },
                             },
                         },
@@ -415,7 +416,7 @@ def _bc_from_kind(kind: str, alpha: float):
 
 def build_boundary(cfg: dict, m: int, dim: int) -> BoundarySpec:
     block = cfg.get("bc", {"all": "noflux"})
-    sides = ("x_lo", "x_hi") if dim == 1 else ("x_lo", "x_hi", "y_lo", "y_hi")
+    sides = _sides(dim)
     default = _bc_from_kind(block.get("all", "noflux"), block.get("alpha", 0.0))
     species_blocks = block.get("species")
     conditions = []
@@ -437,21 +438,16 @@ def build_boundary(cfg: dict, m: int, dim: int) -> BoundarySpec:
     return BoundarySpec(tuple(conditions), dim)
 
 
-def _initial_entry(spec, grid: StructuredGrid) -> np.ndarray:
-    if isinstance(spec, (int, float)):
-        return np.full(grid.ncells, float(spec))
-    fn = compile_expression(spec, 0, allow_state=False, allow_time=False)
-    return np.broadcast_to(
-        np.asarray(fn(grid.cell_centers, 0.0, None), dtype=float), (grid.ncells,)
-    ).copy()
-
-
 def build_initial(entries, grid: StructuredGrid, m: int) -> np.ndarray:
     if entries is None:
         raise ConfigError("an initial state is required to run (system.initial)")
     if len(entries) != m:
         raise ConfigError(f"need {m} initial entries, got {len(entries)}")
-    fields = np.stack([_initial_entry(e, grid) for e in entries])
+    # an initial entry is a number or a bare expression string, never a CSV
+    fields = np.stack([
+        _scalar_field(e if isinstance(e, (int, float)) else {"expr": e}, grid, None)
+        for e in entries
+    ])
     if np.any(fields < 0) or not np.all(np.isfinite(fields)):
         raise ConfigError("initial data must be non-negative and finite")
     return fields

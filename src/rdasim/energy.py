@@ -131,6 +131,14 @@ def _index_tuples(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _check_index_budget(m: int, p: int, index_cap: int) -> None:
+    n = count_multi_indices(m, p)
+    if n > index_cap:
+        raise IndexBudgetError(
+            f"enumeration of {n} multi-indices (m={m}, p={p}) exceeds cap {index_cap}"
+        )
+
+
 def enumerate_multi_indices(m: int, p: int, index_cap: int = DEFAULT_INDEX_CAP) -> list[MultiIndex]:
     """All multi-indices of length m and order p, lexicographically ordered.
 
@@ -141,11 +149,7 @@ def enumerate_multi_indices(m: int, p: int, index_cap: int = DEFAULT_INDEX_CAP) 
         raise ValueError(f"species count must be >= 1, got {m}")
     if p < 0:
         raise ValueError(f"order must be >= 0, got {p}")
-    n = count_multi_indices(m, p)
-    if n > index_cap:
-        raise IndexBudgetError(
-            f"enumeration of {n} multi-indices (m={m}, p={p}) exceeds cap {index_cap}"
-        )
+    _check_index_budget(m, p, index_cap)
     return [MultiIndex(t) for t in _index_tuples(m, p)]
 
 
@@ -207,12 +211,7 @@ class EnergySpec:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"energy order must be >= 1, got {self.p}")
-        n = count_multi_indices(self.m, self.p)
-        if n > self.index_cap:
-            raise IndexBudgetError(
-                f"enumeration of {n} multi-indices (m={self.m}, p={self.p}) "
-                f"exceeds cap {self.index_cap}"
-            )
+        _check_index_budget(self.m, self.p, self.index_cap)
         self._tables: dict[int, tuple] = {}
 
     @property
@@ -239,6 +238,13 @@ class EnergySpec:
             slope = w[None, :] ** (2 * idx + 1)
             self._tables[q] = (idx, coefs, wpow, log_wpow, big, slope)
         return self._tables[q]
+
+    def _finite_level(self, q: int):
+        """`_level(q)` for the paths without a log-domain fallback."""
+        level = self._level(q)
+        if level[4].any():  # the log-domain flags
+            raise OverflowError("weight powers exceed float range; reduce weights or order")
+        return level
 
 
 def _state_powers(u: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -325,9 +331,7 @@ def energy_time_derivative(u, dudt, spec: EnergySpec):
     if spec.p == 1:
         out = w @ vel
         return float(out[0]) if single else out
-    idx, coefs, wpow, _, big, slope = spec._level(spec.p - 1)
-    if big.any():
-        raise OverflowError("weight powers exceed float range; reduce weights or order")
+    idx, coefs, wpow, _, _, slope = spec._finite_level(spec.p - 1)
     upow = _state_powers(batch, idx)  # (K, N)
     inner = slope @ vel  # (K, N)
     out = np.einsum("k,kn,kn->n", coefs * wpow, upow, inner)
@@ -368,9 +372,7 @@ def ibp_identity_sides(u, grad_u, mats, spec: EnergySpec) -> tuple[float, float]
     w = spec.weights.as_array()
 
     # left side: order p-1, gradient of the monomial expanded by product rule
-    idx1, coefs1, wpow1, _, big1, slope1 = spec._level(spec.p - 1)
-    if big1.any():
-        raise OverflowError("weight powers exceed float range; reduce weights or order")
+    idx1, coefs1, wpow1, _, _, slope1 = spec._finite_level(spec.p - 1)
     lhs = 0.0
     for k_row in range(idx1.shape[0]):
         beta = idx1[k_row]
@@ -385,9 +387,7 @@ def ibp_identity_sides(u, grad_u, mats, spec: EnergySpec) -> tuple[float, float]
         lhs += coefs1[k_row] * wpow1[k_row] * contrib
 
     # right side: order p-2, pairwise coupling with explicit coefficients
-    idx2, coefs2, wpow2, _, big2, _ = spec._level(spec.p - 2)
-    if big2.any():
-        raise OverflowError("weight powers exceed float range; reduce weights or order")
+    idx2, coefs2, wpow2, _, _, _ = spec._finite_level(spec.p - 2)
     pair = flux @ grads.T  # (m, m): (A_k grad u_k) . grad u_l
     rhs = 0.0
     for k_row in range(idx2.shape[0]):

@@ -8,6 +8,14 @@ conditions: homogeneous Dirichlet (ghost mirror value 0), Robin
 (diffusive flux proportional to the trace), and total-flux-zero walls
 that also cancel the advective face term.
 
+Both operators come from one face walk in any dimension: `_face_table`
+slices the flat-index array and the width meshes along each axis into
+the interior faces and the wall faces of each side.  Diffusion and
+advection each turn it into per-face flux coefficients (a, b) -- the
+flux a*u_left + b*u_right leaves the left cell and enters the right
+one -- plus diagonal wall terms, and `_flux_operator` builds the sparse
+matrix from them.
+
 Operators act pointwise (rows are divided by cell volume), so on uniform
 grids the pure-diffusion operator is symmetric; on non-uniform grids it
 is volume-similar to a symmetric matrix.  Assembled operators are
@@ -246,7 +254,7 @@ class NoFluxWithDrift:
 
 
 def _sides(dim: int) -> tuple[str, ...]:
-    return ("x_lo", "x_hi") if dim == 1 else ("x_lo", "x_hi", "y_lo", "y_hi")
+    return tuple(f"{axis}_{end}" for axis in "xy"[:dim] for end in ("lo", "hi"))
 
 
 @dataclass
@@ -275,63 +283,72 @@ class BoundarySpec:
         return self.conditions[i]
 
 
-def face_diffusivity(d_left: float, d_right: float, h_left: float, h_right: float) -> float:
-    """Distance-weighted harmonic mean of two adjacent cell diffusivities."""
-    if d_left <= 0 or d_right <= 0 or h_left <= 0 or h_right <= 0:
+def face_diffusivity(d_left, d_right, h_left, h_right):
+    """Distance-weighted harmonic mean of two adjacent cell diffusivities.
+
+    Takes scalars or equal-shaped arrays (one entry per face).
+    """
+    if any(np.any(np.asarray(v) <= 0) for v in (d_left, d_right, h_left, h_right)):
         raise ValueError("face diffusivity requires positive diffusivities and widths")
     return (h_left + h_right) * d_left * d_right / (h_right * d_left + h_left * d_right)
 
 
-def _interior_faces(grid: StructuredGrid, axis: int):
-    """Left/right flat cell indices, face areas and adjacent widths along an axis."""
-    shape = grid.shape
-    if grid.dim == 1:
-        n = shape[0]
-        left = np.arange(n - 1)
-        right = left + 1
-        area = np.ones(n - 1)
-        return left, right, area, grid.widths[0][:-1], grid.widths[0][1:]
-    nx, ny = shape
-    if axis == 0:
-        ix, iy = np.meshgrid(np.arange(nx - 1), np.arange(ny), indexing="ij")
-        left = np.ravel_multi_index((ix.ravel(), iy.ravel()), shape)
-        right = np.ravel_multi_index((ix.ravel() + 1, iy.ravel()), shape)
-        area = grid.widths[1][iy.ravel()]
-        h_left = grid.widths[0][ix.ravel()]
-        h_right = grid.widths[0][ix.ravel() + 1]
-    else:
-        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny - 1), indexing="ij")
-        left = np.ravel_multi_index((ix.ravel(), iy.ravel()), shape)
-        right = np.ravel_multi_index((ix.ravel(), iy.ravel() + 1), shape)
-        area = grid.widths[0][ix.ravel()]
-        h_left = grid.widths[1][iy.ravel()]
-        h_right = grid.widths[1][iy.ravel() + 1]
-    return left, right, area, h_left, h_right
+def _face_table(grid: StructuredGrid):
+    """Interior faces per axis and wall faces per side, in any dimension.
+
+    The cells at one layer along an axis are a slice of the flat-index
+    array and of the width meshes; the face area is the product of the
+    widths along the other axes.  Interior faces along an axis pair the
+    layers 0..n-2 (left) with 1..n-1 (right).  Returns a list with one
+    (left, right, area, h_left, h_right) per axis and a dict with one
+    (axis, cells, area, h, outward sign) per side, in `_sides` order.
+    """
+    index = np.arange(grid.ncells).reshape(grid.shape)
+    wmesh = np.meshgrid(*grid.widths, indexing="ij")
+
+    def layer(axis: int, span: slice):
+        key = (slice(None),) * axis + (span,)
+        area = np.ones(index[key].size)
+        for other, wm in enumerate(wmesh):
+            if other != axis:
+                area = area * wm[key].ravel()
+        return index[key].ravel(), area, wmesh[axis][key].ravel()
+
+    interior = []
+    for axis in range(grid.dim):
+        left, area, h_left = layer(axis, slice(None, -1))
+        right, _, h_right = layer(axis, slice(1, None))
+        interior.append((left, right, area, h_left, h_right))
+    walls = {}
+    for side in _sides(grid.dim):
+        axis = "xy".index(side[0])
+        lo = side.endswith("lo")
+        walls[side] = (axis, *layer(axis, slice(0, 1) if lo else slice(-1, None)),
+                       -1.0 if lo else 1.0)
+    return interior, walls
 
 
-def _boundary_faces(grid: StructuredGrid, side: str):
-    """Flat cell indices, face areas and cell widths on one boundary side."""
-    shape = grid.shape
-    axis = 0 if side.startswith("x") else 1
-    last = shape[axis] - 1
-    pos = 0 if side.endswith("lo") else last
-    if grid.dim == 1:
-        cells = np.array([pos])
-        area = np.ones(1)
-        h = np.array([grid.widths[0][pos]])
-        return axis, cells, area, h
-    nx, ny = shape
-    if axis == 0:
-        iy = np.arange(ny)
-        cells = np.ravel_multi_index((np.full(ny, pos), iy), shape)
-        area = grid.widths[1][iy]
-        h = np.full(ny, grid.widths[0][pos])
-    else:
-        ix = np.arange(nx)
-        cells = np.ravel_multi_index((ix, np.full(nx, pos)), shape)
-        area = grid.widths[0][ix]
-        h = np.full(nx, grid.widths[1][pos])
-    return axis, cells, area, h
+def _flux_operator(grid: StructuredGrid, faces, walls) -> SparseOperator:
+    """CSR operator from per-face flux coefficients and diagonal wall terms.
+
+    faces: one (left, right, a, b) per axis; the flux a*u_left + b*u_right
+    leaves the left cell and enters the right one.  walls: (cells, w)
+    pairs added to the diagonal.  Every row is divided by its cell volume.
+    """
+    vol = grid.cell_volumes
+    rows, cols, vals = [], [], []
+    for left, right, a, b in faces:
+        rows += [left, left, right, right]
+        cols += [left, right, left, right]
+        vals += [a / vol[left], b / vol[left], -a / vol[right], -b / vol[right]]
+    for cells, w in walls:
+        rows.append(cells)
+        cols.append(cells)
+        vals.append(w / vol[cells])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells)).tocsr()
 
 
 def assemble_diffusion(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
@@ -347,37 +364,22 @@ def assemble_diffusion(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
     """
     diff, _ = coeff.at_time(t)
     d = diff[species]  # (dim, ncells)
-    vol = grid.cell_volumes
-    rows, cols, vals = [], [], []
-    for axis in range(grid.dim):
-        left, right, area, h_left, h_right = _interior_faces(grid, axis)
-        d_left = d[axis, left]
-        d_right = d[axis, right]
-        d_face = (h_left + h_right) * d_left * d_right / (h_right * d_left + h_left * d_right)
+    interior, walls = _face_table(grid)
+    faces = []
+    for axis, (left, right, area, h_left, h_right) in enumerate(interior):
+        d_face = face_diffusivity(d[axis, left], d[axis, right], h_left, h_right)
         trans = d_face * area / ((h_left + h_right) / 2.0)
-        for r, c, s in ((left, left, 1.0), (left, right, -1.0),
-                        (right, right, 1.0), (right, left, -1.0)):
-            rows.append(r)
-            cols.append(c)
-            vals.append(s * trans / vol[r])
+        faces.append((left, right, trans, -trans))
     side_bcs = bc.for_species(species)
-    for side in _sides(grid.dim):
+    wall_terms = []
+    for side, (axis, cells, area, h, _) in walls.items():
         condition = side_bcs[side]
-        axis, cells, area, h = _boundary_faces(grid, side)
         if isinstance(condition, Dirichlet):
-            trans = 2.0 * d[axis, cells] * area / h
-            rows.append(cells)
-            cols.append(cells)
-            vals.append(trans / vol[cells])
+            wall_terms.append((cells, 2.0 * d[axis, cells] * area / h))
         elif isinstance(condition, Robin):
-            rows.append(cells)
-            cols.append(cells)
-            vals.append(condition.alpha * area / vol[cells])
+            wall_terms.append((cells, condition.alpha * area))
         # total-flux-zero: no face contribution
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells)).tocsr()
+    return _flux_operator(grid, faces, wall_terms)
 
 
 def assemble_advection(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
@@ -392,34 +394,19 @@ def assemble_advection(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
     """
     _, drift = coeff.at_time(t)
     b = drift[species]  # (dim, ncells)
-    vol = grid.cell_volumes
-    rows, cols, vals = [], [], []
-    for axis in range(grid.dim):
-        left, right, area, _, _ = _interior_faces(grid, axis)
+    interior, walls = _face_table(grid)
+    faces = []
+    for axis, (left, right, area, _, _) in enumerate(interior):
         b_face = 0.5 * (b[axis, left] + b[axis, right])
-        pos = np.maximum(b_face, 0.0) * area
-        neg = np.minimum(b_face, 0.0) * area
-        for r, c, s in ((left, left, pos), (right, left, -pos),
-                        (left, right, neg), (right, right, -neg)):
-            rows.append(r)
-            cols.append(c)
-            vals.append(s / vol[r])
+        faces.append((left, right, np.maximum(b_face, 0.0) * area,
+                      np.minimum(b_face, 0.0) * area))
     side_bcs = bc.for_species(species)
-    for side in _sides(grid.dim):
-        condition = side_bcs[side]
-        if isinstance(condition, NoFluxWithDrift):
-            continue
-        axis, cells, area, _ = _boundary_faces(grid, side)
-        sign = -1.0 if side.endswith("lo") else 1.0
-        outward = sign * b[axis, cells]
-        outflow = np.maximum(outward, 0.0) * area
-        rows.append(cells)
-        cols.append(cells)
-        vals.append(outflow / vol[cells])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells)).tocsr()
+    wall_terms = [
+        (cells, np.maximum(sign * b[axis, cells], 0.0) * area)
+        for side, (axis, cells, area, _, sign) in walls.items()
+        if not isinstance(side_bcs[side], NoFluxWithDrift)
+    ]
+    return _flux_operator(grid, faces, wall_terms)
 
 
 def discrete_norm(fld, grid: StructuredGrid, p) -> float:

@@ -231,6 +231,37 @@ class TestRunCommand:
         assert main(["run", "--config", str(path), "--quiet"]) == 2
 
 
+class TestUnbuildableConfig:
+    """Faults the schema cannot see surface as config errors, not tracebacks."""
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("path, value, cause", [
+        (("coefficients", "diffusion"), [{"csv": "absent.csv"}], "absent.csv"),
+        (("coefficients", "diffusion"), [{"csv": "words.csv"}], "could not convert"),
+        (("coefficients", "diffusion"), [{"expr": "1 +"}], "cannot parse '1 +'"),
+        (("coefficients", "diffusion"), [{"expr": "x - 0.5"}], "positive"),
+        (("system", "initial"), ["exp(x"], "cannot parse 'exp(x'"),
+        (("system", "initial"), ["u1 + 1"], "unknown symbol 'u1'"),
+        (("system", "expressions"), ["u1 +* 2"], "cannot parse 'u1 +* 2'"),
+        (("system",), {"builtin": "reversible", "builtin_args": {"nope": 1.0},
+                       "initial": [1.0, 0.5]}, "nope"),
+    ], ids=["missing-csv", "non-numeric-csv", "malformed-coefficient", "nonpositive-diffusion",
+            "malformed-initial", "state-in-initial", "malformed-reaction", "unknown-builtin-arg"])
+    def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, path, value, cause):
+        (tmp_path / "words.csv").write_text("0,one\n")
+        cfg = heat_config(tmp_path / "out")
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        config = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert cause in err
+        assert "Traceback" not in err
+
+
 class TestNonFiniteReaction:
     @pytest.mark.parametrize("cells, extents", [
         ([16], [[0.0, 1.0]]),

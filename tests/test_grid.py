@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdasim.grid import (
     BoundarySpec,
@@ -23,6 +25,36 @@ def constant_problem(grid, m, diffusion, drift=None, bc=None):
                                       None if drift is None else [drift] * m)
     boundary = BoundarySpec.uniform(m, grid.dim, bc or NoFluxWithDrift())
     return coeff, boundary
+
+
+def floats_array(draw, size, lo, hi):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+
+@st.composite
+def random_problems(draw):
+    """One species on a non-uniform 1D or 2D grid, a wall kind drawn per side."""
+    dim = draw(st.integers(1, 2))
+    grid = StructuredGrid([floats_array(draw, draw(st.integers(1, 7)), 0.05, 1.0)
+                           for _ in range(dim)])
+    diff = floats_array(draw, dim * grid.ncells, 1e-3, 10.0).reshape(1, dim, -1)
+    drift = floats_array(draw, dim * grid.ncells, -2.0, 2.0).reshape(1, dim, -1)
+    walls = st.one_of(st.just(Dirichlet()), st.builds(Robin, st.floats(0.0, 5.0)),
+                      st.just(NoFluxWithDrift()))
+    sides = ("x_lo", "x_hi", "y_lo", "y_hi")[:2 * dim]
+    boundary = BoundarySpec(({side: draw(walls) for side in sides},), dim)
+    return grid, CoefficientField(grid, diff, drift), boundary
+
+
+def open_wall_cells(grid, boundary):
+    """Mask of the cells on a side whose wall lets mass through."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for side, condition in boundary.for_species(0).items():
+        if not isinstance(condition, NoFluxWithDrift):
+            axis = "xy".index(side[0])
+            layer = 0 if side.endswith("lo") else -1
+            mask[(slice(None),) * axis + (layer,)] = True
+    return mask.ravel()
 
 
 class TestGrid:
@@ -144,23 +176,20 @@ class TestDiffusionAssembly:
         exact = np.where(x < 0.5, 1.0 - flux * x, (1.0 - x) * flux / 10.0)
         assert np.max(np.abs(u - exact)) < 1e-10
 
-    def test_m_matrix_signs(self):
-        rng = np.random.default_rng(1)
-        grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 1.0)], [6, 6])
-        diff = rng.uniform(0.1, 5.0, size=(1, 2, grid.ncells))
-        drift = rng.uniform(-2.0, 2.0, size=(1, 2, grid.ncells))
-        coeff = CoefficientField(grid, diff, drift)
-        for bc in (Dirichlet(), Robin(0.7), NoFluxWithDrift()):
-            boundary = BoundarySpec.uniform(1, 2, bc)
-            a = (assemble_diffusion(grid, coeff, boundary, 0)
-                 + assemble_advection(grid, coeff, boundary, 0)).toarray()
+    @settings(max_examples=60, deadline=None)
+    @given(random_problems())
+    def test_m_matrix_signs(self, problem):
+        # both operators: non-negative diagonal, non-positive off-diagonal,
+        # and weak diagonal dominance of the volume-weighted columns (the
+        # flux-form dominance behind the discrete maximum principle)
+        grid, coeff, boundary = problem
+        for assemble in (assemble_diffusion, assemble_advection):
+            a = assemble(grid, coeff, boundary, 0).toarray()
             off = a - np.diag(np.diag(a))
-            assert np.all(np.diag(a) >= 0)
-            assert np.all(off <= 1e-14)
-            # weak diagonal dominance of the volume-weighted columns: the
-            # flux-form dominance behind the discrete maximum principle
-            col = grid.cell_volumes @ a
-            assert np.all(col >= -1e-12)
+            assert np.all(np.diag(a) >= 0.0)
+            assert np.all(off <= 0.0)
+            weighted = grid.cell_volumes[:, None] * a
+            assert np.all(weighted.sum(axis=0) >= -1e-13 * np.abs(weighted).sum(axis=0))
 
     def test_pure_diffusion_symmetry_uniform(self):
         rng = np.random.default_rng(2)
@@ -223,15 +252,19 @@ class TestAdvectionAssembly:
         assert a[i, i - 1] == pytest.approx(-b / h)
         assert a[i, i + 1] == pytest.approx(0.0)
 
-    def test_total_flux_walls_conserve_constants(self):
-        rng = np.random.default_rng(3)
-        grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 1.0)], [5, 5])
-        drift = rng.uniform(-1.5, 1.5, size=(1, 2, grid.ncells))
-        coeff = CoefficientField(grid, np.ones((1, 2, grid.ncells)), drift)
-        boundary = BoundarySpec.uniform(1, 2, NoFluxWithDrift())
-        a = assemble_advection(grid, coeff, boundary, 0)
-        u = np.full(grid.ncells, 3.7)
-        assert abs(np.sum(grid.cell_volumes * (a @ u))) < 1e-12
+    @settings(max_examples=60, deadline=None)
+    @given(random_problems())
+    def test_total_flux_walls_conserve_constants(self, problem):
+        # every face flux leaves one cell and enters its neighbour, so the
+        # volume-weighted column sums vanish except on walls that let mass
+        # through; with total-flux-zero walls all round, mass is conserved
+        grid, coeff, boundary = problem
+        interior = ~open_wall_cells(grid, boundary)
+        for assemble in (assemble_diffusion, assemble_advection):
+            weighted = grid.cell_volumes[:, None] * assemble(grid, coeff, boundary, 0).toarray()
+            col = weighted.sum(axis=0)
+            assert np.all(np.abs(col[interior])
+                          <= 1e-13 * np.abs(weighted).sum(axis=0)[interior])
 
     def test_volume_weighted_column_sums_vanish(self):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [16])
