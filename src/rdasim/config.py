@@ -330,7 +330,10 @@ def _scalar_field(spec, grid: StructuredGrid, base_dir: Path) -> np.ndarray:
         return np.broadcast_to(
             np.asarray(fn(grid.cell_centers, 0.0, None), dtype=float), (grid.ncells,)
         ).copy()
-    data = np.loadtxt(base_dir / spec["csv"], delimiter=",", ndmin=2)
+    try:
+        data = np.loadtxt(base_dir / spec["csv"], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"CSV field {spec['csv']!r}: {exc}") from None
     if data.shape[1] != 2:
         raise ConfigError(f"CSV field {spec['csv']!r} must have two columns (index, value)")
     order = np.argsort(data[:, 0])

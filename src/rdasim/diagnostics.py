@@ -47,7 +47,8 @@ class Trajectory:
     """Recorded simulation history: snapshots plus dense step summaries.
 
     Reloaded trajectories may carry only the snapshot series; the step
-    arrays are then None and the step-based diagnostics refuse to run.
+    arrays are then None, and the mass and sup-norm diagnostics fall back
+    to values computed from the snapshots.
     """
 
     grid: StructuredGrid

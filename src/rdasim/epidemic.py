@@ -23,7 +23,7 @@ the limit  initial host mass - mortality * cumulative infected mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class EpiParams:
     """Parameter pack for the host-pathogen scenario.
 
     Per-cell fields accept scalars (broadcast) or length-ncells arrays.
-    The pathogen drift is a (dim, ncells) field (or scalar per axis), with
-    an optional piecewise-constant schedule of (t_switch, drift) pairs.
+    The pathogen drift is a (dim, ncells) field, a per-axis list, or a
+    scalar.
     """
 
     grid: StructuredGrid
@@ -85,7 +85,6 @@ class EpiParams:
     mortality: float                 # infected removal
     pathogen_decay: float
     drift: object = 0.0              # pathogen drift
-    drift_schedule: list = field(default_factory=list)
 
     def __post_init__(self):
         g = self.grid
@@ -100,7 +99,6 @@ class EpiParams:
         self.uptake_rate = _cellwise(g, self.uptake_rate, "uptake_rate")
         self.shedding = _cellwise(g, self.shedding, "shedding")
         self.drift = self._drift_field(self.drift)
-        self.drift_schedule = [(float(t), self._drift_field(d)) for t, d in self.drift_schedule]
         for name in ("waning_rate", "recovery_rate", "mortality", "pathogen_decay"):
             val = float(getattr(self, name))
             if not val > 0:
@@ -140,11 +138,9 @@ def validate_params(params: EpiParams, tol: float = 0.0) -> list:
     bad = np.nonzero(~(params.diffusivities > 0.0) | ~np.isfinite(params.diffusivities))[1]
     if bad.size:
         flag("diffusivity-lower-bound", "diffusivities must have a positive lower bound", bad)
-    drifts = [params.drift] + [d for _, d in params.drift_schedule]
-    for d in drifts:
-        if not np.all(np.isfinite(d)):
-            flag("drift-bound", "drift must be uniformly bounded", np.nonzero(~np.isfinite(d))[1])
-            break
+    if not np.all(np.isfinite(params.drift)):
+        flag("drift-bound", "drift must be uniformly bounded",
+             np.nonzero(~np.isfinite(params.drift))[1])
     for name, arr in (("contact", params.contact_rate), ("uptake", params.uptake_rate)):
         bad = np.nonzero(~(arr > 0.0) | ~np.isfinite(arr))[0]
         if bad.size:
@@ -230,13 +226,9 @@ def build_epi_coefficients(params: EpiParams) -> CoefficientField:
     grid = params.grid
     diffusion = np.repeat(params.diffusivities[:, None, :], grid.dim, axis=1)
 
-    def drift_block(d):
-        out = np.zeros((4, grid.dim, grid.ncells))
-        out[3] = d
-        return out
-
-    schedule = [(t, diffusion, drift_block(d)) for t, d in params.drift_schedule]
-    return CoefficientField(grid, diffusion, drift_block(params.drift), schedule=schedule)
+    drift = np.zeros((4, grid.dim, grid.ncells))
+    drift[3] = params.drift
+    return CoefficientField(grid, diffusion, drift)
 
 
 def conservation_residual(traj, params: EpiParams) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,15 @@ a degree-r polynomial, and the polynomial growth order of the field
 itself.
 
 The structural hypotheses quantify over the whole non-negative orthant;
-at desk scale they are checked by seeded sampling over a ladder of
-doubling radii (divergence shows up as a ratio that keeps growing when
-the radius doubles).  Local Lipschitz continuity of the evaluator is a
-documented user obligation and is not checked numerically.
+at desk scale they are checked by seeded sampling.  One sweep serves all
+four checks: for each radius of the doubling ladder it draws states
+(from the orthant, or pinned to the coordinate faces for
+quasi-positivity) and probe positions from one seeded stream, and
+evaluates F once at t = 0.  A sample whose reaction is inf or NaN is a
+violation in every check.  The two growth bounds (intermediate sums and
+polynomial growth) share one ratio ladder; divergence is a ratio that
+keeps growing when the radius doubles.  Local Lipschitz continuity of the
+evaluator is a documented user obligation and is not checked numerically.
 
 `truncate` implements the bounded regularization F / (1 + eps * sum|F_j|),
 which caps every component at 1/eps while preserving signs and the
@@ -32,6 +37,7 @@ from .sampling import (
     DEFAULT_SEED,
     face_samples,
     orthant_samples,
+    plateau,
 )
 
 __all__ = [
@@ -52,8 +58,8 @@ __all__ = [
 ]
 
 _MAX_STORED_VIOLATIONS = 20
-_PLATEAU_RTOL = 0.05
-_PLATEAU_FLOOR = 1e-9
+# residual beyond which a quasi-positivity or mass-control sample violates
+_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -156,171 +162,141 @@ def truncate(f_values, eps) -> np.ndarray:
     return f / denom
 
 
-def _probe_positions(system: ReactionSystem, rng: np.random.Generator, size: int):
-    if system.sample_positions is None:
-        return None
-    pos = np.asarray(system.sample_positions, dtype=float)
-    cols = rng.integers(0, pos.shape[1], size=size)
-    return pos[:, cols]
+def _witness(u, x, col, residual):
+    """Violation record (u, x, t, residual) of sample `col` of a sweep batch."""
+    return u[:, col], None if x is None else x[:, col], 0.0, residual
 
 
-def _evaluate(system: ReactionSystem, x, t, u) -> np.ndarray:
-    out = np.asarray(system.evaluate(x, t, u), dtype=float)
-    if out.shape != u.shape:
-        raise ValueError(f"evaluator returned shape {out.shape} for states {u.shape}")
-    return out
+def _sweep(system: ReactionSystem, draw: Callable, size: int, seed: int,
+           report: SampleReport):
+    """Evaluate the reaction on seeded samples over the radius ladder.
 
-
-def check_quasi_positivity(system: ReactionSystem, tol: float = 1e-9,
-                           radii: Sequence[float] = DEFAULT_RADII,
-                           samples_per_radius: int = DEFAULT_SAMPLES_PER_RADIUS,
-                           times: Sequence[float] = (0.0,),
-                           seed: int = DEFAULT_SEED) -> SampleReport:
-    """Sample the coordinate faces and flag F_i < -tol where u_i = 0."""
+    For each radius in DEFAULT_RADII, draws states with
+    `draw(rng, m, radius, size)` and then, for spatially dependent fields,
+    probe positions, both from one `default_rng(seed)`; evaluates F at
+    t = 0 and yields `(u, x, F)`.  Every sample counts towards
+    `report.samples_tested`.  A sample whose reaction is inf or NaN is
+    recorded as a violation (its residual is the first non-finite
+    component) and left out of what is yielded.
+    """
     rng = np.random.default_rng(seed)
+    positions = system.sample_positions
+    if positions is not None:
+        positions = np.asarray(positions, dtype=float)
+    for radius in DEFAULT_RADII:
+        u = draw(rng, system.m, radius, size)
+        x = None
+        if positions is not None:
+            x = positions[:, rng.integers(0, positions.shape[1], size=u.shape[1])]
+        f = np.asarray(system.evaluate(x, 0.0, u), dtype=float)
+        if f.shape != u.shape:
+            raise ValueError(f"evaluator returned shape {f.shape} for states {u.shape}")
+        report.samples_tested += u.shape[1]
+        finite = np.isfinite(f).all(axis=0)
+        if not finite.all():
+            for col in np.flatnonzero(~finite):
+                values = f[:, col]
+                report.add_violation(*_witness(u, x, col, values[~np.isfinite(values)][0]))
+            u, f = u[:, finite], f[:, finite]
+            x = None if x is None else x[:, finite]
+        yield u, x, f
+
+
+def check_quasi_positivity(system: ReactionSystem,
+                           samples_per_radius: int = DEFAULT_SAMPLES_PER_RADIUS,
+                           seed: int = DEFAULT_SEED) -> SampleReport:
+    """Sample the coordinate faces and flag F_i < -1e-9 where u_i = 0."""
     report = SampleReport(check="quasi_positivity", samples_tested=0)
     worst = 0.0
     per_face = max(1, samples_per_radius // system.m)
-    for radius in radii:
-        for t in times:
-            u = face_samples(rng, system.m, radius, per_face)
-            x = _probe_positions(system, rng, u.shape[1])
-            fvals = _evaluate(system, x, t, u)
-            report.samples_tested += u.shape[1]
-            on_face = u == 0.0
-            residual = np.where(on_face, fvals, np.inf)
-            worst = min(worst, float(residual.min()))
-            bad = np.nonzero(np.any(residual < -tol, axis=0))[0]
-            for col in bad:
-                i = int(np.argmin(residual[:, col]))
-                xcol = None if x is None else x[:, col]
-                report.add_violation(u[:, col], xcol, t, residual[i, col])
+    for u, x, fvals in _sweep(system, face_samples, per_face, seed, report):
+        residual = np.where(u == 0.0, fvals, np.inf)
+        worst = min(worst, float(residual.min(initial=np.inf)))
+        for col in np.nonzero(np.any(residual < -_TOL, axis=0))[0]:
+            report.add_violation(*_witness(u, x, col, residual[:, col].min()))
     report.estimated_constant = worst
     return report
 
 
-def check_mass_control(system: ReactionSystem, tol: float = 1e-9,
-                       radii: Sequence[float] = DEFAULT_RADII,
+def check_mass_control(system: ReactionSystem,
                        samples_per_radius: int = DEFAULT_SAMPLES_PER_RADIUS,
-                       times: Sequence[float] = (0.0,),
                        seed: int = DEFAULT_SEED) -> SampleReport:
     """Flag samples where the weighted reaction sum beats its linear bound.
 
     The residual is c . F - K1 * sum(u) - K2 per sample; positive residual
-    beyond `tol` is a violation.
+    beyond 1e-9 is a violation.
     """
-    rng = np.random.default_rng(seed)
     k1, k2 = system.mass_constants
     report = SampleReport(check="mass_control", samples_tested=0)
     worst = -np.inf
-    for radius in radii:
-        for t in times:
-            u = orthant_samples(rng, system.m, radius, samples_per_radius)
-            x = _probe_positions(system, rng, u.shape[1])
-            fvals = _evaluate(system, x, t, u)
-            report.samples_tested += u.shape[1]
-            residual = system.mass_weights @ fvals - k1 * np.sum(u, axis=0) - k2
-            worst = max(worst, float(residual.max()))
-            for col in np.nonzero(residual > tol)[0]:
-                xcol = None if x is None else x[:, col]
-                report.add_violation(u[:, col], xcol, t, residual[col])
+    for u, x, fvals in _sweep(system, orthant_samples, samples_per_radius, seed, report):
+        residual = system.mass_weights @ fvals - k1 * np.sum(u, axis=0) - k2
+        worst = max(worst, float(residual.max(initial=-np.inf)))
+        for col in np.nonzero(residual > _TOL)[0]:
+            report.add_violation(*_witness(u, x, col, residual[col]))
     report.estimated_constant = worst
     return report
 
 
-def _plateau(ratios: Sequence[float]) -> bool:
-    # the hypotheses are upper bounds: only upward drift under radius
-    # doubling is evidence of divergence, and a non-positive ratio
-    # satisfies the bound with constant zero
-    prev, last = ratios[-2], ratios[-1]
-    if last <= _PLATEAU_FLOOR:
-        return True
-    return last <= prev + _PLATEAU_RTOL * max(abs(prev), _PLATEAU_FLOOR)
+def _ratio_ladder(system: ReactionSystem, combine: Callable, order: float,
+                  samples_per_radius: int, seed: int, report: SampleReport):
+    """Per radius and row, the sampled maximum of combine(F) / (1 + sum_k u_k^order).
+
+    Returns the (radii, rows) array of maxima and a function that gives
+    row i's argmax sample at the largest radius as a violation witness.
+    """
+    maxima = []
+    for u, x, fvals in _sweep(system, orthant_samples, samples_per_radius, seed, report):
+        ratio = combine(fvals) / (1.0 + np.sum(u**order, axis=0))
+        maxima.append(ratio.max(axis=1, initial=-np.inf))
+
+    def witness(i: int):
+        # u, x and ratio still hold the largest radius's batch
+        col = int(np.argmax(ratio[i]))
+        return _witness(u, x, col, ratio[i, col])
+
+    return np.array(maxima), witness
 
 
 def check_intermediate_sum(system: ReactionSystem,
-                           radii: Sequence[float] = DEFAULT_RADII,
                            samples_per_radius: int = DEFAULT_SAMPLES_PER_RADIUS,
-                           times: Sequence[float] = (0.0,),
                            seed: int = DEFAULT_SEED) -> SampleReport:
     """Radius-doubling plateau check for the triangular partial-sum bounds.
 
     For each row of the combination matrix, the sampled maximum of
-    (row . F) / (1 + sum_k u_k^r) must stabilize (relative change below
-    5%) when the sample radius doubles; a row whose ratio keeps growing is
+    (row . F) / (1 + sum_k u_k^r) must stop growing (`sampling.plateau`)
+    when the sample radius doubles; a row whose ratio keeps growing is
     reported as diverging, with the argmax sample at the largest radius as
     witness.
     """
-    rng = np.random.default_rng(seed)
-    r = system.intermediate_order
     report = SampleReport(check="intermediate_sum", samples_tested=0)
-    per_row = []
-    witnesses = []
-    for radius in radii:
-        u = orthant_samples(rng, system.m, radius, samples_per_radius)
-        radius_max = np.full(system.m, -np.inf)
-        for t in times:
-            x = _probe_positions(system, rng, u.shape[1])
-            fvals = _evaluate(system, x, t, u)
-            report.samples_tested += u.shape[1]
-            denom = 1.0 + np.sum(u**r, axis=0)
-            rowvals = (system.sum_matrix @ fvals) / denom
-            t_max = rowvals.max(axis=1)
-            improved = t_max > radius_max
-            radius_max = np.maximum(radius_max, t_max)
-            cols = rowvals.argmax(axis=1)
-            new = [(u[:, c], None if x is None else x[:, c], t, rowvals[i, c])
-                   for i, c in enumerate(cols)]
-            witnesses = new if not witnesses else [
-                new[i] if improved[i] else witnesses[i] for i in range(system.m)
-            ]
-        per_row.append(radius_max)
-    ratios = np.array(per_row)  # (n_radii, m)
-    diverging = []
-    for i in range(system.m):
-        if not _plateau(ratios[:, i]):
-            diverging.append(i)
-            report.add_violation(*witnesses[i])
+    ratios, witness = _ratio_ladder(system, lambda f: system.sum_matrix @ f,
+                                    system.intermediate_order, samples_per_radius, seed, report)
+    diverging = [i for i in range(system.m) if not plateau(ratios[:, i])]
+    for i in diverging:
+        report.add_violation(*witness(i))
     report.estimated_constant = float(ratios[-1].max())
     report.details = {"per_row_ratios": ratios.T.tolist(), "diverging_rows": diverging,
-                      "radii": list(radii)}
+                      "radii": list(DEFAULT_RADII)}
     return report
 
 
 def check_polynomial_growth(system: ReactionSystem,
-                            radii: Sequence[float] = DEFAULT_RADII,
                             samples_per_radius: int = DEFAULT_SAMPLES_PER_RADIUS,
-                            times: Sequence[float] = (0.0,),
                             seed: int = DEFAULT_SEED) -> SampleReport:
     """Radius-doubling plateau check for the polynomial upper bound on F.
 
     Estimates max_i max_u F_i / (1 + sum_k u_k^l) per radius; divergence is
     a ratio that keeps growing when the radius doubles.
     """
-    rng = np.random.default_rng(seed)
-    ell = system.growth_order
     report = SampleReport(check="polynomial_growth", samples_tested=0)
-    per_radius = []
-    witness = None
-    for radius in radii:
-        u = orthant_samples(rng, system.m, radius, samples_per_radius)
-        radius_max = -np.inf
-        for t in times:
-            x = _probe_positions(system, rng, u.shape[1])
-            fvals = _evaluate(system, x, t, u)
-            report.samples_tested += u.shape[1]
-            denom = 1.0 + np.sum(u**ell, axis=0)
-            ratio = fvals / denom
-            flat = int(np.argmax(ratio))
-            i, col = np.unravel_index(flat, ratio.shape)
-            if ratio[i, col] > radius_max:
-                radius_max = float(ratio[i, col])
-                witness = (u[:, col], None if x is None else x[:, col], t, radius_max)
-        per_radius.append(radius_max)
-    if not _plateau(per_radius):
-        report.add_violation(*witness)
+    ratios, witness = _ratio_ladder(system, lambda f: f, system.growth_order,
+                                    samples_per_radius, seed, report)
+    per_radius = ratios.max(axis=1).tolist()
+    if not plateau(per_radius):
+        report.add_violation(*witness(int(np.argmax(ratios[-1]))))
     report.estimated_constant = per_radius[-1]
-    report.details = {"per_radius_ratios": per_radius, "radii": list(radii)}
+    report.details = {"per_radius_ratios": per_radius, "radii": list(DEFAULT_RADII)}
     return report
 
 

@@ -3,7 +3,9 @@
 The hypothesis checkers and the weight search all quantify over all
 non-negative states.  The desk-scale surrogate is sampling: log-uniform
 componentwise draws at a ladder of doubling radii, plus draws pinned to
-each coordinate face.  Everything is seeded and deterministic.
+each coordinate face.  Everything is seeded and deterministic.  A sampled
+upper bound holds when its ratio stops growing as the radius doubles
+(`plateau`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ DEFAULT_SEED = 0
 
 # decades spanned below the radius by the log-uniform draws
 _DECADES = 6.0
+
+_PLATEAU_RTOL = 0.05
+_PLATEAU_FLOOR = 1e-9
 
 
 def orthant_samples(rng: np.random.Generator, m: int, radius: float, size: int) -> np.ndarray:
@@ -40,3 +45,15 @@ def face_samples(rng: np.random.Generator, m: int, radius: float, size: int) -> 
         u[i, :] = 0.0
         blocks.append(u)
     return np.concatenate(blocks, axis=1)
+
+
+def plateau(ratios) -> bool:
+    """Whether the last ratio of a radius ladder has stopped growing.
+
+    The sampled hypotheses are upper bounds, so only upward drift under
+    radius doubling is evidence of divergence: the ladder plateaus when its
+    last ratio is at most 1e-9 (the bound holds with constant zero) or
+    exceeds the one before by at most 5% of that ratio's magnitude.
+    """
+    prev, last = ratios[-2], ratios[-1]
+    return last <= _PLATEAU_FLOOR or last <= prev + _PLATEAU_RTOL * max(abs(prev), _PLATEAU_FLOOR)

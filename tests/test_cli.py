@@ -237,7 +237,7 @@ class TestUnbuildableConfig:
     @pytest.mark.parametrize("command", ["check", "run"])
     @pytest.mark.parametrize("path, value, cause", [
         (("coefficients", "diffusion"), [{"csv": "absent.csv"}], "absent.csv"),
-        (("coefficients", "diffusion"), [{"csv": "words.csv"}], "could not convert"),
+        (("coefficients", "diffusion"), [{"csv": "words.csv"}], "'words.csv': could not convert"),
         (("coefficients", "diffusion"), [{"expr": "1 +"}], "cannot parse '1 +'"),
         (("coefficients", "diffusion"), [{"expr": "x - 0.5"}], "positive"),
         (("system", "initial"), ["exp(x"], "cannot parse 'exp(x'"),
@@ -278,6 +278,23 @@ class TestNonFiniteReaction:
         assert "non-finite reaction inf for species 1 in cell 0 at t=0" in err
         assert "halvings" not in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("expressions", [["0*u2/u1", "0*u1"], ["0/(u1-u1)", "0*u2"]],
+                             ids=["nan-on-a-face", "nan-everywhere"])
+    def test_nan_reaction_fails_check_with_exit_3(self, tmp_path, expressions):
+        out = tmp_path / "out"
+        cfg = heat_config(out)
+        cfg["system"].update(expressions=expressions, mass_weights=[1.0, 1.0], initial=["1", "1"])
+        cfg["coefficients"] = {"diffusion": [1.0, 1.0]}
+        cfg["diagnostics"] = {"p_list": [1]}
+        path = write_config(tmp_path, cfg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["check", "--config", str(path), "--quiet"]) == 3
+        report = json.loads((out / "check_report.json").read_text())
+        entry = next(c for c in report["checks"] if c["name"] == "quasi_positivity")
+        assert not entry["passed"]
+        assert entry["witnesses"][0]["residual"] == "nan"
 
 
 class TestEnergyReportCommand:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdasim import integrator
 from rdasim.grid import (
@@ -410,16 +411,23 @@ class TestEpsilonStudy:
 
 
 class TestCheckpoints:
-    def test_roundtrip_bit_exact(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [12])
-        rng = np.random.default_rng(8)
-        state = SimState(1.375, rng.uniform(0, 1, size=(3, 12)), TruncationParam(1e-3))
-        path = "/tmp/rdasim_ck_test.ck"
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 4), ncells=st.integers(1, 9),
+           t=st.floats(allow_nan=False, allow_infinity=False),
+           eps=st.floats(min_value=5e-324, allow_infinity=False))
+    def test_roundtrip_bit_exact(self, tmp_path_factory, data, m, ncells, t, eps):
+        values = (st.sampled_from([0.0, -0.0, 5e-324, 2.225e-308, 1e308])
+                  | st.floats(min_value=0.0, allow_infinity=False))
+        fields = data.draw(arrays(np.float64, (m, ncells), elements=values))
+        grid = StructuredGrid.uniform([(0.0, 1.0)], [ncells])
+        state = SimState(t, fields, TruncationParam(eps))
+        path = tmp_path_factory.mktemp("ck") / "state.ck"
         dump_state(state, grid, path)
         back = load_state(path, grid)
-        assert back.t == state.t
-        assert back.eps.epsilon == state.eps.epsilon
-        assert np.array_equal(back.fields, state.fields)
+        assert np.float64(back.t).tobytes() == np.float64(t).tobytes()
+        assert np.float64(back.eps.epsilon).tobytes() == np.float64(eps).tobytes()
+        assert back.fields.shape == (m, ncells)
+        assert back.fields.tobytes() == fields.tobytes()
 
     def test_grid_mismatch_rejected(self):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [12])

@@ -20,6 +20,7 @@ from rdasim.reactions import (
     system_from_expressions,
     truncate,
 )
+from rdasim.sampling import DEFAULT_RADII, plateau
 
 finite_reactions = arrays(
     np.float64, st.integers(1, 5),
@@ -161,6 +162,77 @@ class TestCheckers:
         b = check_intermediate_sum(system, samples_per_radius=1000, seed=42)
         assert a.estimated_constant == b.estimated_constant
         assert a.details == b.details
+
+    @pytest.mark.parametrize("positions", [None, np.array([[0.1, 0.4, 0.7, 0.95]])],
+                             ids=["no-positions", "positions"])
+    @pytest.mark.parametrize("checker", [check_intermediate_sum, check_polynomial_growth])
+    def test_plateau_witness_is_the_last_radius_argmax(self, checker, positions):
+        # row 1 outgrows the quadratic bound; row 0 stays bounded
+        system = system_from_expressions(
+            ["0 - u1", "(1 + x) * u2^3"], mass_weights=[1.0, 1.0], mass_constants=(1.0, 1.0),
+            intermediate_order=2.0, growth_order=2.0, sample_positions=positions,
+        )
+        report = checker(system, samples_per_radius=500, seed=5)
+        assert report.violation_count == 1
+        u, x, t, residual = report.violations[0]
+        assert np.all((u >= 0.0) & (u <= DEFAULT_RADII[-1]))
+        assert t == 0.0
+        if checker is check_intermediate_sum:
+            assert report.details["diverging_rows"] == [1]
+            assert residual == report.details["per_row_ratios"][1][-1]
+        else:
+            assert residual == report.details["per_radius_ratios"][-1]
+        assert residual == report.estimated_constant
+        if positions is None:
+            assert x is None
+        else:
+            assert any(np.array_equal(x, col) for col in positions.T)
+        # the residual is the witness's own ratio, so u and x belong together
+        f = system.evaluate(None if x is None else x[:, None], 0.0, u[:, None])
+        assert residual == pytest.approx(f[1, 0] / (1.0 + np.sum(u**2.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("checker", [check_quasi_positivity, check_mass_control,
+                                         check_intermediate_sum, check_polynomial_growth])
+    def test_nan_everywhere_fails_every_check(self, checker):
+        system = system_from_expressions(["0/(u1-u1)", "0*u2"], mass_weights=[1, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = checker(system, samples_per_radius=200)
+        assert not report.passed
+        assert report.violation_count == report.samples_tested
+        u, x, t, residual = report.violations[0]
+        assert np.isnan(residual) and t == 0.0 and u.shape == (2,)
+
+    def test_nan_on_a_face_fails_quasi_positivity(self):
+        # F1 = 0*u2/u1 is NaN exactly where u1 = 0; orthant draws never hit it
+        system = system_from_expressions(["0*u2/u1", "0*u1"], mass_weights=[1, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = check_quasi_positivity(system, samples_per_radius=200)
+        assert report.violation_count == report.samples_tested // 2
+        for u, x, t, residual in report.violations:
+            assert u[0] == 0.0 and np.isnan(residual)
+        for checker in (check_mass_control, check_intermediate_sum, check_polynomial_growth):
+            assert checker(system, samples_per_radius=200).passed
+
+    def test_infinite_sample_is_a_witness(self):
+        # F2 = u2/(u1 - u1) is +inf at every orthant draw
+        system = system_from_expressions(["0*u1", "u2/(u1 - u1)"], mass_weights=[1, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            report = check_mass_control(system, samples_per_radius=100)
+        assert report.violation_count == report.samples_tested
+        assert all(res == np.inf for _, _, _, res in report.violations)
+
+
+class TestPlateau:
+    @pytest.mark.parametrize("ratios, expected", [
+        ([1.0, 1.05], True),
+        ([1.0, 1.06], False),
+        ([-3.0, 1e-9], True),
+        ([0.0, 2e-9], False),
+        ([5.0, 1.0], True),
+        ([1.0, float("nan")], False),
+    ])
+    def test_rule(self, ratios, expected):
+        assert plateau(ratios) is expected
 
 
 class TestBuiltins:
