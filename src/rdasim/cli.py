@@ -113,10 +113,8 @@ def _resolve_energy_specs(cfg, system, coeff, seed: int):
         p = entry["p"]
         choice = entry.get("weights", "auto")
         if choice == "auto":
-            weights, k_est = select_weights(
-                system, diffusion_matrix_samples(coeff), p,
-                samples_per_radius=2000, seed=seed,
-            )
+            weights, k_est = select_weights(system, diffusion_matrix_samples(coeff), p,
+                                            seed=seed)
             searches.append({"p": p, "weights": list(weights.entries),
                              "bound_constant": k_est})
         else:
@@ -177,8 +175,7 @@ def cmd_check(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int
     for entry in energy_entries:
         p = entry["p"]
         try:
-            weights, k_est = select_weights(system, samples, p,
-                                            samples_per_radius=2000, seed=seed)
+            weights, k_est = select_weights(system, samples, p, seed=seed)
             eigs = [min_eigenvalue(assemble_coupling_matrix(mats, weights))
                     for mats in samples]
             report["checks"].append({
@@ -214,6 +211,8 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
     eps = TruncationParam(cfg["solver"].get("epsilon", 1e-6))
     problem = Problem(grid, system, coeff, boundary)
     meta = {"config_sha256": config_hash(cfg), "seed": seed}
+    # a failing weight search stops the command before the integration
+    specs, searches = _resolve_energy_specs(cfg, system, coeff, seed)
 
     started = time.perf_counter()
     traj = run(SimState(0.0, initial, eps), solver_cfg, problem,
@@ -235,13 +234,11 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
         "steps": int(traj.step_times.size - 1),
         "min_value": float(traj.step_minima.min()),
         "halvings_total": int(traj.step_halvings.sum()),
-        "runtime_seconds": elapsed,
     }
 
     bt, budget = diagnostics.mass_budget(traj, system)
     summary["mass_budget_max_abs"] = float(np.max(np.abs(budget)))
 
-    specs, searches = _resolve_energy_specs(cfg, system, coeff, seed)
     if specs:
         trace = diagnostics.energy_trace(traj, specs)
         write_energy_csv(out_dir / "series_energy.csv", trace, meta)
@@ -407,7 +404,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except AssumptionViolation as exc:
+    except (AssumptionViolation, WeightSearchError) as exc:
         print(f"hypothesis failure: {exc}", file=sys.stderr)
         return EXIT_CHECK
     except SolverError as exc:

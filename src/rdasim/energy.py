@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .sampling import DEFAULT_RADII, orthant_samples, plateau
+from .reactions import SampleReport, _sweep
+from .sampling import orthant_samples, plateau
 
 __all__ = [
     "DEFAULT_INDEX_CAP",
@@ -467,17 +468,9 @@ def min_eigenvalue(mat) -> float:
     return float(np.linalg.eigvalsh(a)[0])
 
 
-def _max_weighted_ratio(system, weights: np.ndarray, p: int, u: np.ndarray) -> float:
-    """max over indices of order p-1 and over the batch of the weighted
-    reaction combination divided by 1 + sum_i u_i^r."""
-    x = None
-    positions = getattr(system, "sample_positions", None)
-    if positions is not None:
-        pos = np.asarray(positions, dtype=float)
-        cols = np.resize(np.arange(pos.shape[1]), u.shape[1])
-        x = pos[:, cols]
-    fvals = np.asarray(system.evaluate(x, 0.0, u), dtype=float)
-    denom = 1.0 + np.sum(u ** system.intermediate_order, axis=0)
+def _max_weighted_ratio(fvals, denom, weights: np.ndarray, p: int) -> float:
+    """max over indices of order p-1 and over a batch of reaction samples
+    fvals (m, N) of the weighted combination divided by denom = 1 + sum_i u_i^r."""
     powers = weights ** (2 * _index_array(len(weights), p - 1) + 1)
     # blocks of index rows keep the (rows, batch) temporaries bounded
     return max(float(np.max(powers[k:k + _RATIO_BLOCK_ROWS] @ fvals / denom))
@@ -503,16 +496,20 @@ def select_weights(
         indices of order p-1, divided by 1 + sum_i u_i^r, stops growing
         (`sampling.plateau`) when the sample radius doubles.
 
-    Returns the weights and the stabilized ratio (the empirical bound
-    constant at the largest radius).  Raises WeightSearchError after
-    `max_doublings` doublings, naming the failing condition.
+    F is sampled once, by the checkers' sweep (`reactions._sweep`).  Returns
+    the weights and the stabilized ratio (the empirical bound constant at the
+    largest radius).  Raises WeightSearchError at a sample where F is inf or
+    NaN, and after `max_doublings` doublings, naming the failing condition.
     """
     m = system.m
     if p < 1:
         raise ValueError(f"order must be >= 1, got p={p}")
-    # draws are fixed once so the search is deterministic and monotone in theta
-    batches = [orthant_samples(np.random.default_rng(seed + 7 * k), m, r, samples_per_radius)
-               for k, r in enumerate(DEFAULT_RADII)]
+    report = SampleReport(check="weight_search", samples_tested=0)
+    ladder = [(fvals, 1.0 + np.sum(u ** system.intermediate_order, axis=0))
+              for u, _, fvals in _sweep(system, orthant_samples, samples_per_radius, seed, report)]
+    if report.violations:
+        u, _, _, value = report.violations[0]
+        raise WeightSearchError(f"non-finite reaction {value} at u={u.tolist()}")
 
     def pd_ok(warr: np.ndarray) -> bool:
         wv = WeightVector(tuple(warr))
@@ -522,7 +519,7 @@ def select_weights(
         return True
 
     def ratio_status(warr: np.ndarray) -> tuple[bool, float]:
-        ks = [_max_weighted_ratio(system, warr, p, b) for b in batches]
+        ks = [_max_weighted_ratio(fvals, denom, warr, p) for fvals, denom in ladder]
         return plateau(ks), ks[-1]
 
     weights = np.ones(m)

@@ -11,7 +11,8 @@ If any cell of the solution dips below the positivity tolerance the step
 is retried with a halved dt; states are never clamped, so the discrete
 mass budget stays exact up to linear-solver residuals.
 
-The systems I/dt + A_i are cached per dt for each coefficient epoch.  On
+The systems I/dt + A_i are cached per dt for each coefficient epoch, whose
+last step takes the full dt when the remainder is within rounding of it.  On
 1D grids the per-species systems are stacked into one block-diagonal
 matrix, factorized once by sparse LU and reused for every step at that
 dt; on 2D grids each species is solved by Jacobi-preconditioned BiCGStab,
@@ -275,13 +276,14 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
     """Integrate to t_end, recording snapshots and per-step reduced summaries.
 
     Operators are reassembled whenever a coefficient schedule switch is
-    crossed; steps never straddle a switch time.  Snapshots are taken at
-    the configured cadence (every step if none); the per-step series
-    (masses, sup-norms, minima, cumulative applied reaction, dt, halvings,
-    linear iterations) are always dense.  Each accepted step is one row of
-    a preallocated float array, sized for (t_end - t0) / dt steps plus one
-    clipped step per epoch and doubled if halvings outgrow it; the
-    Trajectory step arrays are contiguous copies of its columns.
+    crossed; steps straddle a switch time (or t_end) by rounding at most.
+    Snapshots are taken at the configured cadence (every step if none);
+    the per-step series (masses, sup-norms, minima, cumulative applied
+    reaction, dt, halvings, linear iterations) are always dense.  Each
+    accepted step is one row of a preallocated float array, sized for
+    (t_end - t0) / dt steps plus one clipped step per epoch and doubled if
+    halvings outgrow it; the Trajectory step arrays are contiguous copies
+    of its columns.
     """
     grid = problem.grid
     system = problem.system
@@ -330,8 +332,11 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
             # next ones, so the two are never held at once
             operators = None
             operators = TransportOperators(problem, state.t + eps_round)
+        # t accumulates by addition, so an epoch of whole steps can end a
+        # rounding error short of dt: that remainder reuses the cached dt
         room = boundary - state.t
-        state, report = step(state, cfg, operators, system, max_dt=room)
+        state, report = step(state, cfg, operators, system,
+                             max_dt=None if room >= cfg.dt - eps_round else room)
 
         if n == series.shape[0]:
             series = np.concatenate([series, np.zeros_like(series)])

@@ -8,9 +8,9 @@ a degree-r polynomial, and the polynomial growth order of the field
 itself.
 
 The structural hypotheses quantify over the whole non-negative orthant;
-at desk scale they are checked by seeded sampling.  One sweep serves all
-four checks: for each radius of the doubling ladder it draws states
-(from the orthant, or pinned to the coordinate faces for
+at desk scale they are checked by seeded sampling.  One sweep serves the
+four checks and the weight search: for each radius of the doubling ladder
+it draws states (from the orthant, or pinned to the coordinate faces for
 quasi-positivity) and probe positions from one seeded stream, and
 evaluates F once at t = 0.  A sample whose reaction is inf or NaN is a
 violation in every check.  The two growth bounds (intermediate sums and

@@ -1,6 +1,7 @@
 """Config validation, command dispatch, serialization, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,12 +192,14 @@ class TestRunCommand:
             assert a_data == b_data, name
 
     def test_identical_config_identical_bytes(self, tmp_path):
-        out = tmp_path / "out"
-        path = write_config(tmp_path, heat_config(out))
-        assert main(["run", "--config", str(path), "--quiet"]) == 0
-        first = (out / "series_steps.csv").read_bytes()
-        assert main(["run", "--config", str(path), "--quiet"]) == 0
-        assert (out / "series_steps.csv").read_bytes() == first
+        path = write_config(tmp_path, heat_config(tmp_path / "out"))
+        outputs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            outputs.append({f.relative_to(out): f.read_bytes()
+                            for f in sorted(out.rglob("*")) if f.is_file()})
+        assert Path("summary.json") in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_epi_scenario_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -295,6 +298,46 @@ class TestNonFiniteReaction:
         entry = next(c for c in report["checks"] if c["name"] == "quasi_positivity")
         assert not entry["passed"]
         assert entry["witnesses"][0]["residual"] == "nan"
+
+    def test_nan_reaction_fails_the_weight_search_naming_it(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = heat_config(out)
+        cfg["system"].update(expressions=["0/(u1-u1)", "0*u2"], mass_weights=[1.0, 1.0],
+                             initial=["1", "1"])
+        cfg["coefficients"] = {"diffusion": [1.0, 1.0]}
+        cfg["diagnostics"] = {"p_list": [1]}
+        path = write_config(tmp_path, cfg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["check", "--config", str(path), "--quiet"]) == 3
+        report = json.loads((out / "check_report.json").read_text())
+        entry = next(c for c in report["checks"] if c["name"] == "dissipativity_p2")
+        assert not entry["passed"]
+        assert entry["error"].startswith("non-finite reaction nan at u=")
+
+
+class TestWeightSearchFailure:
+    """A failing "auto" weight search exits 3 before writing the command's outputs."""
+
+    @pytest.mark.parametrize("command", ["run", "energy-report"])
+    def test_exits_3_without_traceback(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        cfg = heat_config(out)
+        cfg["system"].update(expressions=["u1^3", "0*u2"], mass_weights=[1.0, 1.0],
+                             initial=["1", "1"], growth_order=3.0)
+        cfg["coefficients"] = {"diffusion": [1.0, 1.0]}
+        if command == "energy-report":
+            # the trajectory comes from a run whose weights need no search
+            cfg["diagnostics"]["energy"] = [{"p": 2, "weights": [1.0, 1.0]}]
+            assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--quiet"]) == 0
+        cfg["diagnostics"]["energy"] = [{"p": 2, "weights": "auto"}]
+        before = sorted(out.rglob("*")) if out.exists() else []
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis failure: no admissible weights")
+        assert "Traceback" not in err
+        # no summary.json, energy_report.json or anything else was written
+        assert sorted(out.rglob("*")) == before
 
 
 class TestEnergyReportCommand:

@@ -5,6 +5,7 @@ enumeration, factorial evaluation, naive summation, central finite
 differences, and inertia bisection for eigenvalues.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from rdasim.energy import (
 )
 from rdasim.grid import StructuredGrid
 from rdasim.reactions import builtin_reversible_reaction, system_from_expressions
+from rdasim.sampling import DEFAULT_RADII
 
 
 def brute_force_indices(m, p):
@@ -431,7 +433,7 @@ class TestSelectWeights:
         fvals = system.evaluate(None, 0.0, u)
         denom = 1.0 + np.sum(u ** system.intermediate_order, axis=0)
         oracle = np.max((weights ** (2 * idx + 1)) @ fvals / denom)
-        assert _max_weighted_ratio(system, weights, 11, u) == pytest.approx(oracle, rel=1e-14)
+        assert _max_weighted_ratio(fvals, denom, weights, 11) == pytest.approx(oracle, rel=1e-14)
 
     def test_divergent_ratio_fails_with_message(self):
         cubic = system_from_expressions(
@@ -441,3 +443,27 @@ class TestSelectWeights:
         with pytest.raises(WeightSearchError, match="ratio plateau"):
             select_weights(cubic, [[np.eye(1)]], p=2, samples_per_radius=500,
                            max_doublings=12)
+
+    def test_reaction_sampled_once_per_radius(self):
+        # doubling reweights the stored samples instead of evaluating F again
+        system = builtin_reversible_reaction()
+        calls = []
+
+        def counting(x, t, u):
+            calls.append(u.shape)
+            return system.evaluate(x, t, u)
+
+        counted = dataclasses.replace(system, evaluate=counting)
+        samples = [[np.eye(2), np.eye(2)]]
+        weights, _ = select_weights(counted, samples, p=2, samples_per_radius=500)
+        assert max(weights.entries) > 1.0
+        assert len(calls) == len(DEFAULT_RADII)
+
+    def test_non_finite_reaction_fails_naming_it(self):
+        nan_everywhere = system_from_expressions(
+            ["0/(u1-u1)", "0*u2"], mass_weights=[1.0, 1.0], mass_constants=(0.0, 0.0),
+        )
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(WeightSearchError, match=r"non-finite reaction nan at u=\["):
+            select_weights(nan_everywhere, [[np.eye(1), np.eye(1)]], p=2,
+                           samples_per_radius=100)

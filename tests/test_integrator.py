@@ -276,6 +276,47 @@ class TestStep:
         with pytest.raises(PositivityError):
             step(state, cfg, ops, sink)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 3), ncells=st.integers(1, 8))
+    def test_nonnegative_or_positivity_error(self, data, m, ncells):
+        # F_i = s_i + sum_{j != i} c_ij u_j + u_i (d_i + sum_j q_ij u_j): every
+        # term without the factor u_i is non-negative, so F is quasi-positive
+        def draw(lo, hi, shape):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+        source, decay = draw(0.0, 10.0, (m,)), draw(-100.0, 10.0, (m,))
+        coupling = draw(0.0, 10.0, (m, m)) * (1.0 - np.eye(m))
+        quad = draw(-10.0, 10.0, (m, m))
+
+        def evaluate(x, t, u):
+            u = np.asarray(u, dtype=float)
+            return source[:, None] + coupling @ u + u * (decay[:, None] + quad @ u)
+
+        system = ReactionSystem(
+            m=m, evaluate=evaluate, mass_weights=np.ones(m), mass_constants=(0.0, 0.0),
+            sum_matrix=np.eye(m), intermediate_order=2.0, growth_order=2.0, growth_constant=1.0,
+        )
+        grid = StructuredGrid([draw(0.05, 1.0, (ncells,))])
+        coeff = CoefficientField(grid, draw(1e-3, 10.0, (m, 1, ncells)),
+                                 draw(-2.0, 2.0, (m, 1, ncells)))
+        walls = st.one_of(st.just(Dirichlet()), st.builds(Robin, st.floats(0.0, 5.0)),
+                          st.just(NoFluxWithDrift()))
+        boundary = BoundarySpec(tuple({"x_lo": data.draw(walls), "x_hi": data.draw(walls)}
+                                      for _ in range(m)), 1)
+        problem = Problem(grid, system, coeff, boundary)
+        fields = draw(0.0, 10.0, (m, ncells))
+        eps = 10.0 ** data.draw(st.floats(-6.0, 0.0))
+        cfg = SolverConfig(dt=10.0 ** data.draw(st.floats(-3.0, 0.0)), t_end=2.0,
+                           max_halvings=data.draw(st.integers(0, 20)))
+        try:
+            new_state, report = step(SimState(0.0, fields, TruncationParam(eps)), cfg,
+                                     TransportOperators(problem, 0.0), system)
+        except PositivityError:
+            return
+        assert new_state.fields.min() >= -cfg.positivity_tol
+        assert report.min_value == new_state.fields.min()
+        assert report.dt == cfg.dt / 2**report.halvings
+
 
 class TestRun:
     def test_zero_initial_zero_reactions_stays_zero(self):
@@ -384,6 +425,30 @@ class TestRun:
         assert np.max(np.abs(total - total[0])) < 1e-8
         assert traj.step_minima.min() >= -1e-12
 
+    def test_one_factorization_per_run(self, monkeypatch):
+        # the problem of configs/reversible.json: after 3999 steps of 0.01, t
+        # lies past 39.99 by rounding, so the remainder falls short of dt
+        calls = []
+        real_splu = integrator.splu
+
+        def counting_splu(a):
+            calls.append(a.shape)
+            return real_splu(a)
+
+        monkeypatch.setattr(integrator, "splu", counting_splu)
+        system = builtin_reversible_reaction()
+        grid = StructuredGrid.uniform([(0.0, 1.0)], [32])
+        jump = np.where(grid.cell_centers[0] < 0.5, 0.1, 0.01)
+        coeff = CoefficientField(grid, np.stack([jump[None, :]] * 2))
+        problem = Problem(grid, system, coeff, BoundarySpec.uniform(2, 1, NoFluxWithDrift()))
+        fields = np.stack([np.where(grid.cell_centers[0] < 0.5, 1.5, 1.0), np.full(32, 0.7)])
+        cfg = SolverConfig(dt=0.01, t_end=40.0, record_dt=0.2)
+        traj = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
+        assert calls == [(64, 64)]
+        assert np.all(traj.step_dts == cfg.dt)
+        assert abs(traj.step_times[-1] - cfg.t_end) <= 1e-12 * cfg.t_end
+        np.testing.assert_allclose(np.diff(traj.step_times), traj.step_dts, rtol=1e-10)
+
 
 class TestEpsilonStudy:
     def test_inactive_truncation_identical(self):
@@ -429,11 +494,11 @@ class TestCheckpoints:
         assert back.fields.shape == (m, ncells)
         assert back.fields.tobytes() == fields.tobytes()
 
-    def test_grid_mismatch_rejected(self):
+    def test_grid_mismatch_rejected(self, tmp_path):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [12])
         other = StructuredGrid.uniform([(0.0, 1.0)], [13])
         state = SimState(0.0, np.zeros((1, 12)), TruncationParam(1.0))
-        path = "/tmp/rdasim_ck_test2.ck"
+        path = tmp_path / "state.ck"
         dump_state(state, grid, path)
         with pytest.raises(ValueError, match="different grid"):
             load_state(path, other)
