@@ -215,8 +215,7 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
     specs, searches = _resolve_energy_specs(cfg, system, coeff, seed)
 
     started = time.perf_counter()
-    traj = run(SimState(0.0, initial, eps), solver_cfg, problem,
-               config_echo={"canonical": canonical_echo(cfg)})
+    traj = run(SimState(0.0, initial, eps), solver_cfg, problem)
     elapsed = time.perf_counter() - started
     _say(quiet, f"integrated to t={traj.times[-1]:.6g} "
                 f"({traj.step_times.size - 1} steps, {elapsed:.2f}s)")
@@ -272,11 +271,9 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
 
     if cfg["output"].get("checkpoints", True):
         traj_dir = out_dir / "trajectory"
-        files = []
-        for k, t in enumerate(traj.times):
-            name = f"state_{k:06d}.ck"
-            dump_state(SimState(float(t), traj.states[k], eps), grid, traj_dir / name)
-            files.append(name)
+        files = [f"state_{k:06d}.ck" for k in range(traj.times.size)]
+        for name, t, fields in zip(files, traj.times, traj.states):
+            dump_state(SimState(float(t), fields, eps), grid, traj_dir / name)
         write_json(traj_dir / "trajectory.json", {
             "config_sha256": meta["config_sha256"],
             "seed": seed,
@@ -311,14 +308,12 @@ def load_trajectory(traj_dir: Path):
         index = _json.loads(index_path.read_text())
         grid = StructuredGrid([np.asarray(w) for w in index["grid"]["widths"]],
                               origin=index["grid"]["origin"])
-        states = []
-        for name in index["files"]:
-            state = load_state(Path(traj_dir) / name, grid)
-            states.append(state.fields)
-        times = np.asarray(index["times"], dtype=float)
+        states = np.stack([load_state(Path(traj_dir) / name, grid).fields
+                           for name in index["files"]])
+        traj = diagnostics.Trajectory(grid=grid, times=index["times"], states=states)
     except (KeyError, ValueError, OSError) as exc:
         raise ConfigError(f"corrupt trajectory at {traj_dir}: {exc}") from None
-    return diagnostics.Trajectory(grid=grid, times=times, states=states), index
+    return traj, index
 
 
 def cmd_energy_report(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:

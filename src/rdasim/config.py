@@ -217,7 +217,6 @@ CONFIG_SCHEMA = {
                         },
                     },
                 },
-                "window": {"type": "number", "exclusiveMinimum": 0},
                 "epsilon_study": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
@@ -268,13 +267,17 @@ CONFIG_SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would check CONFIG_SCHEMA against its
+# metaschema on every call, which costs far more than validating a config
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def validate_config(cfg: dict) -> dict:
     """Schema plus cross-field validation; returns the config unchanged."""
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config at {path}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"invalid config at {path}: {error.message}")
     grid = cfg["grid"]
     if len(grid["cells"]) != len(grid["extents"]):
         raise ConfigError("grid cells and extents must have the same dimension")

@@ -46,14 +46,17 @@ DEFAULT_GROWTH_TOL = 0.05
 class Trajectory:
     """Recorded simulation history: snapshots plus dense step summaries.
 
-    Reloaded trajectories may carry only the snapshot series; the step
-    arrays are then None, and the mass and sup-norm diagnostics fall back
-    to values computed from the snapshots.
+    The snapshots are one (ntimes, m, ncells) float array, so every
+    per-snapshot diagnostic is a reduction over its trailing axes; a list
+    of (m, ncells) arrays is stacked on construction.  Reloaded
+    trajectories may carry only the snapshot series; the step arrays are
+    then None, and the mass and sup-norm diagnostics fall back to values
+    computed from the snapshots.
     """
 
     grid: StructuredGrid
     times: np.ndarray          # snapshot times, strictly increasing
-    states: list               # matching (m, ncells) arrays
+    states: np.ndarray         # (ntimes, m, ncells) snapshot fields
     step_times: np.ndarray | None = None
     step_masses: np.ndarray | None = None        # (nsteps + 1, m)
     step_supnorms: np.ndarray | None = None      # (nsteps + 1, m)
@@ -62,12 +65,14 @@ class Trajectory:
     step_dts: np.ndarray | None = None
     step_halvings: np.ndarray | None = None
     step_linear_iterations: np.ndarray | None = None
-    config_echo: dict | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or len(self.states) != self.times.size:
-            raise ValueError("snapshot times and states must align")
+        self.states = np.asarray(self.states, dtype=float)
+        if (self.times.ndim != 1 or self.states.ndim != 3
+                or self.states.shape[::2] != (self.times.size, self.grid.ncells)):
+            raise ValueError(f"snapshot states of shape {self.states.shape} must align "
+                             f"with {self.times.size} times on {self.grid.ncells} cells")
         if self.times.size and np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
         if self.step_times is not None:
@@ -77,7 +82,7 @@ class Trajectory:
 
     @property
     def m(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     @property
     def duration(self) -> float:
@@ -87,27 +92,22 @@ class Trajectory:
         """Per-step (times, masses); falls back to snapshot-derived masses."""
         if self.step_times is not None and self.step_masses is not None:
             return self.step_times, self.step_masses
-        masses = np.array([s @ self.grid.cell_volumes for s in self.states])
-        return self.times, masses
+        return self.times, self.states @ self.grid.cell_volumes
 
     def _dense_supnorms(self) -> tuple[np.ndarray, np.ndarray]:
         if self.step_times is not None and self.step_supnorms is not None:
             return self.step_times, self.step_supnorms
-        sups = np.array([np.max(np.abs(s), axis=1) for s in self.states])
-        return self.times, sups
+        return self.times, np.abs(self.states).max(axis=2)
 
 
 def norm_series(traj: Trajectory, p_list) -> dict:
-    """Per-species discrete norms at every snapshot, for each p and for inf."""
+    """Per-species discrete norms at every snapshot, for each p and for inf.
+
+    Each table has shape (m, ntimes).
+    """
     orders = list(dict.fromkeys(list(p_list) + [np.inf]))
-    out = {"times": traj.times.copy(), "norms": {}}
-    for p in orders:
-        table = np.empty((traj.m, traj.times.size))
-        for k, state in enumerate(traj.states):
-            for i in range(traj.m):
-                table[i, k] = discrete_norm(state[i], traj.grid, p)
-        out["norms"][p] = table
-    return out
+    return {"times": traj.times.copy(),
+            "norms": {p: discrete_norm(traj.states, traj.grid, p).T for p in orders}}
 
 
 def no_growth(series: np.ndarray, tol: float = DEFAULT_GROWTH_TOL) -> bool:
@@ -255,16 +255,10 @@ def apriori_hypothesis_monitor(traj: Trajectory, mode: str, exponent: float) -> 
     if a < 1:
         raise ValueError(f"exponent must be >= 1, got {a}")
     if mode == "La":
-        norms = np.zeros(traj.m)
-        for state in traj.states:
-            for i in range(traj.m):
-                norms[i] = max(norms[i], discrete_norm(state[i], traj.grid, a))
+        norms = discrete_norm(traj.states, traj.grid, a).max(axis=0)
         threshold = 1.0 + 2.0 * a / n
     elif mode == "Lb":
-        powers = np.array([
-            [discrete_norm(state[i], traj.grid, a) ** a for i in range(traj.m)]
-            for state in traj.states
-        ])  # (ntimes, m)
+        powers = discrete_norm(traj.states, traj.grid, a) ** a  # (ntimes, m)
         norms = np.trapezoid(powers, traj.times, axis=0) ** (1.0 / a)
         threshold = 1.0 + 2.0 * a / (n + 2)
     else:

@@ -312,36 +312,24 @@ def decay_report(traj, params: EpiParams, p_values=(2.0,),
     fluctuation around its volume average use the snapshots.
     """
     grid = traj.grid
-    st, masses = traj._dense_series()
-    l1 = {name: masses[:, k] for k, name in enumerate(SPECIES)}
-    lp = {}
-    for p in p_values:
-        for k, name in enumerate(SPECIES[1:], start=1):
-            lp[(name, p)] = np.array(
-                [discrete_norm(state[k], grid, p) for state in traj.states]
-            )
-    s_fluct = []
-    for state in traj.states:
-        mean = float(state[0] @ grid.cell_volumes) / grid.domain_volume
-        s_fluct.append(discrete_norm(state[0] - mean, grid, 2))
+    _, masses = traj._dense_series()
+    lp = {(name, p): series for p in p_values
+          for name, series in zip(SPECIES[1:], discrete_norm(traj.states[:, 1:], grid, p).T)}
+    s = traj.states[:, 0]
+    s_fluct = discrete_norm(s - (s @ grid.cell_volumes)[:, None] / grid.domain_volume, grid, 2)
     ct, cres = conservation_residual(traj, params)
-    final_fractions = {}
-    decayed = {}
-    for name in SPECIES[1:]:
-        series = l1[name]
-        peak = float(series.max())
-        frac = float(series[-1] / peak) if peak > 0 else 0.0
-        final_fractions[name] = frac
-        decayed[name] = frac <= threshold
+    peaks = masses[:, 1:].max(axis=0)
+    fractions = np.divide(masses[-1, 1:], peaks, out=np.zeros(peaks.size), where=peaks > 0)
+    final_fractions = dict(zip(SPECIES[1:], fractions.tolist()))
     return EpiReport(
         times=traj.times.copy(),
         conservation_times=ct,
         conservation_residual=cres,
-        l1_series={k: v.copy() for k, v in l1.items()},
+        l1_series=dict(zip(SPECIES, masses.T.copy())),
         lp_series=lp,
-        s_fluctuation=np.asarray(s_fluct),
+        s_fluctuation=s_fluct,
         s_inf=s_infinity(traj, params),
         final_fractions=final_fractions,
-        decayed=decayed,
+        decayed={name: frac <= threshold for name, frac in final_fractions.items()},
         threshold=threshold,
     )

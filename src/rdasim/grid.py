@@ -39,14 +39,11 @@ __all__ = [
     "Robin",
     "NoFluxWithDrift",
     "BoundarySpec",
-    "SparseOperator",
     "face_diffusivity",
     "assemble_diffusion",
     "assemble_advection",
     "discrete_norm",
 ]
-
-SparseOperator = sp.csr_matrix
 
 
 class StructuredGrid:
@@ -141,10 +138,6 @@ class ScalarField:
             raise ValueError(
                 f"field has {self.values.size} values for {self.grid.ncells} cells"
             )
-
-
-def _field_values(fld) -> np.ndarray:
-    return fld.values if isinstance(fld, ScalarField) else np.asarray(fld, dtype=float).ravel()
 
 
 class CoefficientField:
@@ -328,7 +321,7 @@ def _face_table(grid: StructuredGrid):
     return interior, walls
 
 
-def _flux_operator(grid: StructuredGrid, faces, walls) -> SparseOperator:
+def _flux_operator(grid: StructuredGrid, faces, walls) -> sp.csr_matrix:
     """CSR operator from per-face flux coefficients and diagonal wall terms.
 
     faces: one (left, right, a, b) per axis; the flux a*u_left + b*u_right
@@ -352,7 +345,7 @@ def _flux_operator(grid: StructuredGrid, faces, walls) -> SparseOperator:
 
 
 def assemble_diffusion(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
-                       species: int, t: float = 0.0) -> SparseOperator:
+                       species: int, t: float = 0.0) -> sp.csr_matrix:
     """Two-point-flux operator for the negative diffusion divergence.
 
     Interior faces use distance-weighted harmonic means of the adjacent
@@ -383,7 +376,7 @@ def assemble_diffusion(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
 
 
 def assemble_advection(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
-                       species: int, t: float = 0.0) -> SparseOperator:
+                       species: int, t: float = 0.0) -> sp.csr_matrix:
     """First-order upwind operator for the drift divergence.
 
     Face drift is the average of the two adjacent cell values; the upwind
@@ -409,14 +402,21 @@ def assemble_advection(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
     return _flux_operator(grid, faces, wall_terms)
 
 
-def discrete_norm(fld, grid: StructuredGrid, p) -> float:
-    """(sum |u|^p vol)^(1/p), or the max norm for p = inf."""
-    values = _field_values(fld)
-    if values.size != grid.ncells:
-        raise ValueError(f"field has {values.size} values for {grid.ncells} cells")
+def discrete_norm(fld, grid: StructuredGrid, p):
+    """(sum |u|^p vol)^(1/p), or the max norm for p = inf, over the last axis.
+
+    One field (a ScalarField or ncells values) gives a float; a stack of
+    fields of shape (..., ncells), such as a trajectory's snapshots,
+    gives an array of shape (...).
+    """
+    values = fld.values if isinstance(fld, ScalarField) else np.asarray(fld, dtype=float)
+    if values.shape[-1:] != (grid.ncells,):
+        raise ValueError(f"fields of shape {values.shape} do not end in {grid.ncells} cells")
     if p == np.inf or p == "inf":
-        return float(np.max(np.abs(values))) if values.size else 0.0
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"norm order must be >= 1 or inf, got {p}")
-    return float(np.sum(np.abs(values) ** p * grid.cell_volumes) ** (1.0 / p))
+        norm = np.max(np.abs(values), axis=-1)
+    else:
+        p = float(p)
+        if p < 1:
+            raise ValueError(f"norm order must be >= 1 or inf, got {p}")
+        norm = np.sum(np.abs(values) ** p * grid.cell_volumes, axis=-1) ** (1.0 / p)
+    return float(norm) if values.ndim == 1 else norm

@@ -271,8 +271,7 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
     return new_state, report
 
 
-def run(initial: SimState, cfg: SolverConfig, problem: Problem,
-        config_echo: dict | None = None) -> Trajectory:
+def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     """Integrate to t_end, recording snapshots and per-step reduced summaries.
 
     Operators are reassembled whenever a coefficient schedule switch is
@@ -361,7 +360,7 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
     return Trajectory(
         grid=grid,
         times=np.asarray(snap_times),
-        states=snapshots,
+        states=np.stack(snapshots),
         step_times=series[:, 0].copy(),
         step_masses=series[:, mass:sup].copy(),
         step_supnorms=series[:, sup:low].copy(),
@@ -370,7 +369,6 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem,
         step_dts=series[1:, dt_col].copy(),
         step_halvings=series[1:, dt_col + 1].astype(int),
         step_linear_iterations=series[1:, dt_col + 2].astype(int),
-        config_echo=config_echo,
     )
 
 
@@ -395,13 +393,10 @@ def epsilon_refinement_study(problem: Problem, initial_fields: np.ndarray,
     for traj in trajectories[1:]:
         if traj.times.shape != times.shape or not np.allclose(traj.times, times):
             raise RuntimeError("trajectories recorded incompatible snapshot grids")
-    distances = []
-    for a, b in zip(trajectories, trajectories[1:]):
-        sq = np.array([
-            float(np.sum((sa - sb) ** 2 @ vol))
-            for sa, sb in zip(a.states, b.states)
-        ])
-        distances.append(float(np.sqrt(np.trapezoid(sq, times))))
+    distances = [
+        float(np.sqrt(np.trapezoid(((a.states - b.states) ** 2 @ vol).sum(axis=1), times)))
+        for a, b in zip(trajectories, trajectories[1:])
+    ]
     ratios = [distances[k + 1] / distances[k] if distances[k] > 0 else float("nan")
               for k in range(len(distances) - 1)]
     monotone = all(d2 <= d1 for d1, d2 in zip(distances, distances[1:]))

@@ -3,11 +3,13 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 from rdasim.cli import main
 from rdasim.config import (
+    CONFIG_SCHEMA,
     ConfigError,
     canonical_echo,
     config_hash,
@@ -104,6 +106,33 @@ class TestConfigValidation:
         cfg["system"]["builtin"] = "nope"
         with pytest.raises(ConfigError, match="nope"):
             validate_config(cfg)
+
+    def test_schema_is_valid_under_its_metaschema(self):
+        jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "grdi", {}),
+        ("solver", "dts", 0.1),
+        ("solver", "dt", "fast"),
+        ("grid", "cells", [0]),
+        ("diagnostics", "energy", [{"p": 2, "weights": "manual"}]),
+    ])
+    def test_message_matches_jsonschema_validate(self, tmp_path, block, key, value):
+        cfg = heat_config(tmp_path / "out")
+        (cfg if block is None else cfg[block])[key] = value
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, CONFIG_SCHEMA)
+        path = "/".join(str(p) for p in expected.value.absolute_path) or "<root>"
+        with pytest.raises(ConfigError) as got:
+            validate_config(cfg)
+        assert str(got.value) == f"invalid config at {path}: {expected.value.message}"
+
+    def test_diagnostics_window_exits_2(self, tmp_path, capsys):
+        cfg = heat_config(tmp_path / "out")
+        cfg["diagnostics"]["window"] = 2.0
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "--config", str(path), "--quiet"]) == 2
+        assert "window" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -382,6 +411,24 @@ class TestEnergyReportCommand:
         assert main(["energy-report", "--config", str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "state_000001.ck" in err
+        assert expected in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda times: times[:-1], "must align"),
+        (lambda times: times[:1] * len(times), "strictly increasing"),
+    ], ids=["times-cut-short", "times-repeated"])
+    def test_inconsistent_index_times_exit_2(self, tmp_path, capsys, edit, expected):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, heat_config(out, cells=8, t_end=0.01))
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+        index_path = out / "trajectory" / "trajectory.json"
+        index = json.loads(index_path.read_text())
+        index["times"] = edit(index["times"])
+        index_path.write_text(json.dumps(index))
+        assert main(["energy-report", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: corrupt trajectory")
         assert expected in err
         assert "Traceback" not in err
 

@@ -56,6 +56,21 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="align"):
             snapshot_trajectory(grid, [0.0, 1.0], [np.zeros((1, 4))])
 
+    def test_states_from_a_list_become_one_array(self):
+        grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
+        states = [np.full((2, 4), k) for k in range(3)]
+        traj = snapshot_trajectory(grid, [0.0, 1.0, 2.0], states)
+        assert isinstance(traj.states, np.ndarray)
+        assert traj.states.shape == (3, 2, 4)
+        assert traj.states.dtype == np.float64
+        assert traj.m == 2
+        assert np.array_equal(traj.states[2], states[2])
+
+    def test_states_must_cover_the_grid(self):
+        grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
+        with pytest.raises(ValueError, match="on 4 cells"):
+            snapshot_trajectory(grid, [0.0, 1.0], [np.zeros((1, 3))] * 2)
+
 
 class TestNormSeries:
     def test_constant_state_constant_series(self):
@@ -76,6 +91,20 @@ class TestNormSeries:
         series = norm_series(traj, [1])
         for k, state in enumerate(states):
             assert series["norms"][np.inf][0, k] == np.abs(state[0]).max()
+
+    def test_tables_are_species_by_time(self):
+        rng = np.random.default_rng(5)
+        grid = StructuredGrid([rng.uniform(0.1, 1.0, 5), rng.uniform(0.1, 1.0, 3)])
+        states = [rng.uniform(0, 2, size=(2, 15)) for _ in range(4)]
+        traj = snapshot_trajectory(grid, [0.0, 0.5, 1.0, 2.0], states)
+        series = norm_series(traj, [1, 3, 1])
+        assert list(series["norms"]) == [1, 3, np.inf]
+        for p, table in series["norms"].items():
+            assert table.shape == (2, 4)
+            for k, state in enumerate(states):
+                for i in range(2):
+                    assert table[i, k] == pytest.approx(discrete_norm(state[i], grid, p),
+                                                        rel=1e-15)
 
     def test_dirichlet_decay_is_monotone(self):
         system = builtin_linear_decay(m=1, rate=0.0)

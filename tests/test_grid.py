@@ -309,3 +309,31 @@ class TestDiscreteNorm:
         grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
         with pytest.raises(ValueError):
             discrete_norm(np.ones(4), grid, 0.5)
+
+    def test_rejects_wrong_cell_count(self):
+        grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
+        with pytest.raises(ValueError, match="4 cells"):
+            discrete_norm(np.ones((2, 3)), grid, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([1, 2.0, np.inf, "inf", 1.5, 3, 4.0, 7.25]))
+    def test_stacked_matches_per_field(self, data, p):
+        """A stack of fields reduces to the per-field norms.
+
+        The sums are the same, so p in {1, 2, inf} agrees bit for bit; at
+        other p the root is an array pow instead of a scalar one, which may
+        round differently by one ulp.
+        """
+        grid = StructuredGrid([floats_array(data.draw, data.draw(st.integers(1, 7)), 0.05, 1.0)
+                               for _ in range(data.draw(st.integers(1, 2)))])
+        ntimes, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        stack = floats_array(data.draw, ntimes * m * grid.ncells, -1e3, 1e3)
+        stack = stack.reshape(ntimes, m, grid.ncells)
+        stacked = discrete_norm(stack, grid, p)
+        rows = np.array([[discrete_norm(field, grid, p) for field in snap] for snap in stack])
+        assert isinstance(discrete_norm(stack[0, 0], grid, p), float)
+        assert stacked.shape == (ntimes, m)
+        if p in (1, 2.0, np.inf, "inf"):
+            assert np.array_equal(stacked, rows)
+        else:
+            assert np.all(np.abs(stacked - rows) <= np.spacing(rows))
