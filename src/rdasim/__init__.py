@@ -30,6 +30,7 @@ from .grid import (
     StructuredGrid,
     assemble_advection,
     assemble_diffusion,
+    assemble_transport,
     discrete_norm,
     face_diffusivity,
 )
@@ -47,6 +48,7 @@ from .reactions import (
     truncate,
 )
 from .integrator import (
+    AggregationMultigrid,
     Problem,
     SimState,
     SolverConfig,

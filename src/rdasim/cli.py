@@ -48,6 +48,7 @@ from .integrator import (
 )
 from .grid import StructuredGrid
 from .output import (
+    write_csv,
     write_energy_csv,
     write_json,
     write_norm_series_csv,
@@ -264,10 +265,8 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
                 "fit_ok": epi_report.s_inf.fit_ok,
             },
         })
-        rows = [[epi_report.conservation_times[k], epi_report.conservation_residual[k]]
-                for k in range(epi_report.conservation_times.size)]
-        from .output import write_csv
-        write_csv(out_dir / "epi_conservation.csv", ["time", "residual"], rows, meta)
+        write_csv(out_dir / "epi_conservation.csv", ["time", "residual"],
+                  zip(epi_report.conservation_times, epi_report.conservation_residual), meta)
 
     if cfg["output"].get("checkpoints", True):
         traj_dir = out_dir / "trajectory"
@@ -298,7 +297,10 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
 
 
 def load_trajectory(traj_dir: Path):
-    """Rebuild a snapshot-only trajectory from a checkpoint index."""
+    """Rebuild a snapshot-only trajectory from a checkpoint index.
+
+    The index times must equal the times stored in the checkpoint headers.
+    """
     import json as _json
 
     index_path = Path(traj_dir) / "trajectory.json"
@@ -308,9 +310,13 @@ def load_trajectory(traj_dir: Path):
         index = _json.loads(index_path.read_text())
         grid = StructuredGrid([np.asarray(w) for w in index["grid"]["widths"]],
                               origin=index["grid"]["origin"])
-        states = np.stack([load_state(Path(traj_dir) / name, grid).fields
-                           for name in index["files"]])
-        traj = diagnostics.Trajectory(grid=grid, times=index["times"], states=states)
+        loaded = [load_state(Path(traj_dir) / name, grid) for name in index["files"]]
+        traj = diagnostics.Trajectory(grid=grid, times=index["times"],
+                                      states=np.stack([state.fields for state in loaded]))
+        for name, t, state in zip(index["files"], traj.times, loaded):
+            if state.t != t:
+                raise ValueError(f"checkpoint {name} holds t={state.t!r}, "
+                                 f"but the index lists t={float(t)!r}")
     except (KeyError, ValueError, OSError) as exc:
         raise ConfigError(f"corrupt trajectory at {traj_dir}: {exc}") from None
     return traj, index

@@ -14,7 +14,8 @@ the interior faces and the wall faces of each side.  Diffusion and
 advection each turn it into per-face flux coefficients (a, b) -- the
 flux a*u_left + b*u_right leaves the left cell and enters the right
 one -- plus diagonal wall terms, and `_flux_operator` builds the sparse
-matrix from them.
+matrix from them.  `assemble_transport` sums the two sets of terms
+first, so the combined operator is one sparse build.
 
 Operators act pointwise (rows are divided by cell volume), so on uniform
 grids the pure-diffusion operator is symmetric; on non-uniform grids it
@@ -42,6 +43,7 @@ __all__ = [
     "face_diffusivity",
     "assemble_diffusion",
     "assemble_advection",
+    "assemble_transport",
     "discrete_norm",
 ]
 
@@ -344,20 +346,11 @@ def _flux_operator(grid: StructuredGrid, faces, walls) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells)).tocsr()
 
 
-def assemble_diffusion(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
-                       species: int, t: float = 0.0) -> sp.csr_matrix:
-    """Two-point-flux operator for the negative diffusion divergence.
-
-    Interior faces use distance-weighted harmonic means of the adjacent
-    per-cell diffusivities, so 1D piecewise-constant interface problems are
-    reproduced exactly at cell centers.  Dirichlet walls eliminate the
-    ghost cell via a mirror value of zero, Robin walls add
-    alpha * area / volume to the diagonal, total-flux-zero walls drop the
-    face term.  The result is a weakly diagonally dominant M-matrix.
-    """
+def _diffusion_terms(coeff: CoefficientField, bc: BoundarySpec, species: int, t: float,
+                     interior, walls):
+    """Per-face (left, right, a, b) diffusion flux pairs and diagonal wall terms."""
     diff, _ = coeff.at_time(t)
     d = diff[species]  # (dim, ncells)
-    interior, walls = _face_table(grid)
     faces = []
     for axis, (left, right, area, h_left, h_right) in enumerate(interior):
         d_face = face_diffusivity(d[axis, left], d[axis, right], h_left, h_right)
@@ -372,7 +365,40 @@ def assemble_diffusion(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
         elif isinstance(condition, Robin):
             wall_terms.append((cells, condition.alpha * area))
         # total-flux-zero: no face contribution
-    return _flux_operator(grid, faces, wall_terms)
+    return faces, wall_terms
+
+
+def _advection_terms(coeff: CoefficientField, bc: BoundarySpec, species: int, t: float,
+                     interior, walls):
+    """Per-face (left, right, a, b) upwind flux pairs and diagonal wall terms."""
+    _, drift = coeff.at_time(t)
+    b = drift[species]  # (dim, ncells)
+    faces = []
+    for axis, (left, right, area, _, _) in enumerate(interior):
+        b_face = 0.5 * (b[axis, left] + b[axis, right])
+        faces.append((left, right, np.maximum(b_face, 0.0) * area,
+                      np.minimum(b_face, 0.0) * area))
+    side_bcs = bc.for_species(species)
+    wall_terms = [
+        (cells, np.maximum(sign * b[axis, cells], 0.0) * area)
+        for side, (axis, cells, area, _, sign) in walls.items()
+        if not isinstance(side_bcs[side], NoFluxWithDrift)
+    ]
+    return faces, wall_terms
+
+
+def assemble_diffusion(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
+                       species: int, t: float = 0.0) -> sp.csr_matrix:
+    """Two-point-flux operator for the negative diffusion divergence.
+
+    Interior faces use distance-weighted harmonic means of the adjacent
+    per-cell diffusivities, so 1D piecewise-constant interface problems are
+    reproduced exactly at cell centers.  Dirichlet walls eliminate the
+    ghost cell via a mirror value of zero, Robin walls add
+    alpha * area / volume to the diagonal, total-flux-zero walls drop the
+    face term.  The result is a weakly diagonally dominant M-matrix.
+    """
+    return _flux_operator(grid, *_diffusion_terms(coeff, bc, species, t, *_face_table(grid)))
 
 
 def assemble_advection(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
@@ -385,21 +411,23 @@ def assemble_advection(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
     the advective face term entirely, which makes the volume-weighted
     column sums vanish (discrete conservation).
     """
-    _, drift = coeff.at_time(t)
-    b = drift[species]  # (dim, ncells)
-    interior, walls = _face_table(grid)
-    faces = []
-    for axis, (left, right, area, _, _) in enumerate(interior):
-        b_face = 0.5 * (b[axis, left] + b[axis, right])
-        faces.append((left, right, np.maximum(b_face, 0.0) * area,
-                      np.minimum(b_face, 0.0) * area))
-    side_bcs = bc.for_species(species)
-    wall_terms = [
-        (cells, np.maximum(sign * b[axis, cells], 0.0) * area)
-        for side, (axis, cells, area, _, sign) in walls.items()
-        if not isinstance(side_bcs[side], NoFluxWithDrift)
-    ]
-    return _flux_operator(grid, faces, wall_terms)
+    return _flux_operator(grid, *_advection_terms(coeff, bc, species, t, *_face_table(grid)))
+
+
+def assemble_transport(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
+                       species: int, t: float = 0.0) -> sp.csr_matrix:
+    """The diffusion plus the advection operator, assembled once.
+
+    Each face's diffusion and upwind flux pairs are summed, and both sets
+    of wall terms kept, before one sparse build; the result equals
+    assemble_diffusion + assemble_advection up to the rounding of those sums.
+    """
+    table = _face_table(grid)
+    d_faces, d_walls = _diffusion_terms(coeff, bc, species, t, *table)
+    a_faces, a_walls = _advection_terms(coeff, bc, species, t, *table)
+    faces = [(left, right, a + a_adv, b + b_adv)
+             for (left, right, a, b), (_, _, a_adv, b_adv) in zip(d_faces, a_faces)]
+    return _flux_operator(grid, faces, d_walls + a_walls)
 
 
 def discrete_norm(fld, grid: StructuredGrid, p):

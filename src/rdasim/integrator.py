@@ -12,11 +12,14 @@ is retried with a halved dt; states are never clamped, so the discrete
 mass budget stays exact up to linear-solver residuals.
 
 The systems I/dt + A_i are cached per dt for each coefficient epoch, whose
-last step takes the full dt when the remainder is within rounding of it.  On
-1D grids the per-species systems are stacked into one block-diagonal
-matrix, factorized once by sparse LU and reused for every step at that
-dt; on 2D grids each species is solved by Jacobi-preconditioned BiCGStab,
-warm-started from the old state.  A non-finite reaction stops the step
+last step takes the full dt when the remainder is within rounding of it;
+besides the configured dt, an epoch holds at most the latest halved or
+clipped dt.  On 1D grids the per-species systems are stacked into one
+block-diagonal matrix, factorized once by sparse LU and reused for every
+step at that dt; on 2D grids each species is solved by BiCGStab,
+preconditioned by one V-cycle of pairwise-aggregation multigrid whose
+hierarchy is built the first time that dt is solved, and warm-started
+from the old state.  A non-finite reaction stops the step
 with NonFiniteError.  `run` writes the reduced summaries of each accepted
 step (time, masses, sup-norms, minimum, cumulative reaction, dt,
 halvings, linear iterations) as one row of a preallocated float array
@@ -40,8 +43,7 @@ from .grid import (
     BoundarySpec,
     CoefficientField,
     StructuredGrid,
-    assemble_advection,
-    assemble_diffusion,
+    assemble_transport,
 )
 from .reactions import ReactionSystem, TruncationParam, truncate
 
@@ -51,6 +53,7 @@ __all__ = [
     "StepReport",
     "Problem",
     "TransportOperators",
+    "AggregationMultigrid",
     "SolverError",
     "PositivityError",
     "LinearSolveError",
@@ -145,33 +148,86 @@ class Problem:
             raise ValueError("boundary spec and system disagree on species count")
 
 
-def linear_solve(a, b, tol: float = 1e-10, max_iter: int = 500,
-                 x0=None) -> tuple[np.ndarray, int]:
-    """Solve a sparse system to a relative residual by Jacobi-preconditioned BiCGStab.
+class AggregationMultigrid:
+    """One V-cycle of pairwise-aggregation multigrid, used as a preconditioner.
 
-    Returns (x, iterations).  Raises LinearSolveError with the final
-    residual when BiCGStab breaks down, runs out of iterations, or leaves a
-    true residual above `tol` times the norm of b.
+    Each level pairs neighbouring cells along every axis of the cell grid
+    (an odd axis ends in a singleton aggregate): the piecewise-constant
+    prolongation P = kron(agg_x, agg_y), kept as the map from each cell to
+    its aggregate.  The next level's matrix is the Galerkin operator
+    P^T A P, until at most 16^2 cells are left; a sparse LU solves that
+    coarsest level exactly.  The cycle applies one damped Jacobi sweep
+    (omega = 0.8) before and after each coarse correction, so it is a
+    fixed linear map of the residual.  Piecewise-constant aggregation
+    follows jumps in the coefficients (Alcouffe et al. 1981; Notay 2010).
+    """
+
+    coarsest_cells = 16 * 16
+    omega = 0.8
+
+    def __init__(self, a, shape: tuple[int, ...]):
+        a = sp.csr_matrix(a)
+        if math.prod(shape) != a.shape[0]:
+            raise ValueError(f"grid shape {tuple(shape)} does not match a "
+                             f"{a.shape[0]}-row matrix")
+        self.levels = []  # (A, omega / diag(A), cell -> aggregate) from the finest down
+        while math.prod(shape) > self.coarsest_cells:
+            coarse = tuple((n + 1) // 2 for n in shape)
+            agg = np.ravel_multi_index(np.indices(shape).reshape(len(shape), -1) // 2,
+                                       coarse).astype(np.int32)
+            diag = a.diagonal()
+            self.levels.append((a, self.omega / np.where(diag == 0.0, 1.0, diag), agg))
+            entries = a.tocoo()
+            # duplicate entries are summed: this is P^T A P for the 0/1 matrix P
+            a = sp.csr_matrix((entries.data, (agg[entries.row], agg[entries.col])),
+                              shape=(math.prod(coarse),) * 2)
+            shape = coarse
+        try:
+            self.coarsest = splu(a.tocsc())
+        except RuntimeError as exc:
+            raise LinearSolveError(f"coarsest multigrid level is singular: {exc}") from None
+
+    def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        """The cycle from `level` down, applied to the residual r of that level."""
+        if level == len(self.levels):
+            return self.coarsest.solve(r)
+        a, smoother, agg = self.levels[level]
+        x = smoother * r
+        # restriction P^T sums each aggregate; prolongation P copies it back
+        x += self(np.bincount(agg, weights=r - a @ x), level + 1)[agg]
+        x += smoother * (r - a @ x)
+        return x
+
+
+def linear_solve(a, b, tol: float = 1e-10, max_iter: int = 500, x0=None,
+                 cycle: AggregationMultigrid | None = None) -> tuple[np.ndarray, int]:
+    """Solve a sparse system to a relative residual by multigrid-preconditioned BiCGStab.
+
+    `cycle` is the AggregationMultigrid hierarchy of `a`; without one, the
+    unknowns are aggregated as a 1D chain.  Returns (x, iterations).
+    Raises LinearSolveError with the final residual when BiCGStab breaks
+    down, runs out of iterations, or leaves a true residual above `tol`
+    times the norm of b.
     """
     a = sp.csr_matrix(a)
     b = np.asarray(b, dtype=float).ravel()
     bnorm = np.linalg.norm(b)
     scale = bnorm or 1.0
-    diag = a.diagonal()
-    inv_diag = 1.0 / np.where(diag == 0.0, 1.0, diag)
+    if cycle is None:
+        cycle = AggregationMultigrid(a, (a.shape[0],))
     preconditioner_calls = 0
 
-    def jacobi(v):
+    def precondition(v):
         nonlocal preconditioner_calls
         preconditioner_calls += 1
-        return v * inv_diag
+        return cycle(v)
 
     # scipy's breakdown test |rho| < eps**2 is absolute and rho scales with
     # |b|**2, so solve for x / |b| to make it relative
     x, info = bicgstab(
         a, b / scale, x0=None if x0 is None else np.asarray(x0, dtype=float) / scale,
         rtol=tol, atol=0.0, maxiter=max_iter,
-        M=LinearOperator(a.shape, matvec=jacobi, dtype=float),
+        M=LinearOperator(a.shape, matvec=precondition, dtype=float),
     )
     x = x * scale
     # a full iteration applies the preconditioner twice; one that converges
@@ -189,46 +245,53 @@ def linear_solve(a, b, tol: float = 1e-10, max_iter: int = 500,
 class TransportOperators:
     """Assembled per-species transport operators for one coefficient epoch.
 
-    Caches the system I/dt + A_i per dt value.  In 1D that is one sparse LU
-    factorization of the block-diagonal species system, so a step is a
-    single pair of triangular solves.  In 2D it is the per-species CSR
-    matrices, each solved by `linear_solve`: a direct 2D factorization
-    needs more memory than the iterative solve.
+    Each species' diffusion + advection operator is one `assemble_transport`
+    build.  The system I/dt + A_i is cached per dt value, for the configured
+    dt and at most one other (the latest halved or clipped dt).  In 1D that
+    is one sparse LU factorization of the block-diagonal species system, so
+    a step is a single pair of triangular solves.  In 2D it is each
+    species' CSR matrix with its AggregationMultigrid hierarchy, built the
+    first time that dt is solved and used by `linear_solve`: a direct 2D
+    factorization needs more memory than the multigrid-preconditioned
+    solve.
     """
 
     def __init__(self, problem: Problem, t: float):
         self.problem = problem
-        grid = problem.grid
-        self.matrices = []
-        for i in range(problem.system.m):
-            a_diff = assemble_diffusion(grid, problem.coefficients, problem.boundary, i, t)
-            a_adv = assemble_advection(grid, problem.coefficients, problem.boundary, i, t)
-            self.matrices.append((a_diff + a_adv).tocsr())
+        self.matrices = [
+            assemble_transport(problem.grid, problem.coefficients, problem.boundary, i, t)
+            for i in range(problem.system.m)
+        ]
         self._systems: dict[float, object] = {}
 
-    def _system(self, dt: float):
+    def _system(self, dt: float, keep: float):
         cached = self._systems.get(dt)
         if cached is None:
-            n = self.problem.grid.ncells
-            shifted = [(sp.identity(n) / dt + a).tocsr() for a in self.matrices]
-            if self.problem.grid.dim == 1:
+            if dt != keep:
+                # besides the configured dt, hold only the dt about to be built
+                for key in [k for k in self._systems if k != keep]:
+                    del self._systems[key]
+            grid = self.problem.grid
+            shifted = [(sp.identity(grid.ncells) / dt + a).tocsr() for a in self.matrices]
+            if grid.dim == 1:
                 cached = splu(sp.block_diag(shifted, format="csc"))
             else:
-                cached = shifted
+                cached = [(a, AggregationMultigrid(a, grid.shape)) for a in shifted]
             self._systems[dt] = cached
         return cached
 
     def solve(self, dt: float, rhs: np.ndarray, cfg: SolverConfig,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         """Solve (I/dt + A_i) u_i = rhs_i for every species; returns (u, iterations)."""
-        system = self._system(dt)
+        system = self._system(dt, cfg.dt)
         if self.problem.grid.dim == 1:
             return system.solve(rhs.ravel()).reshape(rhs.shape), 0
         out = np.empty_like(rhs)
         iterations = 0
-        for i, a in enumerate(system):
+        for i, (a, cycle) in enumerate(system):
             guess = None if x0 is None else x0[i]
-            out[i], it = linear_solve(a, rhs[i], cfg.linear_tol, cfg.max_linear_iter, x0=guess)
+            out[i], it = linear_solve(a, rhs[i], cfg.linear_tol, cfg.max_linear_iter,
+                                      x0=guess, cycle=cycle)
             iterations = max(iterations, it)
         return out, iterations
 
@@ -356,6 +419,8 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
                 while next_record <= state.t + eps_round:
                     next_record += cfg.record_dt
 
+    # free the last epoch's systems before the snapshots are stacked
+    operators = None
     series = series[:n]
     return Trajectory(
         grid=grid,

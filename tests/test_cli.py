@@ -417,7 +417,8 @@ class TestEnergyReportCommand:
     @pytest.mark.parametrize("edit, expected", [
         (lambda times: times[:-1], "must align"),
         (lambda times: times[:1] * len(times), "strictly increasing"),
-    ], ids=["times-cut-short", "times-repeated"])
+        (lambda times: [10 * t for t in times], "holds t=0.001, but the index lists t=0.01"),
+    ], ids=["times-cut-short", "times-repeated", "times-scaled"])
     def test_inconsistent_index_times_exit_2(self, tmp_path, capsys, edit, expected):
         out = tmp_path / "out"
         path = write_config(tmp_path, heat_config(out, cells=8, t_end=0.01))

@@ -15,6 +15,7 @@ from rdasim.grid import (
     StructuredGrid,
     assemble_advection,
     assemble_diffusion,
+    assemble_transport,
     discrete_norm,
     face_diffusivity,
 )
@@ -183,7 +184,7 @@ class TestDiffusionAssembly:
         # and weak diagonal dominance of the volume-weighted columns (the
         # flux-form dominance behind the discrete maximum principle)
         grid, coeff, boundary = problem
-        for assemble in (assemble_diffusion, assemble_advection):
+        for assemble in (assemble_diffusion, assemble_advection, assemble_transport):
             a = assemble(grid, coeff, boundary, 0).toarray()
             off = a - np.diag(np.diag(a))
             assert np.all(np.diag(a) >= 0.0)
@@ -260,7 +261,7 @@ class TestAdvectionAssembly:
         # through; with total-flux-zero walls all round, mass is conserved
         grid, coeff, boundary = problem
         interior = ~open_wall_cells(grid, boundary)
-        for assemble in (assemble_diffusion, assemble_advection):
+        for assemble in (assemble_diffusion, assemble_advection, assemble_transport):
             weighted = grid.cell_volumes[:, None] * assemble(grid, coeff, boundary, 0).toarray()
             col = weighted.sum(axis=0)
             assert np.all(np.abs(col[interior])
@@ -282,6 +283,22 @@ class TestAdvectionAssembly:
         col = grid.cell_volumes @ a
         assert col[-1] == pytest.approx(1.0)  # outward flux coefficient
         assert np.allclose(col[:-1], 0.0, atol=1e-14)
+
+
+class TestTransportAssembly:
+    @settings(max_examples=60, deadline=None)
+    @given(random_problems())
+    def test_equals_diffusion_plus_advection(self, problem):
+        # one build from the summed face pairs and wall terms; only the
+        # rounding of those sums may differ from adding the two operators
+        grid, coeff, boundary = problem
+        diffusion = assemble_diffusion(grid, coeff, boundary, 0)
+        advection = assemble_advection(grid, coeff, boundary, 0)
+        combined = assemble_transport(grid, coeff, boundary, 0)
+        assert combined.has_canonical_format
+        scale = abs(diffusion).toarray() + abs(advection).toarray()
+        assert np.all(np.abs(combined.toarray() - (diffusion + advection).toarray())
+                      <= 4 * np.finfo(float).eps * scale)
 
 
 class TestDiscreteNorm:

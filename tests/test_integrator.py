@@ -17,9 +17,11 @@ from rdasim.grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
+    assemble_transport,
     discrete_norm,
 )
 from rdasim.integrator import (
+    AggregationMultigrid,
     LinearSolveError,
     PositivityError,
     Problem,
@@ -117,31 +119,88 @@ class TestLinearSolve:
         assert iterations == 0
 
     def test_half_step_convergence_counts_one_iteration(self):
-        # Jacobi is exact on a diagonal system: BiCGStab stops at its first half step
-        a = sp.diags(np.linspace(1.0, 4.0, 30)).tocsr()
-        _, iterations = linear_solve(a, np.ones(30))
+        # a system no larger than the coarsest level is solved exactly by its
+        # LU, so BiCGStab stops at its first half step
+        n = 30
+        low = np.full(n - 1, -1.0)
+        a = sp.diags([low, np.linspace(2.5, 4.0, n), low], [-1, 0, 1]).tocsr()
+        _, iterations = linear_solve(a, np.ones(n))
         assert iterations == 1
 
     def test_iterations_match_full_steps(self):
-        n = 50
-        low = np.full(n - 1, -1.0)
-        a = sp.diags([low, np.full(n, 2.0), low], [-1, 0, 1]).tocsr()
-        b = np.random.default_rng(4).standard_normal(n)
+        # a 40 x 40 Dirichlet Laplacian has two levels above the 10 x 10 coarsest
+        laplace_1d = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(40, 40))
+        a = sp.kronsum(laplace_1d, laplace_1d, format="csr")
+        cycle = AggregationMultigrid(a, (40, 40))
+        assert len(cycle.levels) == 2
+        b = np.random.default_rng(4).standard_normal(a.shape[0])
         steps = []
         scipy.sparse.linalg.bicgstab(
             a, b / np.linalg.norm(b), rtol=1e-10, atol=0.0, maxiter=500,
-            M=sp.diags(1.0 / a.diagonal()), callback=lambda xk: steps.append(1),
+            M=scipy.sparse.linalg.LinearOperator(a.shape, matvec=cycle),
+            callback=lambda xk: steps.append(1),
         )
-        _, iterations = linear_solve(a, b, tol=1e-10, max_iter=500)
+        _, iterations = linear_solve(a, b, tol=1e-10, max_iter=500, cycle=cycle)
+        assert len(steps) > 1
         assert iterations in (len(steps), len(steps) + 1)
 
     def test_nonconvergence_reports_residual(self):
-        # an indefinite system BiCGStab cannot crack in two iterations
+        # an indefinite system BiCGStab cannot crack in two iterations; it is
+        # larger than the coarsest level, so the preconditioner is not exact
         rng = np.random.default_rng(2)
-        a = rng.standard_normal((40, 40))
+        a = rng.standard_normal((400, 400))
         a = sp.csr_matrix(a + a.T)
         with pytest.raises(LinearSolveError, match="residual"):
-            linear_solve(a, rng.standard_normal(40), tol=1e-14, max_iter=2)
+            linear_solve(a, rng.standard_normal(400), tol=1e-14, max_iter=2)
+
+
+def blocky_transport_system(shape, dt=0.01, seed=0):
+    """I/dt + A for one species with three-level block diffusivity and drift."""
+    grid = StructuredGrid.uniform([(0.0, 1.0)] * len(shape), shape)
+    rng = np.random.default_rng(seed)
+    blocks = rng.choice([1e-3, 1e-2, 1e-1], size=tuple(-(-n // 8) for n in shape))
+    levels = blocks[tuple(np.indices(shape) // 8)].ravel()
+    diff = np.stack([levels] * grid.dim)[None]
+    drift = rng.uniform(-0.2, 0.2, size=(1, grid.dim, grid.ncells))
+    coeff = CoefficientField(grid, diff, drift)
+    a = assemble_transport(grid, coeff, BoundarySpec.uniform(1, grid.dim, NoFluxWithDrift()), 0)
+    return grid, (sp.identity(grid.ncells) / dt + a).tocsr()
+
+
+class TestAggregationMultigrid:
+    @pytest.mark.parametrize("shape", [(3, 5), (127, 64), (128, 128)])
+    def test_matches_direct_oracle(self, shape):
+        # discontinuous diffusivity and drift; odd axes end in a singleton aggregate
+        grid, a = blocky_transport_system(shape)
+        b = np.random.default_rng(1).uniform(0.0, 2.0, grid.ncells) / 0.01
+        oracle = scipy.sparse.linalg.splu(a.tocsc()).solve(b)
+        cycle = AggregationMultigrid(a, grid.shape)
+        x, iterations = linear_solve(a, b, tol=1e-10, max_iter=500, x0=b * 0.01, cycle=cycle)
+        assert relative_error(x, oracle) <= 1e-9
+        assert iterations <= 20
+
+    def test_levels_halve_each_axis_down_to_the_coarsest(self):
+        grid, a = blocky_transport_system((127, 64))
+        cycle = AggregationMultigrid(a, grid.shape)
+        # 127 x 64 -> 64 x 32 -> 32 x 16 -> 16 x 8 cells
+        assert [level[0].shape[0] for level in cycle.levels] == [127 * 64, 64 * 32, 32 * 16]
+        assert cycle.coarsest.shape == (16 * 8, 16 * 8)
+        # the last row of an odd axis is its own aggregate
+        agg = cycle.levels[0][2].reshape(127, 64)
+        assert np.array_equal(agg[126], agg[125] + 32)
+        assert np.array_equal(agg[124], agg[125])
+
+    def test_galerkin_operator(self):
+        grid, a = blocky_transport_system((40, 36))
+        cycle = AggregationMultigrid(a, grid.shape)
+        p = sp.csr_matrix((np.ones(grid.ncells), (np.arange(grid.ncells), cycle.levels[0][2])))
+        coarse = cycle.levels[1][0]
+        galerkin = (p.T @ a @ p).toarray()
+        assert np.allclose(coarse.toarray(), galerkin, rtol=1e-14, atol=0.0)
+
+    def test_shape_must_match_the_matrix(self):
+        with pytest.raises(ValueError, match="does not match"):
+            AggregationMultigrid(sp.identity(12, format="csr"), (3, 5))
 
 
 def dense_transport_oracle(ops, dt, rhs):
@@ -424,6 +483,48 @@ class TestRun:
         total = traj.step_masses.sum(axis=1)
         assert np.max(np.abs(total - total[0])) < 1e-8
         assert traj.step_minima.min() >= -1e-12
+
+    def test_halved_systems_are_bounded_and_reproducible(self, monkeypatch):
+        # a stiff sink halves dt = 0.5 four times a step until it has decayed;
+        # the cache holds the configured dt and the latest halved one, and
+        # rebuilding an evicted system changes no bit of the trajectory
+        sink = system_from_expressions(
+            ["0 - 30*u1"], mass_weights=[1.0], mass_constants=(0.0, 0.0),
+            intermediate_order=1.0, growth_order=1.0, growth_constant=30.0,
+        )
+        problem = make_problem(sink, n=24, diffusion=0.05, drift=0.2, dim=2)
+        fields = np.random.default_rng(9).uniform(0.5, 1.5, size=(1, problem.grid.ncells))
+        cfg = SolverConfig(dt=0.5, t_end=1.0, record_dt=0.25)
+        held = []
+        real_system = TransportOperators._system
+
+        def counting_system(self, dt, keep):
+            cached = real_system(self, dt, keep)
+            held.append(len(self._systems))
+            return cached
+
+        monkeypatch.setattr(TransportOperators, "_system", counting_system)
+        bounded = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
+        assert bounded.step_halvings.max() == 4
+        assert max(held) == 2
+
+        class KeepAll(dict):
+            def __delitem__(self, key):
+                pass
+
+        real_init = TransportOperators.__init__
+
+        def unbounded_init(self, *args):
+            real_init(self, *args)
+            self._systems = KeepAll()
+
+        held.clear()
+        monkeypatch.setattr(TransportOperators, "__init__", unbounded_init)
+        unbounded = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
+        assert max(held) == 5
+        for name in ("times", "states", "step_times", "step_masses", "step_minima",
+                     "reaction_integrals", "step_dts", "step_linear_iterations"):
+            assert np.array_equal(getattr(bounded, name), getattr(unbounded, name)), name
 
     def test_one_factorization_per_run(self, monkeypatch):
         # the problem of configs/reversible.json: after 3999 steps of 0.01, t
