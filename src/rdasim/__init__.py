@@ -30,7 +30,6 @@ from .grid import (
     StructuredGrid,
     assemble_advection,
     assemble_diffusion,
-    assemble_transport,
     discrete_norm,
     face_diffusivity,
 )
@@ -48,7 +47,6 @@ from .reactions import (
     truncate,
 )
 from .integrator import (
-    AggregationMultigrid,
     Problem,
     SimState,
     SolverConfig,

@@ -43,7 +43,6 @@ __all__ = [
     "face_diffusivity",
     "assemble_diffusion",
     "assemble_advection",
-    "assemble_transport",
     "discrete_norm",
 ]
 

@@ -12,18 +12,16 @@ is retried with a halved dt; states are never clamped, so the discrete
 mass budget stays exact up to linear-solver residuals.
 
 The systems I/dt + A_i are cached per dt for each coefficient epoch, whose
-last step takes the full dt when the remainder is within rounding of it;
-besides the configured dt, an epoch holds at most the latest halved or
-clipped dt.  On 1D grids the per-species systems are stacked into one
-block-diagonal matrix, factorized once by sparse LU and reused for every
-step at that dt; on 2D grids each species is solved by BiCGStab,
-preconditioned by one V-cycle of pairwise-aggregation multigrid whose
-hierarchy is built the first time that dt is solved, and warm-started
-from the old state.  A non-finite reaction stops the step
-with NonFiniteError.  `run` writes the reduced summaries of each accepted
-step (time, masses, sup-norms, minimum, cumulative reaction, dt,
-halvings, linear iterations) as one row of a preallocated float array
-rather than as per-step Python objects.  Checkpoints serialize a state
+last step takes the full dt when the remainder is within rounding of it.  On
+1D grids the per-species systems are stacked into one block-diagonal
+matrix, factorized once by sparse LU and reused for every step at that dt;
+on 2D grids each species is solved by BiCGStab, preconditioned by one
+V-cycle of pairwise-aggregation multigrid whose hierarchy is built the
+first time that dt is solved, and warm-started from the old state.  A
+non-finite reaction stops the step with NonFiniteError.  `run` writes the
+reduced summaries of each accepted step (time, masses, sup-norms, minimum,
+cumulative reaction, dt, halvings, linear iterations) as one row of a
+preallocated float array rather than as per-step Python objects.  Checkpoints serialize a state
 as a flat little-endian binary record; loading checks its size.
 """
 
@@ -53,7 +51,6 @@ __all__ = [
     "StepReport",
     "Problem",
     "TransportOperators",
-    "AggregationMultigrid",
     "SolverError",
     "PositivityError",
     "LinearSolveError",
@@ -199,12 +196,11 @@ class AggregationMultigrid:
         return x
 
 
-def linear_solve(a, b, tol: float = 1e-10, max_iter: int = 500, x0=None,
-                 cycle: AggregationMultigrid | None = None) -> tuple[np.ndarray, int]:
+def linear_solve(a, b, cycle: AggregationMultigrid, tol: float = 1e-10, max_iter: int = 500,
+                 x0=None) -> tuple[np.ndarray, int]:
     """Solve a sparse system to a relative residual by multigrid-preconditioned BiCGStab.
 
-    `cycle` is the AggregationMultigrid hierarchy of `a`; without one, the
-    unknowns are aggregated as a 1D chain.  Returns (x, iterations).
+    `cycle` is the AggregationMultigrid hierarchy of `a`.  Returns (x, iterations).
     Raises LinearSolveError with the final residual when BiCGStab breaks
     down, runs out of iterations, or leaves a true residual above `tol`
     times the norm of b.
@@ -213,8 +209,6 @@ def linear_solve(a, b, tol: float = 1e-10, max_iter: int = 500, x0=None,
     b = np.asarray(b, dtype=float).ravel()
     bnorm = np.linalg.norm(b)
     scale = bnorm or 1.0
-    if cycle is None:
-        cycle = AggregationMultigrid(a, (a.shape[0],))
     preconditioner_calls = 0
 
     def precondition(v):
@@ -246,8 +240,7 @@ class TransportOperators:
     """Assembled per-species transport operators for one coefficient epoch.
 
     Each species' diffusion + advection operator is one `assemble_transport`
-    build.  The system I/dt + A_i is cached per dt value, for the configured
-    dt and at most one other (the latest halved or clipped dt).  In 1D that
+    build.  The system I/dt + A_i is cached per dt value.  In 1D that
     is one sparse LU factorization of the block-diagonal species system, so
     a step is a single pair of triangular solves.  In 2D it is each
     species' CSR matrix with its AggregationMultigrid hierarchy, built the
@@ -264,13 +257,9 @@ class TransportOperators:
         ]
         self._systems: dict[float, object] = {}
 
-    def _system(self, dt: float, keep: float):
+    def _system(self, dt: float):
         cached = self._systems.get(dt)
         if cached is None:
-            if dt != keep:
-                # besides the configured dt, hold only the dt about to be built
-                for key in [k for k in self._systems if k != keep]:
-                    del self._systems[key]
             grid = self.problem.grid
             shifted = [(sp.identity(grid.ncells) / dt + a).tocsr() for a in self.matrices]
             if grid.dim == 1:
@@ -283,15 +272,15 @@ class TransportOperators:
     def solve(self, dt: float, rhs: np.ndarray, cfg: SolverConfig,
               x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         """Solve (I/dt + A_i) u_i = rhs_i for every species; returns (u, iterations)."""
-        system = self._system(dt, cfg.dt)
+        system = self._system(dt)
         if self.problem.grid.dim == 1:
             return system.solve(rhs.ravel()).reshape(rhs.shape), 0
         out = np.empty_like(rhs)
         iterations = 0
         for i, (a, cycle) in enumerate(system):
             guess = None if x0 is None else x0[i]
-            out[i], it = linear_solve(a, rhs[i], cfg.linear_tol, cfg.max_linear_iter,
-                                      x0=guess, cycle=cycle)
+            out[i], it = linear_solve(a, rhs[i], cycle, cfg.linear_tol, cfg.max_linear_iter,
+                                      x0=guess)
             iterations = max(iterations, it)
         return out, iterations
 

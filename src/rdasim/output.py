@@ -111,8 +111,7 @@ def write_vtk_structured_points(path, grid, fields: dict, title: str = "rdasim f
     """Legacy-ASCII VTK structured-points snapshot of cell-centered fields.
 
     Fields are emitted as point data at the cell centers, which requires a
-    uniform grid.  Values are written one line at a time, so a snapshot is
-    never held as one string.
+    uniform grid.
     """
     if not grid.is_uniform():
         raise ValueError("VTK structured-points output requires a uniform grid")
@@ -124,7 +123,7 @@ def write_vtk_structured_points(path, grid, fields: dict, title: str = "rdasim f
     hy = float(grid.widths[1][0]) if grid.dim == 2 else 1.0
     ox = grid.origin[0] + hx / 2.0
     oy = (grid.origin[1] + hy / 2.0) if grid.dim == 2 else 0.0
-    header = [
+    lines = [
         "# vtk DataFile Version 3.0",
         title,
         "ASCII",
@@ -134,11 +133,11 @@ def write_vtk_structured_points(path, grid, fields: dict, title: str = "rdasim f
         f"SPACING {fmt(hx)} {fmt(hy)} 1.0",
         f"POINT_DATA {nx * ny}",
     ]
-    with open(path, "w") as fh:
-        fh.writelines(line + "\n" for line in header)
-        for name, values in fields.items():
-            values = np.asarray(values, dtype=float)
-            # VTK iterates x fastest; the flat cell order has the last axis fastest
-            ordered = values if grid.dim == 1 else values.reshape(nx, ny).T.ravel()
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            fh.writelines(f"{v!r}\n" for v in ordered.tolist())
+    for name, values in fields.items():
+        values = np.asarray(values, dtype=float)
+        # VTK iterates x fastest; the flat cell order has the last axis fastest
+        ordered = values if grid.dim == 1 else values.reshape(nx, ny).T.ravel()
+        lines.append(f"SCALARS {name} double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(map(repr, ordered.tolist()))
+    path.write_text("\n".join(lines) + "\n")

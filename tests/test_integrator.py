@@ -70,7 +70,8 @@ class TestLinearSolve:
     def test_identity(self):
         rng = np.random.default_rng(0)
         b = rng.standard_normal(20)
-        x, _ = linear_solve(sp.eye(20).tocsr(), b)
+        a = sp.eye(20).tocsr()
+        x, _ = linear_solve(a, b, AggregationMultigrid(a, (20,)))
         assert np.allclose(x, b, atol=1e-12)
 
     def test_tridiagonal_vs_banded_oracle(self):
@@ -86,7 +87,7 @@ class TestLinearSolve:
         ab[1] = a.diagonal(0)
         ab[2, :-1] = a.diagonal(-1)
         oracle = scipy.linalg.solve_banded((1, 1), ab, b)
-        x, _ = linear_solve(a, b, tol=1e-12, max_iter=300)
+        x, _ = linear_solve(a, b, AggregationMultigrid(a, (n,)), tol=1e-12, max_iter=300)
         assert np.max(np.abs(x - oracle)) < 1e-10
 
     def test_random_m_matrix_converges(self):
@@ -96,7 +97,8 @@ class TestLinearSolve:
         np.fill_diagonal(off, 0.0)
         a = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, n))
         b = rng.standard_normal(n)
-        x, _ = linear_solve(sp.csr_matrix(a), b, tol=1e-10, max_iter=500)
+        a = sp.csr_matrix(a)
+        x, _ = linear_solve(a, b, AggregationMultigrid(a, (n,)), tol=1e-10, max_iter=500)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.01
 
     def test_tiny_right_hand_side(self):
@@ -107,14 +109,17 @@ class TestLinearSolve:
         np.fill_diagonal(off, 0.0)
         a = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, n))
         b = 1e-20 * rng.standard_normal(n)
-        x, _ = linear_solve(sp.csr_matrix(a), b, tol=1e-10, max_iter=500)
+        a = sp.csr_matrix(a)
+        cycle = AggregationMultigrid(a, (n,))
+        x, _ = linear_solve(a, b, cycle, tol=1e-10, max_iter=500)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.01
         x0 = x * (1.0 + 1e-6)
-        x, _ = linear_solve(sp.csr_matrix(a), b, tol=1e-10, max_iter=500, x0=x0)
+        x, _ = linear_solve(a, b, cycle, tol=1e-10, max_iter=500, x0=x0)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.01
 
     def test_zero_right_hand_side(self):
-        x, iterations = linear_solve(sp.eye(5).tocsr(), np.zeros(5), x0=np.ones(5))
+        a = sp.eye(5).tocsr()
+        x, iterations = linear_solve(a, np.zeros(5), AggregationMultigrid(a, (5,)), x0=np.ones(5))
         assert np.array_equal(x, np.zeros(5))
         assert iterations == 0
 
@@ -124,7 +129,7 @@ class TestLinearSolve:
         n = 30
         low = np.full(n - 1, -1.0)
         a = sp.diags([low, np.linspace(2.5, 4.0, n), low], [-1, 0, 1]).tocsr()
-        _, iterations = linear_solve(a, np.ones(n))
+        _, iterations = linear_solve(a, np.ones(n), AggregationMultigrid(a, (n,)))
         assert iterations == 1
 
     def test_iterations_match_full_steps(self):
@@ -140,7 +145,7 @@ class TestLinearSolve:
             M=scipy.sparse.linalg.LinearOperator(a.shape, matvec=cycle),
             callback=lambda xk: steps.append(1),
         )
-        _, iterations = linear_solve(a, b, tol=1e-10, max_iter=500, cycle=cycle)
+        _, iterations = linear_solve(a, b, cycle, tol=1e-10, max_iter=500)
         assert len(steps) > 1
         assert iterations in (len(steps), len(steps) + 1)
 
@@ -151,7 +156,8 @@ class TestLinearSolve:
         a = rng.standard_normal((400, 400))
         a = sp.csr_matrix(a + a.T)
         with pytest.raises(LinearSolveError, match="residual"):
-            linear_solve(a, rng.standard_normal(400), tol=1e-14, max_iter=2)
+            linear_solve(a, rng.standard_normal(400), AggregationMultigrid(a, (400,)),
+                         tol=1e-14, max_iter=2)
 
 
 def blocky_transport_system(shape, dt=0.01, seed=0):
@@ -175,7 +181,7 @@ class TestAggregationMultigrid:
         b = np.random.default_rng(1).uniform(0.0, 2.0, grid.ncells) / 0.01
         oracle = scipy.sparse.linalg.splu(a.tocsc()).solve(b)
         cycle = AggregationMultigrid(a, grid.shape)
-        x, iterations = linear_solve(a, b, tol=1e-10, max_iter=500, x0=b * 0.01, cycle=cycle)
+        x, iterations = linear_solve(a, b, cycle, tol=1e-10, max_iter=500, x0=b * 0.01)
         assert relative_error(x, oracle) <= 1e-9
         assert iterations <= 20
 
@@ -484,47 +490,27 @@ class TestRun:
         assert np.max(np.abs(total - total[0])) < 1e-8
         assert traj.step_minima.min() >= -1e-12
 
-    def test_halved_systems_are_bounded_and_reproducible(self, monkeypatch):
+    def test_halved_systems_are_built_once(self, monkeypatch):
         # a stiff sink halves dt = 0.5 four times a step until it has decayed;
-        # the cache holds the configured dt and the latest halved one, and
-        # rebuilding an evicted system changes no bit of the trajectory
+        # each dt of that ladder gets its hierarchy the first time it is tried
         sink = system_from_expressions(
             ["0 - 30*u1"], mass_weights=[1.0], mass_constants=(0.0, 0.0),
             intermediate_order=1.0, growth_order=1.0, growth_constant=30.0,
         )
         problem = make_problem(sink, n=24, diffusion=0.05, drift=0.2, dim=2)
         fields = np.random.default_rng(9).uniform(0.5, 1.5, size=(1, problem.grid.ncells))
+        built = []
+        real_hierarchy = integrator.AggregationMultigrid
+
+        def counting_hierarchy(a, shape):
+            built.append(a.shape)
+            return real_hierarchy(a, shape)
+
+        monkeypatch.setattr(integrator, "AggregationMultigrid", counting_hierarchy)
         cfg = SolverConfig(dt=0.5, t_end=1.0, record_dt=0.25)
-        held = []
-        real_system = TransportOperators._system
-
-        def counting_system(self, dt, keep):
-            cached = real_system(self, dt, keep)
-            held.append(len(self._systems))
-            return cached
-
-        monkeypatch.setattr(TransportOperators, "_system", counting_system)
-        bounded = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
-        assert bounded.step_halvings.max() == 4
-        assert max(held) == 2
-
-        class KeepAll(dict):
-            def __delitem__(self, key):
-                pass
-
-        real_init = TransportOperators.__init__
-
-        def unbounded_init(self, *args):
-            real_init(self, *args)
-            self._systems = KeepAll()
-
-        held.clear()
-        monkeypatch.setattr(TransportOperators, "__init__", unbounded_init)
-        unbounded = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
-        assert max(held) == 5
-        for name in ("times", "states", "step_times", "step_masses", "step_minima",
-                     "reaction_integrals", "step_dts", "step_linear_iterations"):
-            assert np.array_equal(getattr(bounded, name), getattr(unbounded, name)), name
+        traj = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
+        assert traj.step_halvings[:11].min() == 4
+        assert len(built) == 5
 
     def test_one_factorization_per_run(self, monkeypatch):
         # the problem of configs/reversible.json: after 3999 steps of 0.01, t
