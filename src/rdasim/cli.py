@@ -266,7 +266,8 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
             },
         })
         write_csv(out_dir / "epi_conservation.csv", ["time", "residual"],
-                  zip(epi_report.conservation_times, epi_report.conservation_residual), meta)
+                  np.column_stack([epi_report.conservation_times,
+                                   epi_report.conservation_residual]), meta)
 
     if cfg["output"].get("checkpoints", True):
         traj_dir = out_dir / "trajectory"

@@ -164,9 +164,11 @@ def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
     Walls are total-flux-zero for every species (the pathogen genuinely
     needs the combined diffusive + advective flux to vanish; the host
     compartments carry no drift, so the same wall reduces to a diffusive
-    no-flux condition).  The evaluator resolves the per-cell rates by
-    locating the query positions on the grid; passing the grid's own
-    cell-center array skips the lookup.
+    no-flux condition).  The evaluator applies the scalar-rate exchange
+    (waning, recovery, mortality, pathogen decay) as one constant 4x4
+    matrix and adds the infection and shedding terms with their per-cell
+    rates.  It resolves those rates by locating the query positions on the
+    grid; passing the grid's own cell-center array skips the lookup.
     """
     validate_params(params)
     grid = params.grid
@@ -179,6 +181,12 @@ def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
     delta_b = params.pathogen_decay
 
     uniform_rates = all(np.ptp(arr) == 0.0 for arr in (sigma_i, sigma_b, phi))
+    exchange = np.array([
+        [0.0, 0.0, gamma_w, 0.0],
+        [0.0, -(lam + alpha), 0.0, 0.0],
+        [0.0, lam, -gamma_w, 0.0],
+        [0.0, 0.0, 0.0, -delta_b],
+    ])
 
     def evaluate(x, t, u):
         u = np.asarray(u, dtype=float)
@@ -194,13 +202,12 @@ def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
         else:
             cells = grid.locate(x)
             si, sb, sh = sigma_i[cells], sigma_b[cells], phi[cells]
-        s, i, r, b = u
-        infection = si * s * i + sb * s * b
-        out = np.empty_like(u)
-        out[0] = -infection + gamma_w * r
-        out[1] = infection - (lam + alpha) * i
-        out[2] = lam * i - gamma_w * r
-        out[3] = sh * i - delta_b * b
+        s, i, _, b = u
+        infection = s * (si * i + sb * b)
+        out = exchange @ u
+        out[0] -= infection
+        out[1] += infection
+        out[3] += sh * i
         return out[:, 0] if single else out
 
     rate_scale = max(float(sigma_i.max()), float(sigma_b.max()), gamma_w, lam + alpha,

@@ -13,11 +13,13 @@ mass budget stays exact up to linear-solver residuals.
 
 The systems I/dt + A_i are cached per dt for each coefficient epoch, whose
 last step takes the full dt when the remainder is within rounding of it.  On
-1D grids the per-species systems are stacked into one block-diagonal
-matrix, factorized once by sparse LU and reused for every step at that dt;
-on 2D grids each species is solved by BiCGStab, preconditioned by one
-V-cycle of pairwise-aggregation multigrid whose hierarchy is built the
-first time that dt is solved, and warm-started from the old state.  A
+1D grids the two-point flux makes each species' system tridiagonal, so the
+block-diagonal stack of them is one tridiagonal matrix: LAPACK's
+tridiagonal LU (dgttrf) factorizes it once, and dgttrs solves every step
+at that dt.  On 2D grids each species is solved by BiCGStab,
+preconditioned by one V-cycle of pairwise-aggregation multigrid whose
+hierarchy is built the first time that dt is solved, and warm-started
+from the old state.  A
 non-finite reaction stops the step with NonFiniteError.  `run` writes the
 reduced summaries of each accepted step (time, masses, sup-norms, minimum,
 cumulative reaction, dt, halvings, linear iterations) as one row of a
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .diagnostics import Trajectory
@@ -196,6 +199,40 @@ class AggregationMultigrid:
         return x
 
 
+class TridiagonalLU:
+    """LU factors of a tridiagonal matrix from LAPACK dgttrf, solved by dgttrs.
+
+    A nonzero entry off the three diagonals, or a zero pivot, raises
+    LinearSolveError.  scipy's wrappers reject fewer than three unknowns,
+    so a smaller matrix is padded with identity rows.
+    """
+
+    def __init__(self, a):
+        a = sp.coo_matrix(a)
+        far = (np.abs(a.row - a.col) > 1) & (a.data != 0.0)
+        if far.any():
+            row, col = a.row[far][0], a.col[far][0]
+            raise LinearSolveError(f"entry ({row}, {col}) of a {a.shape[0]}-row system "
+                                   f"lies off its three diagonals")
+        self.n = a.shape[0]
+        self.pad = max(0, 3 - self.n)
+        zeros, ones = np.zeros(self.pad), np.ones(self.pad)
+        *self.factors, info = dgttrf(np.append(a.diagonal(-1), zeros),
+                                     np.append(a.diagonal(), ones),
+                                     np.append(a.diagonal(1), zeros))
+        if info != 0:
+            raise LinearSolveError(f"tridiagonal LU of a {self.n}-row system failed: "
+                                   f"dgttrf info {info} (positive: a zero pivot)")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if self.pad:
+            b = np.append(b, np.zeros(self.pad))
+        x, info = dgttrs(*self.factors, b)
+        if info != 0:
+            raise LinearSolveError(f"tridiagonal solve failed: dgttrs info {info}")
+        return x[:self.n]
+
+
 def linear_solve(a, b, cycle: AggregationMultigrid, tol: float = 1e-10, max_iter: int = 500,
                  x0=None) -> tuple[np.ndarray, int]:
     """Solve a sparse system to a relative residual by multigrid-preconditioned BiCGStab.
@@ -241,8 +278,8 @@ class TransportOperators:
 
     Each species' diffusion + advection operator is one `assemble_transport`
     build.  The system I/dt + A_i is cached per dt value.  In 1D that
-    is one sparse LU factorization of the block-diagonal species system, so
-    a step is a single pair of triangular solves.  In 2D it is each
+    is one TridiagonalLU of the block-diagonal species system, which is
+    tridiagonal, so a step is a single LAPACK dgttrs solve.  In 2D it is each
     species' CSR matrix with its AggregationMultigrid hierarchy, built the
     first time that dt is solved and used by `linear_solve`: a direct 2D
     factorization needs more memory than the multigrid-preconditioned
@@ -263,7 +300,7 @@ class TransportOperators:
             grid = self.problem.grid
             shifted = [(sp.identity(grid.ncells) / dt + a).tocsr() for a in self.matrices]
             if grid.dim == 1:
-                cached = splu(sp.block_diag(shifted, format="csc"))
+                cached = TridiagonalLU(sp.block_diag(shifted))
             else:
                 cached = [(a, AggregationMultigrid(a, grid.shape)) for a in shifted]
             self._systems[dt] = cached
@@ -396,7 +433,7 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
         row[mass:sup] = state.fields @ vol
         row[sup:low] = np.abs(state.fields).max(axis=1)
         row[low] = report.min_value
-        row[react:dt_col] = series[n - 1, react:dt_col] + report.dt * report.reaction_mass
+        row[react:dt_col] = report.reaction_mass
         row[dt_col:] = report.dt, report.halvings, report.linear_iterations
         n += 1
 
@@ -411,6 +448,11 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     # free the last epoch's systems before the snapshots are stacked
     operators = None
     series = series[:n]
+    # applied reaction dt * mass per step, then its running sum: the same
+    # products and sequential sums as accumulating it step by step
+    integrals = series[:, react:dt_col]
+    integrals *= series[:, dt_col, None]
+    np.cumsum(integrals, axis=0, out=integrals)
     return Trajectory(
         grid=grid,
         times=np.asarray(snap_times),

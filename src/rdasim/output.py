@@ -24,6 +24,11 @@ __all__ = [
 ]
 
 
+# an array's rows are converted to Python floats this many at a time; the
+# lists of a 4,096-row chunk already raised the epidemic run's peak RSS
+_CSV_CHUNK_ROWS = 256
+
+
 def fmt(x) -> str:
     """Shortest round-trip decimal form of a float."""
     return repr(float(x))
@@ -56,8 +61,11 @@ def write_json(path, payload: dict) -> None:
 def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
     """Plain CSV with '#'-prefixed provenance lines before the header.
 
-    Rows are formatted and written one at a time, so a long series is never
-    held as one string.
+    `rows` is a 2D numeric array, or an iterable of rows whose cells are
+    numbers or strings.  Rows are formatted and written one at a time, so a
+    long series is never held as one string.  An array is converted to
+    Python floats a chunk of rows at a time; their repr is the same text
+    as the per-value repr(float(v)).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -65,8 +73,15 @@ def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
         for key, value in sorted((meta or {}).items()):
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else repr(float(v)) for v in row) + "\n")
+        if isinstance(rows, np.ndarray):
+            table = np.asarray(rows, dtype=float)
+            for start in range(0, len(table), _CSV_CHUNK_ROWS):
+                for row in table[start:start + _CSV_CHUNK_ROWS].tolist():
+                    fh.write(",".join(map(repr, row)) + "\n")
+        else:
+            for row in rows:
+                fh.write(",".join(v if isinstance(v, str) else repr(float(v))
+                                  for v in row) + "\n")
 
 
 def write_step_series_csv(path, traj, species_names=None, meta=None) -> None:
@@ -77,7 +92,7 @@ def write_step_series_csv(path, traj, species_names=None, meta=None) -> None:
               + [f"sup_{n}" for n in names] + ["min_value"])
     table = np.column_stack([traj.step_times, traj.step_masses, traj.step_supnorms,
                              traj.step_minima])
-    write_csv(path, header, (row.tolist() for row in table), meta)
+    write_csv(path, header, table, meta)
 
 
 def write_norm_series_csv(path, series: dict, species_names=None, meta=None) -> None:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdasim.diagnostics import mass_budget
 from rdasim.epidemic import (
@@ -164,6 +167,75 @@ class TestBuildSystem:
         right = system.evaluate(np.array([[0.97]]), 0.0, u)
         assert left[3] == pytest.approx(shed[0] - 0.0)
         assert right[3] == pytest.approx(shed[15])
+
+
+def explicit_reactions(u, sigma_i, sigma_b, phi, gamma_w, lam, alpha, delta_b):
+    """The scenario's reactions written out one compartment at a time."""
+    s, i, r, b = u
+    return np.array([
+        -sigma_i * s * i - sigma_b * s * b + gamma_w * r,
+        sigma_i * s * i + sigma_b * s * b - (lam + alpha) * i,
+        lam * i - gamma_w * r,
+        phi * i - delta_b * b,
+    ])
+
+
+def explicit_magnitudes(u, sigma_i, sigma_b, phi, gamma_w, lam, alpha, delta_b):
+    """Per-compartment sums of the absolute values of the terms above."""
+    s, i, r, b = u
+    infection = sigma_i * s * i + sigma_b * s * b
+    return np.array([infection + gamma_w * r, infection + (lam + alpha) * i,
+                     lam * i + gamma_w * r, phi * i + delta_b * b])
+
+
+STATE_MAX = 1e3
+rates = st.floats(1e-3, 10.0)
+states = st.floats(0.0, STATE_MAX)
+
+
+def ulps(scale):
+    """A few ulp of the term magnitudes.
+
+    A product that underflows to a subnormal is rounded to an absolute
+    spacing, which a later factor of at most STATE_MAX can scale up.
+    """
+    return 8 * (np.finfo(float).eps * scale + STATE_MAX * np.finfo(float).smallest_subnormal)
+
+
+class TestMatrixFormEvaluator:
+    CELLS = 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), gamma_w=rates, lam=rates, alpha=rates, delta_b=rates,
+           uniform=st.booleans())
+    def test_matches_explicit_formulas(self, data, gamma_w, lam, alpha, delta_b, uniform):
+        grid = StructuredGrid.uniform([(0.0, 1.0)], [self.CELLS])
+        shape = () if uniform else (self.CELLS,)
+        sigma_i, sigma_b = (data.draw(arrays(float, shape, elements=rates)) for _ in range(2))
+        phi = data.draw(arrays(float, shape, elements=st.floats(0.0, alpha)))
+        params = EpiParams(grid=grid, diffusivities=0.1, contact_rate=sigma_i,
+                           uptake_rate=sigma_b, shedding=phi, waning_rate=gamma_w,
+                           recovery_rate=lam, mortality=alpha, pathogen_decay=delta_b)
+        system, _ = build_epi_system(params)
+        rates_per_cell = (params.contact_rate, params.uptake_rate, params.shedding)
+        scalars = (gamma_w, lam, alpha, delta_b)
+        u = data.draw(arrays(float, (4, self.CELLS), elements=states))
+        cases = [(grid.cell_centers, u, rates_per_cell),
+                 (grid.cell_centers[:, [5]], u[:, 5], [r[5] for r in rates_per_cell]),
+                 (grid.cell_centers[:, ::-1], u, [r[::-1] for r in rates_per_cell])]
+        if uniform:
+            cases.append((None, u, [r[0] for r in rates_per_cell]))
+            cases.append((None, u[:, 2], [r[0] for r in rates_per_cell]))
+        for x, state, (si, sb, sh) in cases:
+            f = system.evaluate(x, 0.0, state)
+            assert f.shape == state.shape
+            terms = (si, sb, sh, *scalars)
+            expected = explicit_reactions(state, *terms)
+            scale = explicit_magnitudes(state, *terms)
+            assert np.all(np.abs(f - expected) <= ulps(scale))
+            # the host compartments lose exactly the mortality outflow
+            host = f[0] + f[1] + f[2]
+            assert np.all(np.abs(host + alpha * state[1]) <= ulps(scale[:3].sum(axis=0)))
 
 
 class TestConservation:

@@ -264,13 +264,13 @@ class TestTransportSolve:
 
     def test_one_factorization_per_dt(self, monkeypatch):
         calls = []
-        real_splu = integrator.splu
+        real_lu = integrator.TridiagonalLU
 
-        def counting_splu(a):
+        def counting_lu(a):
             calls.append(a.shape)
-            return real_splu(a)
+            return real_lu(a)
 
-        monkeypatch.setattr(integrator, "splu", counting_splu)
+        monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
         problem = make_problem(builtin_reversible_reaction(), n=16, diffusion=0.2, drift=0.3)
         ops = TransportOperators(problem, 0.0)
         rhs = np.ones((2, 16))
@@ -282,6 +282,33 @@ class TestTransportSolve:
         assert calls == [(32, 32)]
         ops.solve(0.05, rhs, cfg)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("cells", [1, 2, 3])
+    def test_1d_fewer_than_three_unknowns(self, cells):
+        # LAPACK's wrappers need three unknowns; one species on one or two
+        # cells is padded and must still match the dense solve
+        problem = make_problem(builtin_linear_decay(m=1), n=cells, diffusion=0.3, drift=0.5,
+                               bc=Dirichlet())
+        ops = TransportOperators(problem, 0.0)
+        rhs = np.arange(1.0, cells + 1.0)[None, :]
+        u, _ = ops.solve(0.1, rhs, SolverConfig(dt=0.1, t_end=1.0))
+        assert u.shape == (1, cells)
+        assert relative_error(u, dense_transport_oracle(ops, 0.1, rhs)) <= 1e-14
+
+    def test_1d_rejects_entries_off_the_three_diagonals(self):
+        problem = make_problem(builtin_reversible_reaction(), n=8)
+        ops = TransportOperators(problem, 0.0)
+        ops.matrices[1] = ops.matrices[1] + sp.csr_matrix(([1e-3], ([2], [5])), shape=(8, 8))
+        with pytest.raises(LinearSolveError, match=r"entry \(10, 13\) of a 16-row system"):
+            ops.solve(0.1, np.ones((2, 8)), SolverConfig(dt=0.1, t_end=1.0))
+
+    def test_1d_singular_system_raises(self):
+        # A = -I/dt cancels the shifted identity: every pivot is zero
+        problem = make_problem(builtin_reversible_reaction(), n=8)
+        ops = TransportOperators(problem, 0.0)
+        ops.matrices[0] = -sp.identity(8, format="csr") / 0.1
+        with pytest.raises(LinearSolveError, match="dgttrf info 1 "):
+            ops.solve(0.1, np.ones((2, 8)), SolverConfig(dt=0.1, t_end=1.0))
 
 
 class TestStep:
@@ -516,13 +543,13 @@ class TestRun:
         # the problem of configs/reversible.json: after 3999 steps of 0.01, t
         # lies past 39.99 by rounding, so the remainder falls short of dt
         calls = []
-        real_splu = integrator.splu
+        real_lu = integrator.TridiagonalLU
 
-        def counting_splu(a):
+        def counting_lu(a):
             calls.append(a.shape)
-            return real_splu(a)
+            return real_lu(a)
 
-        monkeypatch.setattr(integrator, "splu", counting_splu)
+        monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
         system = builtin_reversible_reaction()
         grid = StructuredGrid.uniform([(0.0, 1.0)], [32])
         jump = np.where(grid.cell_centers[0] < 0.5, 0.1, 0.01)

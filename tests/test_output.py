@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rdasim import output
 from rdasim.grid import StructuredGrid
 from rdasim.output import (
     fmt,
@@ -83,6 +84,31 @@ def test_write_csv_matches_reference(tmp_path_factory, table):
     write_csv(path, header + ["name", "first"], rows, META)
     assert path.read_bytes() == reference_csv(header + ["name", "first"], rows,
                                               META).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=tables(), as_int=st.booleans())
+def test_write_csv_array_matches_per_value_rows(tmp_path_factory, table, as_int):
+    # the array path converts rows to Python floats; the per-value path
+    # formats numpy scalars, ints and strings one at a time
+    if as_int:
+        table = np.nan_to_num(table, posinf=0.0, neginf=0.0).clip(-1e15, 1e15).astype(np.int64)
+    header = [f"c{j}" for j in range(table.shape[1])]
+    fast = tmp_path_factory.mktemp("csv") / "array.csv"
+    slow = tmp_path_factory.mktemp("csv") / "rows.csv"
+    write_csv(fast, header, table, META)
+    write_csv(slow, header, list(table), META)
+    expected = reference_csv(header, list(table), META).encode()
+    assert fast.read_bytes() == slow.read_bytes() == expected
+
+
+def test_write_csv_array_spans_chunks(tmp_path):
+    rows = 2 * output._CSV_CHUNK_ROWS + 5
+    table = np.resize(np.array(EDGE_VALUES), (rows, 3))
+    table[:, 0] = np.arange(rows) * 0.005
+    path = tmp_path / "long.csv"
+    write_csv(path, ["t", "a", "b"], table, META)
+    assert path.read_bytes() == reference_csv(["t", "a", "b"], table, META).encode()
 
 
 @settings(max_examples=60, deadline=None)
