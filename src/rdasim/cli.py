@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 hypothesis-check failure,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from pathlib import Path
@@ -106,11 +107,22 @@ def _assemble(cfg, base_dir: Path):
     return grid, system, coeff, boundary, initial, params, names
 
 
+def _energy_entries(cfg, m: int) -> list:
+    """The diagnostics.energy entries; an explicit weight list needs one entry per species."""
+    entries = cfg.get("diagnostics", {}).get("energy", [])
+    for k, entry in enumerate(entries):
+        weights = entry.get("weights", "auto")
+        if weights != "auto" and len(weights) != m:
+            raise ConfigError(f"diagnostics.energy[{k}].weights has {len(weights)} "
+                              f"entries for {m} species")
+    return entries
+
+
 def _resolve_energy_specs(cfg, system, coeff, seed: int):
     """Energy specs from the diagnostics block; 'auto' runs the weight search."""
     specs = []
     searches = []
-    for entry in cfg.get("diagnostics", {}).get("energy", []):
+    for entry in _energy_entries(cfg, system.m):
         p = entry["p"]
         choice = entry.get("weights", "auto")
         if choice == "auto":
@@ -143,6 +155,7 @@ def cmd_check(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int
         write_json(out_dir / "check_report.json", report)
         _say(quiet, f"FAIL scenario_assumptions: {exc}")
         return EXIT_CHECK
+    energy_entries = _energy_entries(cfg, system.m) or [{"p": 2}]
 
     checkers = (
         check_quasi_positivity,
@@ -172,7 +185,6 @@ def cmd_check(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int
                     f"({result.samples_tested} samples)")
 
     samples = diffusion_matrix_samples(coeff)
-    energy_entries = cfg.get("diagnostics", {}).get("energy", []) or [{"p": 2}]
     for entry in energy_entries:
         p = entry["p"]
         try:
@@ -302,13 +314,11 @@ def load_trajectory(traj_dir: Path):
 
     The index times must equal the times stored in the checkpoint headers.
     """
-    import json as _json
-
     index_path = Path(traj_dir) / "trajectory.json"
     if not index_path.exists():
         raise ConfigError(f"no trajectory index at {index_path}")
     try:
-        index = _json.loads(index_path.read_text())
+        index = json.loads(index_path.read_text())
         grid = StructuredGrid([np.asarray(w) for w in index["grid"]["widths"]],
                               origin=index["grid"]["origin"])
         loaded = [load_state(Path(traj_dir) / name, grid) for name in index["files"]]

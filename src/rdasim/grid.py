@@ -20,7 +20,9 @@ first, so the combined operator is one sparse build.
 Operators act pointwise (rows are divided by cell volume), so on uniform
 grids the pure-diffusion operator is symmetric; on non-uniform grids it
 is volume-similar to a symmetric matrix.  Assembled operators are
-scipy.sparse CSR matrices.
+scipy.sparse CSR matrices.  `_flux_operator` builds every one of them
+and is the only place that imports scipy: `check` and `energy-report`
+never assemble an operator, so they never pay scipy's import time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "StructuredGrid",
@@ -329,6 +330,8 @@ def _flux_operator(grid: StructuredGrid, faces, walls) -> sp.csr_matrix:
     leaves the left cell and enters the right one.  walls: (cells, w)
     pairs added to the diagonal.  Every row is divided by its cell volume.
     """
+    import scipy.sparse as sp
+
     vol = grid.cell_volumes
     rows, cols, vals = [], [], []
     for left, right, a, b in faces:

@@ -25,6 +25,15 @@ reduced summaries of each accepted step (time, masses, sup-norms, minimum,
 cumulative reaction, dt, halvings, linear iterations) as one row of a
 preallocated float array rather than as per-step Python objects.  Checkpoints serialize a state
 as a flat little-endian binary record; loading checks its size.
+
+scipy is imported where a scipy object is built -- the shifted systems,
+the tridiagonal LU, the multigrid hierarchy and `linear_solve`'s BiCGStab
+-- and not in `step`, `TransportOperators.solve` or the LU and multigrid
+solves, which run every step.  `check` and `energy-report` never build an
+operator, so they never pay scipy's import time, and a 1D run never loads
+scipy.sparse.linalg.  `linear_solve` runs once per 2D species solve; its
+import is a lookup of about half a microsecond against milliseconds of
+BiCGStab.
 """
 
 from __future__ import annotations
@@ -33,11 +42,9 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import LinearOperator, bicgstab, splu
 
 from .diagnostics import Trajectory
 from .grid import (
@@ -166,6 +173,9 @@ class AggregationMultigrid:
     omega = 0.8
 
     def __init__(self, a, shape: tuple[int, ...]):
+        import scipy.sparse as sp
+        from scipy.sparse.linalg import splu
+
         a = sp.csr_matrix(a)
         if math.prod(shape) != a.shape[0]:
             raise ValueError(f"grid shape {tuple(shape)} does not match a "
@@ -208,6 +218,9 @@ class TridiagonalLU:
     """
 
     def __init__(self, a):
+        import scipy.sparse as sp
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         a = sp.coo_matrix(a)
         far = (np.abs(a.row - a.col) > 1) & (a.data != 0.0)
         if far.any():
@@ -223,11 +236,12 @@ class TridiagonalLU:
         if info != 0:
             raise LinearSolveError(f"tridiagonal LU of a {self.n}-row system failed: "
                                    f"dgttrf info {info} (positive: a zero pivot)")
+        self._dgttrs = dgttrs
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.pad:
             b = np.append(b, np.zeros(self.pad))
-        x, info = dgttrs(*self.factors, b)
+        x, info = self._dgttrs(*self.factors, b)
         if info != 0:
             raise LinearSolveError(f"tridiagonal solve failed: dgttrs info {info}")
         return x[:self.n]
@@ -242,6 +256,9 @@ def linear_solve(a, b, cycle: AggregationMultigrid, tol: float = 1e-10, max_iter
     down, runs out of iterations, or leaves a true residual above `tol`
     times the norm of b.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import LinearOperator, bicgstab
+
     a = sp.csr_matrix(a)
     b = np.asarray(b, dtype=float).ravel()
     bnorm = np.linalg.norm(b)
@@ -297,6 +314,8 @@ class TransportOperators:
     def _system(self, dt: float):
         cached = self._systems.get(dt)
         if cached is None:
+            import scipy.sparse as sp
+
             grid = self.problem.grid
             shifted = [(sp.identity(grid.ncells) / dt + a).tocsr() for a in self.matrices]
             if grid.dim == 1:
@@ -516,8 +535,6 @@ _CHECKPOINT_HEADER = struct.Struct("<QQQdd")
 
 def dump_state(state: SimState, grid: StructuredGrid, path) -> None:
     """Serialize a state to the flat binary checkpoint record."""
-    from pathlib import Path
-
     m, ncells = state.fields.shape
     if ncells != grid.ncells:
         raise ValueError(f"state has {ncells} cells for a grid with {grid.ncells}")

@@ -1,6 +1,9 @@
 """Config validation, command dispatch, serialization, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -16,6 +19,18 @@ from rdasim.config import (
     load_config,
     validate_config,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
+REVERSIBLE = REPO / "configs" / "reversible.json"
+
+
+@pytest.fixture(scope="module")
+def reversible_out(tmp_path_factory):
+    """Output directory of one `run` of the shipped reversible config."""
+    out = tmp_path_factory.mktemp("reversible")
+    assert main(["run", "--config", str(REVERSIBLE), "--out", str(out), "--quiet"]) == 0
+    return out
 
 
 def heat_config(out_dir, cells=32, t_end=0.05):
@@ -153,6 +168,8 @@ class TestCheckCommand:
                          "initial": [1.0, 0.5]}
         cfg["coefficients"] = {"diffusion": [0.1, 0.1]}
         cfg["bc"] = {"all": "noflux"}
+        # one weight per species: the heat config's single weight fails with exit 2
+        cfg["diagnostics"]["energy"] = [{"p": 2, "weights": [1.0, 1.0]}]
         path = write_config(tmp_path, cfg)
         assert main(["check", "--config", str(path), "--quiet"]) == 0
         report = json.loads((out / "check_report.json").read_text())
@@ -369,6 +386,30 @@ class TestWeightSearchFailure:
         assert sorted(out.rglob("*")) == before
 
 
+class TestEnergyWeightLength:
+    """Explicit energy weights need one entry per species; otherwise exit 2 up front."""
+
+    @pytest.mark.parametrize("weights", [[], [1.0], [1.0, 2.0, 3.0]],
+                             ids=["empty", "short", "long"])
+    @pytest.mark.parametrize("command", ["check", "run", "energy-report"])
+    def test_exits_2_before_writing(self, tmp_path, capsys, reversible_out, command, weights):
+        cfg = json.loads(REVERSIBLE.read_text())
+        cfg["diagnostics"]["energy"] = [{"p": 4, "weights": weights}]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        if command == "energy-report":
+            # a stored trajectory, so the command gets as far as the energies
+            out = reversible_out
+        before = sorted(out.rglob("*")) if out.exists() else []
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: diagnostics.energy[0].weights has "
+                              f"{len(weights)} entries for 2 species")
+        assert "Traceback" not in err
+        # no check_report.json, series file, energy report or anything else
+        assert sorted(out.rglob("*")) == before
+
+
 class TestEnergyReportCommand:
     def test_recompute_after_run(self, tmp_path):
         out = tmp_path / "out"
@@ -485,3 +526,55 @@ class TestVtkOrdering:
         data = [float(v) for v in lines[lines.index("LOOKUP_TABLE default") + 1:]]
         # VTK iterates x fastest: (ix, iy) = (0,0),(1,0),(0,1),(1,1),(0,2),(1,2)
         assert data == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
+
+
+def scipy_modules_after(*argvs):
+    """The scipy modules a fresh interpreter holds after each stage.
+
+    The stages are `import rdasim`, `import rdasim.cli`, then `main(argv)`
+    for each argv (each must exit 0); one sorted list of names per stage.
+    """
+    script = "\n".join([
+        "import json, sys",
+        "def loaded():",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "import rdasim",
+        "stages = [loaded()]",
+        "import rdasim.cli",
+        "stages.append(loaded())",
+        "for argv in json.loads(sys.argv[1]):",
+        "    assert rdasim.cli.main(argv) == 0, argv",
+        "    stages.append(loaded())",
+        "print(json.dumps(stages))",
+    ])
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportContract:
+    """scipy is loaded only by the commands that assemble or solve."""
+
+    def test_check_and_energy_report_load_no_scipy(self, tmp_path, reversible_out):
+        argvs = [["check", "--config", str(REPO / "configs" / f"{name}.json"),
+                  "--out", str(tmp_path / name), "--quiet"]
+                 for name in ("epidemic", "reversible", "heat")]
+        argvs.append(["energy-report", "--config", str(REVERSIBLE),
+                      "--out", str(reversible_out), "--quiet"])
+        stages = scipy_modules_after(*argvs)
+        assert stages == [[]] * (2 + len(argvs))
+
+    def test_1d_run_loads_no_sparse_linalg(self, tmp_path):
+        path = write_config(tmp_path, heat_config(tmp_path / "out", cells=8, t_end=0.01))
+        *_, after_run = scipy_modules_after(["run", "--config", str(path), "--quiet"])
+        assert "scipy.sparse" in after_run
+        assert "scipy.sparse.linalg" not in after_run
+
+    def test_2d_run_loads_sparse_linalg(self, tmp_path):
+        cfg = heat_config(tmp_path / "out", t_end=0.002)
+        cfg["grid"] = {"cells": [6, 6], "extents": [[0.0, 1.0], [0.0, 1.0]]}
+        path = write_config(tmp_path, cfg)
+        *_, after_run = scipy_modules_after(["run", "--config", str(path), "--quiet"])
+        assert "scipy.sparse.linalg" in after_run

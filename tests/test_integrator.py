@@ -1,5 +1,7 @@
 """Stepping, linear solvers, conservation, convergence, checkpoints."""
 
+import dis
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -312,6 +314,17 @@ class TestTransportSolve:
 
 
 class TestStep:
+    @pytest.mark.parametrize("function", [
+        step,
+        TransportOperators.solve,
+        integrator.TridiagonalLU.solve,
+        AggregationMultigrid.__call__,
+    ], ids=lambda f: f.__qualname__)
+    def test_per_step_path_runs_no_import(self, function):
+        # scipy is imported where its objects are built, never once per step
+        ops = {ins.opname for ins in dis.get_instructions(function)}
+        assert "IMPORT_NAME" not in ops
+
     def test_transport_conserves_mass_noflux(self):
         system = zero_reactions(2)
         problem = make_problem(system, n=24, diffusion=0.3, drift=0.4)
