@@ -53,7 +53,6 @@ from .integrator import (
     StepReport,
     dump_state,
     epsilon_refinement_study,
-    linear_solve,
     load_state,
     run,
     step,

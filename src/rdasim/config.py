@@ -187,8 +187,6 @@ CONFIG_SCHEMA = {
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "t_end": {"type": "number", "exclusiveMinimum": 0},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "linear_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_linear_iter": {"type": "integer", "minimum": 1},
                 "positivity_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_halvings": {"type": "integer", "minimum": 0},
                 "record_dt": {"type": ["number", "null"]},
@@ -480,8 +478,6 @@ def build_solver_config(cfg: dict) -> SolverConfig:
     return SolverConfig(
         dt=block["dt"],
         t_end=block["t_end"],
-        linear_tol=block.get("linear_tol", 1e-10),
-        max_linear_iter=block.get("max_linear_iter", 500),
         positivity_tol=block.get("positivity_tol", 1e-12),
         max_halvings=block.get("max_halvings", 20),
         record_dt=block.get("record_dt"),

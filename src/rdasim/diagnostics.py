@@ -64,7 +64,6 @@ class Trajectory:
     reaction_integrals: np.ndarray | None = None  # cumulative (nsteps + 1, m)
     step_dts: np.ndarray | None = None
     step_halvings: np.ndarray | None = None
-    step_linear_iterations: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -226,8 +225,8 @@ def mass_budget(traj: Trajectory, system) -> tuple[np.ndarray, np.ndarray]:
     with m_i the species masses and the time integral accumulated by
     trapezoid over the dense step series.  Under exact mass dissipation
     (K1 = K2 = 0) and conservative walls the residual stays at the level
-    of accumulated solver tolerances; under outflow walls it is
-    non-positive.
+    of accumulated rounding, since every transport solve is direct; under
+    outflow walls it is non-positive.
     """
     times, masses = traj._dense_series()
     c = np.asarray(system.mass_weights, dtype=float)

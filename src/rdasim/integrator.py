@@ -8,32 +8,28 @@ state:
     (I/dt + A_i) u_i_new = u_i_old / dt + truncate(F(u_old), eps)_i.
 
 If any cell of the solution dips below the positivity tolerance the step
-is retried with a halved dt; states are never clamped, so the discrete
-mass budget stays exact up to linear-solver residuals.
+is retried with a halved dt; states are never clamped, and every solve is
+direct, so the discrete mass budget is exact up to rounding.
 
-The systems I/dt + A_i are cached per dt for each coefficient epoch, whose
-last step takes the full dt when the remainder is within rounding of it.  On
-1D grids the two-point flux makes each species' system tridiagonal, so the
-block-diagonal stack of them is one tridiagonal matrix: LAPACK's
-tridiagonal LU (dgttrf) factorizes it once, and dgttrs solves every step
-at that dt.  On 2D grids each species is solved by BiCGStab,
-preconditioned by one V-cycle of pairwise-aggregation multigrid whose
-hierarchy is built the first time that dt is solved, and warm-started
-from the old state.  A
-non-finite reaction stops the step with NonFiniteError.  `run` writes the
-reduced summaries of each accepted step (time, masses, sup-norms, minimum,
-cumulative reaction, dt, halvings, linear iterations) as one row of a
-preallocated float array rather than as per-step Python objects.  Checkpoints serialize a state
-as a flat little-endian binary record; loading checks its size.
+The block-diagonal species system I/dt + A is factorized once per dt for
+each coefficient epoch, whose last step takes the full dt when the
+remainder is within rounding of it.  On 1D grids the two-point flux makes
+each species' system tridiagonal, so the block-diagonal stack of them is
+one tridiagonal matrix: LAPACK's tridiagonal LU (dgttrf) factorizes it,
+and dgttrs solves every step at that dt.  On 2D grids SuperLU factorizes
+it (scipy's `splu`, minimum-degree ordering), and each step is one pair
+of triangular solves.  A non-finite reaction stops the step with
+NonFiniteError.  `run` writes the reduced summaries of each accepted step
+(time, masses, sup-norms, minimum, cumulative reaction, dt, halvings) as
+one row of a preallocated float array rather than as per-step Python
+objects.  Checkpoints serialize a state as a flat little-endian binary
+record; loading checks its size.
 
-scipy is imported where a scipy object is built -- the shifted systems,
-the tridiagonal LU, the multigrid hierarchy and `linear_solve`'s BiCGStab
--- and not in `step`, `TransportOperators.solve` or the LU and multigrid
-solves, which run every step.  `check` and `energy-report` never build an
-operator, so they never pay scipy's import time, and a 1D run never loads
-scipy.sparse.linalg.  `linear_solve` runs once per 2D species solve; its
-import is a lookup of about half a microsecond against milliseconds of
-BiCGStab.
+scipy is imported where a scipy object is built -- the shifted system and
+its LU factors -- and not in `step`, `TransportOperators.solve` or
+`TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
+never build an operator, so they never pay scipy's import time, and a 1D
+run never loads scipy.sparse.linalg.
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ __all__ = [
     "PositivityError",
     "LinearSolveError",
     "NonFiniteError",
-    "linear_solve",
     "step",
     "run",
     "epsilon_refinement_study",
@@ -85,7 +80,7 @@ class PositivityError(SolverError):
 
 
 class LinearSolveError(SolverError):
-    """The linear solver did not reach the requested residual."""
+    """A transport system could not be factorized or solved."""
 
 
 class NonFiniteError(SolverError):
@@ -117,8 +112,6 @@ class SimState:
 class SolverConfig:
     dt: float
     t_end: float
-    linear_tol: float = 1e-10
-    max_linear_iter: int = 500
     positivity_tol: float = 1e-12
     max_halvings: int = 20
     record_dt: float | None = None  # None records every accepted step
@@ -126,14 +119,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.linear_tol <= 0 or self.positivity_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.positivity_tol <= 0:
+            raise ValueError("positivity_tol must be positive")
 
 
 @dataclass
 class StepReport:
     dt: float
-    linear_iterations: int
     halvings: int
     min_value: float
     reaction_mass: np.ndarray | None = None  # per-species volume integral of it
@@ -153,60 +145,6 @@ class Problem:
             raise ValueError("coefficient field and system disagree on species count")
         if len(self.boundary.conditions) != self.system.m:
             raise ValueError("boundary spec and system disagree on species count")
-
-
-class AggregationMultigrid:
-    """One V-cycle of pairwise-aggregation multigrid, used as a preconditioner.
-
-    Each level pairs neighbouring cells along every axis of the cell grid
-    (an odd axis ends in a singleton aggregate): the piecewise-constant
-    prolongation P = kron(agg_x, agg_y), kept as the map from each cell to
-    its aggregate.  The next level's matrix is the Galerkin operator
-    P^T A P, until at most 16^2 cells are left; a sparse LU solves that
-    coarsest level exactly.  The cycle applies one damped Jacobi sweep
-    (omega = 0.8) before and after each coarse correction, so it is a
-    fixed linear map of the residual.  Piecewise-constant aggregation
-    follows jumps in the coefficients (Alcouffe et al. 1981; Notay 2010).
-    """
-
-    coarsest_cells = 16 * 16
-    omega = 0.8
-
-    def __init__(self, a, shape: tuple[int, ...]):
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import splu
-
-        a = sp.csr_matrix(a)
-        if math.prod(shape) != a.shape[0]:
-            raise ValueError(f"grid shape {tuple(shape)} does not match a "
-                             f"{a.shape[0]}-row matrix")
-        self.levels = []  # (A, omega / diag(A), cell -> aggregate) from the finest down
-        while math.prod(shape) > self.coarsest_cells:
-            coarse = tuple((n + 1) // 2 for n in shape)
-            agg = np.ravel_multi_index(np.indices(shape).reshape(len(shape), -1) // 2,
-                                       coarse).astype(np.int32)
-            diag = a.diagonal()
-            self.levels.append((a, self.omega / np.where(diag == 0.0, 1.0, diag), agg))
-            entries = a.tocoo()
-            # duplicate entries are summed: this is P^T A P for the 0/1 matrix P
-            a = sp.csr_matrix((entries.data, (agg[entries.row], agg[entries.col])),
-                              shape=(math.prod(coarse),) * 2)
-            shape = coarse
-        try:
-            self.coarsest = splu(a.tocsc())
-        except RuntimeError as exc:
-            raise LinearSolveError(f"coarsest multigrid level is singular: {exc}") from None
-
-    def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
-        """The cycle from `level` down, applied to the residual r of that level."""
-        if level == len(self.levels):
-            return self.coarsest.solve(r)
-        a, smoother, agg = self.levels[level]
-        x = smoother * r
-        # restriction P^T sums each aggregate; prolongation P copies it back
-        x += self(np.bincount(agg, weights=r - a @ x), level + 1)[agg]
-        x += smoother * (r - a @ x)
-        return x
 
 
 class TridiagonalLU:
@@ -247,60 +185,17 @@ class TridiagonalLU:
         return x[:self.n]
 
 
-def linear_solve(a, b, cycle: AggregationMultigrid, tol: float = 1e-10, max_iter: int = 500,
-                 x0=None) -> tuple[np.ndarray, int]:
-    """Solve a sparse system to a relative residual by multigrid-preconditioned BiCGStab.
-
-    `cycle` is the AggregationMultigrid hierarchy of `a`.  Returns (x, iterations).
-    Raises LinearSolveError with the final residual when BiCGStab breaks
-    down, runs out of iterations, or leaves a true residual above `tol`
-    times the norm of b.
-    """
-    import scipy.sparse as sp
-    from scipy.sparse.linalg import LinearOperator, bicgstab
-
-    a = sp.csr_matrix(a)
-    b = np.asarray(b, dtype=float).ravel()
-    bnorm = np.linalg.norm(b)
-    scale = bnorm or 1.0
-    preconditioner_calls = 0
-
-    def precondition(v):
-        nonlocal preconditioner_calls
-        preconditioner_calls += 1
-        return cycle(v)
-
-    # scipy's breakdown test |rho| < eps**2 is absolute and rho scales with
-    # |b|**2, so solve for x / |b| to make it relative
-    x, info = bicgstab(
-        a, b / scale, x0=None if x0 is None else np.asarray(x0, dtype=float) / scale,
-        rtol=tol, atol=0.0, maxiter=max_iter,
-        M=LinearOperator(a.shape, matvec=precondition, dtype=float),
-    )
-    x = x * scale
-    # a full iteration applies the preconditioner twice; one that converges
-    # at its half step applies it once
-    iterations = (preconditioner_calls + 1) // 2
-    res = np.linalg.norm(b - a @ x)
-    if info != 0 or res > tol * bnorm:
-        raise LinearSolveError(
-            f"BiCGStab stopped at relative residual {res / bnorm:.3e} "
-            f"(target {tol:.3e}, status {info}) after {iterations} iterations"
-        )
-    return x, iterations
-
-
 class TransportOperators:
     """Assembled per-species transport operators for one coefficient epoch.
 
     Each species' diffusion + advection operator is one `assemble_transport`
-    build.  The system I/dt + A_i is cached per dt value.  In 1D that
-    is one TridiagonalLU of the block-diagonal species system, which is
-    tridiagonal, so a step is a single LAPACK dgttrs solve.  In 2D it is each
-    species' CSR matrix with its AggregationMultigrid hierarchy, built the
-    first time that dt is solved and used by `linear_solve`: a direct 2D
-    factorization needs more memory than the multigrid-preconditioned
-    solve.
+    build.  The block-diagonal species system I/dt + A_i is factorized the
+    first time a dt is solved and cached per dt value, so every step is a
+    direct solve.  In 1D the system is tridiagonal and its factors are a
+    TridiagonalLU; in 2D they are SuperLU's.  At 128^2 cells the 2D L + U
+    hold 664k nonzeros per species (about 7 MB resident): a factorization
+    takes 30-50 ms and a solve about 1.5 ms.  A singular system raises
+    LinearSolveError.
     """
 
     def __init__(self, problem: Problem, t: float):
@@ -316,29 +211,30 @@ class TransportOperators:
         if cached is None:
             import scipy.sparse as sp
 
-            grid = self.problem.grid
-            shifted = [(sp.identity(grid.ncells) / dt + a).tocsr() for a in self.matrices]
-            if grid.dim == 1:
-                cached = TridiagonalLU(sp.block_diag(shifted))
+            block = sp.block_diag(self.matrices, format="csc")
+            block.setdiag(block.diagonal() + 1.0 / dt)
+            if self.problem.grid.dim == 1:
+                cached = TridiagonalLU(block)
             else:
-                cached = [(a, AggregationMultigrid(a, grid.shape)) for a in shifted]
+                from scipy.sparse.linalg import splu
+
+                try:
+                    cached = splu(
+                        block,
+                        # 664k L + U nonzeros per 128^2 species, against 1.22M for COLAMD
+                        permc_spec="MMD_AT_PLUS_A",
+                        # a two-species 128^2 run peaks at 96 MB resident, not 107 MB
+                        panel_size=1,
+                    )
+                except RuntimeError as exc:
+                    raise LinearSolveError(f"sparse LU of a {block.shape[0]}-row system "
+                                           f"failed: {exc}") from None
             self._systems[dt] = cached
         return cached
 
-    def solve(self, dt: float, rhs: np.ndarray, cfg: SolverConfig,
-              x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-        """Solve (I/dt + A_i) u_i = rhs_i for every species; returns (u, iterations)."""
-        system = self._system(dt)
-        if self.problem.grid.dim == 1:
-            return system.solve(rhs.ravel()).reshape(rhs.shape), 0
-        out = np.empty_like(rhs)
-        iterations = 0
-        for i, (a, cycle) in enumerate(system):
-            guess = None if x0 is None else x0[i]
-            out[i], it = linear_solve(a, rhs[i], cycle, cfg.linear_tol, cfg.max_linear_iter,
-                                      x0=guess)
-            iterations = max(iterations, it)
-        return out, iterations
+    def solve(self, dt: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (I/dt + A_i) u_i = rhs_i for every species i."""
+        return self._system(dt).solve(rhs.ravel()).reshape(rhs.shape)
 
 
 def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
@@ -357,7 +253,7 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
     halvings = 0
     while True:
         rhs = state.fields / dt + reaction
-        new_fields, iterations = operators.solve(dt, rhs, cfg, x0=state.fields)
+        new_fields = operators.solve(dt, rhs)
         low = float(new_fields.min())
         if low >= -cfg.positivity_tol:
             break
@@ -371,7 +267,6 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
     new_state = SimState(state.t + dt, new_fields, state.eps)
     report = StepReport(
         dt=dt,
-        linear_iterations=iterations,
         halvings=halvings,
         min_value=low,
         reaction_mass=reaction @ grid.cell_volumes,
@@ -386,7 +281,7 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     crossed; steps straddle a switch time (or t_end) by rounding at most.
     Snapshots are taken at the configured cadence (every step if none);
     the per-step series (masses, sup-norms, minima, cumulative applied
-    reaction, dt, halvings, linear iterations) are always dense.  Each
+    reaction, dt, halvings) are always dense.  Each
     accepted step is one row of a preallocated float array, sized for
     (t_end - t0) / dt steps plus one clipped step per epoch and doubled if
     halvings outgrow it; the Trajectory step arrays are contiguous copies
@@ -409,10 +304,10 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     boundaries = sorted(set(switches + [t_end]))
 
     m = system.m
-    # series columns: t | masses | sup-norms | min | reaction integrals | dt, halvings, iterations
+    # series columns: t | masses | sup-norms | min | reaction integrals | dt, halvings
     mass, sup, low, react, dt_col = 1, 1 + m, 1 + 2 * m, 2 + 2 * m, 2 + 3 * m
     capacity = math.ceil((t_end - initial.t) / cfg.dt) + len(boundaries) + 1
-    series = np.zeros((capacity, dt_col + 3))
+    series = np.zeros((capacity, dt_col + 2))
 
     vol = grid.cell_volumes
     state = initial
@@ -453,7 +348,7 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
         row[sup:low] = np.abs(state.fields).max(axis=1)
         row[low] = report.min_value
         row[react:dt_col] = report.reaction_mass
-        row[dt_col:] = report.dt, report.halvings, report.linear_iterations
+        row[dt_col:] = report.dt, report.halvings
         n += 1
 
         at_end = state.t >= t_end - eps_round
@@ -483,7 +378,6 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
         reaction_integrals=series[:, react:dt_col].copy(),
         step_dts=series[1:, dt_col].copy(),
         step_halvings=series[1:, dt_col + 1].astype(int),
-        step_linear_iterations=series[1:, dt_col + 2].astype(int),
     )
 
 

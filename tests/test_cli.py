@@ -142,6 +142,19 @@ class TestConfigValidation:
             validate_config(cfg)
         assert str(got.value) == f"invalid config at {path}: {expected.value.message}"
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    @pytest.mark.parametrize("key, value", [("linear_tol", 1e-10), ("max_linear_iter", 500)])
+    def test_removed_solver_key_exits_2(self, tmp_path, capsys, command, key, value):
+        # every transport solve is direct: the iterative solver's keys are unknown
+        cfg = heat_config(tmp_path / "out")
+        cfg["solver"][key] = value
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}' was unexpected" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_diagnostics_window_exits_2(self, tmp_path, capsys):
         cfg = heat_config(tmp_path / "out")
         cfg["diagnostics"]["window"] = 2.0
