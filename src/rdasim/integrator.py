@@ -25,6 +25,14 @@ one row of a preallocated float array rather than as per-step Python
 objects.  Checkpoints serialize a state as a flat little-endian binary
 record; loading checks its size.
 
+The epsilon ladder marches its members as one batch: they differ only in
+eps, so one operator assembly per epoch and one factorization per dt
+serve them all, each step's L right-hand sides are the columns of one
+solve, and the reaction is evaluated once on the members' cells side by
+side.  If any member would halve dt, or its reaction is not finite, the
+ladder falls back to one `run` per member, so its numbers always equal
+those of solo runs.
+
 scipy is imported where a scipy object is built -- the shifted system and
 its LU factors -- and not in `step`, `TransportOperators.solve` or
 `TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
@@ -177,8 +185,9 @@ class TridiagonalLU:
         self._dgttrs = dgttrs
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side (n,) or for the columns of an (n, L) one."""
         if self.pad:
-            b = np.append(b, np.zeros(self.pad))
+            b = np.concatenate([b, np.zeros((self.pad,) + b.shape[1:])])
         x, info = self._dgttrs(*self.factors, b)
         if info != 0:
             raise LinearSolveError(f"tridiagonal solve failed: dgttrs info {info}")
@@ -233,8 +242,16 @@ class TransportOperators:
         return cached
 
     def solve(self, dt: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (I/dt + A_i) u_i = rhs_i for every species i."""
-        return self._system(dt).solve(rhs.ravel()).reshape(rhs.shape)
+        """Solve (I/dt + A_i) u_i = rhs_i for every species i.
+
+        `rhs` is one (m, ncells) right-hand side, or a stack (L, m, ncells)
+        of them, which is solved as the L columns of one multi-column solve
+        with the same factors.
+        """
+        if rhs.ndim == 2:
+            return self._system(dt).solve(rhs.ravel()).reshape(rhs.shape)
+        # the transpose of the (L, m * ncells) stack is its Fortran-ordered columns
+        return self._system(dt).solve(rhs.reshape(rhs.shape[0], -1).T).T.reshape(rhs.shape)
 
 
 def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
@@ -264,7 +281,11 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
                 f"(min value {low:.3e} at t={state.t:.6g})"
             )
         dt /= 2.0
-    new_state = SimState(state.t + dt, new_fields, state.eps)
+    if low < -_STATE_TOL:
+        raise PositivityError(f"state has component {low} below -{_STATE_TOL}")
+    # `low` is the accepted state's minimum, so __post_init__'s checks would repeat it
+    new_state = object.__new__(SimState)
+    new_state.t, new_state.fields, new_state.eps = state.t + dt, new_fields, state.eps
     report = StepReport(
         dt=dt,
         halvings=halvings,
@@ -274,39 +295,83 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
     return new_state, report
 
 
-def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
-    """Integrate to t_end, recording snapshots and per-step reduced summaries.
+class _Schedule:
+    """Epoch boundaries and snapshot cadence of one integration to cfg.t_end.
 
-    Operators are reassembled whenever a coefficient schedule switch is
-    crossed; steps straddle a switch time (or t_end) by rounding at most.
-    Snapshots are taken at the configured cadence (every step if none);
-    the per-step series (masses, sup-norms, minima, cumulative applied
-    reaction, dt, halvings) are always dense.  Each
-    accepted step is one row of a preallocated float array, sized for
-    (t_end - t0) / dt steps plus one clipped step per epoch and doubled if
-    halvings outgrow it; the Trajectory step arrays are contiguous copies
-    of its columns.
+    `run` and the batched epsilon ladder both step through it.  Each step
+    asks `plan(t)` whether t crossed a coefficient switch (the operators
+    are then reassembled at t + eps_round) and for the step cap that lands
+    the step on the epoch's end; steps straddle a switch time (or t_end)
+    by rounding at most.  After the step, `snapshot_due(t)` says whether
+    the new state is recorded: at the configured cadence (every step if
+    none) and at t_end.
     """
-    grid = problem.grid
-    system = problem.system
-    if initial.fields.shape != (system.m, grid.ncells):
-        raise ValueError(
-            f"initial fields shape {initial.fields.shape} does not match "
-            f"({system.m}, {grid.ncells})"
-        )
+
+    def __init__(self, t0: float, cfg: SolverConfig, problem: Problem):
+        self.t_end = cfg.t_end
+        if self.t_end <= t0:
+            raise ValueError(f"t_end {self.t_end} must exceed the initial time {t0}")
+        switches = [s for s in problem.coefficients.switch_times() if t0 < s < self.t_end]
+        self.boundaries = sorted(set(switches + [self.t_end]))
+        self.dt = cfg.dt
+        self.record_dt = cfg.record_dt
+        self.next_record = t0 + cfg.record_dt if cfg.record_dt else None
+        self.epoch = 0
+        self.eps_round = 1e-12 * max(1.0, abs(self.t_end))
+
+    def running(self, t: float) -> bool:
+        return t < self.t_end - self.eps_round
+
+    def plan(self, t: float) -> tuple[bool, float | None]:
+        """Whether t starts a new epoch, and the step's max_dt (None: the full dt)."""
+        boundary = self.boundaries[self.epoch]
+        switched = t >= boundary - self.eps_round
+        if switched:
+            self.epoch += 1
+            boundary = self.boundaries[self.epoch]
+        # t accumulates by addition, so an epoch of whole steps can end a
+        # rounding error short of dt: that remainder reuses the cached dt
+        room = boundary - t
+        return switched, None if room >= self.dt - self.eps_round else room
+
+    def snapshot_due(self, t: float) -> bool:
+        if self.next_record is None or t >= self.t_end - self.eps_round:
+            return True
+        if t < self.next_record - self.eps_round:
+            return False
+        while self.next_record <= t + self.eps_round:
+            self.next_record += self.record_dt
+        return True
+
+
+def _check_initial(initial: SimState, problem: Problem) -> None:
+    shape = (problem.system.m, problem.grid.ncells)
+    if initial.fields.shape != shape:
+        raise ValueError(f"initial fields shape {initial.fields.shape} does not match {shape}")
     if not np.all(np.isfinite(initial.fields)):
         raise ValueError("initial data must be finite")
 
-    t_end = cfg.t_end
-    if t_end <= initial.t:
-        raise ValueError(f"t_end {t_end} must exceed the initial time {initial.t}")
-    switches = [s for s in problem.coefficients.switch_times() if initial.t < s < t_end]
-    boundaries = sorted(set(switches + [t_end]))
+
+def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
+    """Integrate to t_end, recording snapshots and per-step reduced summaries.
+
+    Epochs and snapshots follow `_Schedule`: operators are reassembled
+    whenever a coefficient schedule switch is crossed.  The per-step
+    series (masses, sup-norms, minima, cumulative applied reaction, dt,
+    halvings) are always dense.  Each accepted step is one row of a
+    preallocated float array, sized for (t_end - t0) / dt steps plus one
+    clipped step per epoch and doubled if halvings outgrow it; the
+    Trajectory step arrays are contiguous copies of its columns.
+    """
+    grid = problem.grid
+    system = problem.system
+    _check_initial(initial, problem)
+    schedule = _Schedule(initial.t, cfg, problem)
 
     m = system.m
     # series columns: t | masses | sup-norms | min | reaction integrals | dt, halvings
     mass, sup, low, react, dt_col = 1, 1 + m, 1 + 2 * m, 2 + 2 * m, 2 + 3 * m
-    capacity = math.ceil((t_end - initial.t) / cfg.dt) + len(boundaries) + 1
+    capacity = math.ceil((cfg.t_end - initial.t) / cfg.dt) + len(schedule.boundaries) + 1
     series = np.zeros((capacity, dt_col + 2))
 
     vol = grid.cell_volumes
@@ -320,25 +385,15 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     row[low] = state.fields.min()
     n = 1
 
-    next_record = state.t + cfg.record_dt if cfg.record_dt else None
     operators = TransportOperators(problem, state.t)
-    epoch_idx = 0
-    eps_round = 1e-12 * max(1.0, abs(t_end))
-
-    while state.t < t_end - eps_round:
-        boundary = boundaries[epoch_idx]
-        if state.t >= boundary - eps_round:
-            epoch_idx += 1
-            boundary = boundaries[epoch_idx]
+    while schedule.running(state.t):
+        switched, max_dt = schedule.plan(state.t)
+        if switched:
             # release the old epoch's cached systems before assembling the
             # next ones, so the two are never held at once
             operators = None
-            operators = TransportOperators(problem, state.t + eps_round)
-        # t accumulates by addition, so an epoch of whole steps can end a
-        # rounding error short of dt: that remainder reuses the cached dt
-        room = boundary - state.t
-        state, report = step(state, cfg, operators, system,
-                             max_dt=None if room >= cfg.dt - eps_round else room)
+            operators = TransportOperators(problem, state.t + schedule.eps_round)
+        state, report = step(state, cfg, operators, system, max_dt=max_dt)
 
         if n == series.shape[0]:
             series = np.concatenate([series, np.zeros_like(series)])
@@ -351,13 +406,9 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
         row[dt_col:] = report.dt, report.halvings
         n += 1
 
-        at_end = state.t >= t_end - eps_round
-        if next_record is None or state.t >= next_record - eps_round or at_end:
+        if schedule.snapshot_due(state.t):
             snap_times.append(state.t)
             snapshots.append(state.fields.copy())
-            if next_record is not None:
-                while next_record <= state.t + eps_round:
-                    next_record += cfg.record_dt
 
     # free the last epoch's systems before the snapshots are stacked
     operators = None
@@ -381,9 +432,84 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     )
 
 
+def _march_ladder(members: list[SimState], cfg: SolverConfig,
+                  problem: Problem) -> tuple[np.ndarray, np.ndarray] | None:
+    """March ladder members that differ only in eps as one batch, recording snapshots.
+
+    The L members are one (L, m, ncells) state.  Each step evaluates the
+    reaction once on (m, L * ncells) columns with the cell centres tiled,
+    truncates each column with its member's eps, and solves the L
+    right-hand sides in one multi-column solve.  Each member's values go
+    through the operations `step` applies to a solo state, so the
+    snapshots equal solo `run`s bit for bit.  Returns the snapshot times
+    and the (L, ntimes, m, ncells) snapshots, or None once a member's
+    reaction is not finite or its step would halve dt or fail the state
+    floor.
+    """
+    grid, system = problem.grid, problem.system
+    first = members[0]
+    _check_initial(first, problem)
+    schedule = _Schedule(first.t, cfg, problem)
+    L, (m, n) = len(members), first.fields.shape
+    centers = np.tile(grid.cell_centers, L)
+    eps = np.repeat([member.eps.epsilon for member in members], n)
+    floor = -min(cfg.positivity_tol, _STATE_TOL)
+
+    t = first.t
+    fields = np.stack([member.fields for member in members])
+    snap_times = [t]
+    snapshots = [fields]
+    operators = TransportOperators(problem, t)
+    while schedule.running(t):
+        switched, max_dt = schedule.plan(t)
+        if switched:
+            operators = None
+            operators = TransportOperators(problem, t + schedule.eps_round)
+        columns = fields.transpose(1, 0, 2).reshape(m, L * n)
+        raw = np.asarray(system.evaluate(centers, t, columns), dtype=float)
+        if not np.isfinite(raw).all():
+            return None
+        reaction = truncate(raw, eps).reshape(m, L, n).transpose(1, 0, 2)
+        dt = cfg.dt if max_dt is None else min(cfg.dt, max_dt)
+        fields = operators.solve(dt, fields / dt + reaction)
+        if fields.min() < floor:
+            return None
+        t += dt
+        if schedule.snapshot_due(t):
+            snap_times.append(t)
+            snapshots.append(fields)
+    return np.asarray(snap_times), np.stack(snapshots, axis=1)
+
+
+def _check_snapshot_times(eps_a: float, times_a: np.ndarray,
+                          eps_b: float, times_b: np.ndarray) -> None:
+    """Raise SolverError naming the first snapshot where two members' times differ."""
+    shared = min(times_a.size, times_b.size)
+    close = np.isclose(times_a[:shared], times_b[:shared])
+    if times_a.size == times_b.size and close.all():
+        return
+    k = int(np.argmin(close)) if not close.all() else shared
+
+    def at(times):
+        return f"t={float(times[k])!r}" if k < times.size else "no snapshot"
+
+    raise SolverError(f"the eps={eps_a!r} and eps={eps_b!r} runs recorded different snapshot "
+                      f"times: snapshot {k} is at {at(times_a)} and {at(times_b)}, since "
+                      f"their steps halved dt differently")
+
+
 def epsilon_refinement_study(problem: Problem, initial_fields: np.ndarray,
                              eps_list, cfg: SolverConfig) -> dict:
     """Run the same problem for a ladder of truncation strengths.
+
+    The members share the grid, the operators, dt and the step count, so
+    they march as one batch (`_march_ladder`): one operator assembly per
+    epoch, one factorization per dt and one multi-column solve per step
+    serve the whole ladder.  If any member would need a dt halving, or its
+    reaction is not finite, the batch is discarded and each member is
+    integrated by its own `run`, so every reported number is what solo
+    runs give.  Members whose runs record different snapshot times raise
+    SolverError.
 
     Reports the pairwise space-time L2 distances between consecutive
     trajectories (time-trapezoid of the spatial L2 distance squared over
@@ -393,18 +519,21 @@ def epsilon_refinement_study(problem: Problem, initial_fields: np.ndarray,
     eps_values = [e.epsilon if isinstance(e, TruncationParam) else float(e) for e in eps_list]
     if len(eps_values) < 2:
         raise ValueError("need at least two truncation strengths")
-    trajectories = []
-    for eps in eps_values:
-        state = SimState(0.0, np.array(initial_fields, dtype=float), TruncationParam(eps))
-        trajectories.append(run(state, cfg, problem))
+    members = [SimState(0.0, np.array(initial_fields, dtype=float), TruncationParam(eps))
+               for eps in eps_values]
+    batch = _march_ladder(members, cfg, problem)
+    if batch is None:
+        trajectories = [run(member, cfg, problem) for member in members]
+        times = trajectories[0].times
+        for eps, traj in zip(eps_values[1:], trajectories[1:]):
+            _check_snapshot_times(eps_values[0], times, eps, traj.times)
+        states = [traj.states for traj in trajectories]
+    else:
+        times, states = batch
     vol = problem.grid.cell_volumes
-    times = trajectories[0].times
-    for traj in trajectories[1:]:
-        if traj.times.shape != times.shape or not np.allclose(traj.times, times):
-            raise RuntimeError("trajectories recorded incompatible snapshot grids")
     distances = [
-        float(np.sqrt(np.trapezoid(((a.states - b.states) ** 2 @ vol).sum(axis=1), times)))
-        for a, b in zip(trajectories, trajectories[1:])
+        float(np.sqrt(np.trapezoid(((a - b) ** 2 @ vol).sum(axis=1), times)))
+        for a, b in zip(states, states[1:])
     ]
     ratios = [distances[k + 1] / distances[k] if distances[k] > 0 else float("nan")
               for k in range(len(distances) - 1)]

@@ -152,11 +152,15 @@ def truncate(f_values, eps) -> np.ndarray:
 
     Works on shape (m,) or (m, N); the denominator is shared across
     components of one state, so signs are preserved and every output
-    component is bounded by 1/eps.
+    component is bounded by 1/eps.  `eps` is a TruncationParam, a scalar,
+    or an (N,) array with one strength per column.
     """
-    epsilon = eps.epsilon if isinstance(eps, TruncationParam) else float(eps)
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if isinstance(eps, TruncationParam):
+        epsilon = eps.epsilon  # validated on construction
+    else:
+        epsilon = np.asarray(eps, dtype=float)
+        if not (epsilon > 0).all():
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
     f = np.asarray(f_values, dtype=float)
     denom = 1.0 + epsilon * np.abs(f).sum(axis=0)
     return f / denom
@@ -309,8 +313,10 @@ def builtin_reversible_reaction() -> ReactionSystem:
 
     def evaluate(x, t, u):
         u = np.asarray(u, dtype=float)
-        gain = u[1] * u[1] - u[0] * u[1]
-        return np.stack([gain, -gain])
+        out = np.empty(u.shape)
+        out[0] = u[1] * u[1] - u[0] * u[1]
+        out[1] = -out[0]
+        return out
 
     return ReactionSystem(
         m=2,

@@ -510,6 +510,23 @@ class TestEpsilonStudyCommand:
         assert report["monotone_shrinking"]
 
 
+    def test_mismatched_snapshot_grids_exit_4(self, tmp_path, capsys):
+        # against the stiff sink, eps = 1 and eps = 1e-4 halve dt in different steps
+        out = tmp_path / "out"
+        cfg = json.loads((REPO / "configs" / "heat.json").read_text())
+        cfg["system"]["expressions"] = ["0 - 1000*u1"]
+        cfg["solver"].update(dt=0.01, t_end=1, record_dt=0.1)
+        cfg["diagnostics"]["epsilon_study"] = [1.0, 1e-4]
+        cfg["output"]["dir"] = str(out)
+        path = write_config(tmp_path, cfg)
+        assert main(["epsilon-study", "--config", str(path), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: the eps=1.0 and eps=0.0001 runs recorded "
+                              "different snapshot times: snapshot 2 is at t=0.2006")
+        assert "Traceback" not in err
+        assert not (out / "epsilon_study.json").exists()
+
+
 class TestGrowthFixtureFlag:
     def test_energy_report_flags_growth(self, tmp_path):
         out = tmp_path / "out"

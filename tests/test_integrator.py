@@ -1,6 +1,7 @@
 """Stepping, transport solves, conservation, convergence, checkpoints."""
 
 import dis
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rdasim import integrator
+from rdasim import cli, integrator
+from rdasim.config import build_solver_config, load_config
 from rdasim.grid import (
     BoundarySpec,
     CoefficientField,
@@ -24,10 +26,12 @@ from rdasim.grid import (
 from rdasim.diagnostics import mass_budget
 from rdasim.integrator import (
     LinearSolveError,
+    NonFiniteError,
     PositivityError,
     Problem,
     SimState,
     SolverConfig,
+    SolverError,
     TransportOperators,
     dump_state,
     epsilon_refinement_study,
@@ -190,6 +194,45 @@ class TestTransportSolve:
         u = ops.solve(0.1, rhs)
         assert relative_error(u, dense_transport_oracle(ops, 0.1, rhs)) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 3), ncells=st.integers(1, 10),
+           members=st.integers(1, 4))
+    def test_1d_multi_column_solve_equals_member_solves(self, data, m, ncells, members):
+        def draw(lo, hi, shape):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+        grid = StructuredGrid([draw(0.05, 1.0, (ncells,))])
+        coeff = CoefficientField(grid, draw(1e-3, 10.0, (m, 1, ncells)),
+                                 draw(-2.0, 2.0, (m, 1, ncells)))
+        walls = st.one_of(st.just(Dirichlet()), st.builds(Robin, st.floats(0.0, 5.0)),
+                          st.just(NoFluxWithDrift()))
+        boundary = BoundarySpec(tuple({"x_lo": data.draw(walls), "x_hi": data.draw(walls)}
+                                      for _ in range(m)), 1)
+        ops = TransportOperators(Problem(grid, zero_reactions(m), coeff, boundary), 0.0)
+        dt = 10.0 ** data.draw(st.floats(-3.0, 0.0))
+        rhs = draw(-10.0, 10.0, (members, m, ncells))
+        stacked = ops.solve(dt, rhs)
+        assert stacked.shape == rhs.shape
+        for column, b in zip(stacked, rhs):
+            assert column.tobytes() == ops.solve(dt, b).tobytes()
+
+    def test_2d_multi_column_solve_equals_member_solves(self):
+        grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 2.0)], [9, 7])
+        rng = np.random.default_rng(13)
+        coeff = CoefficientField(grid, rng.uniform(1e-3, 1.0, size=(2, 2, grid.ncells)),
+                                 rng.uniform(-1.0, 1.0, size=(2, 2, grid.ncells)))
+        boundary = BoundarySpec((
+            {"x_lo": Dirichlet(), "x_hi": NoFluxWithDrift(), "y_lo": Robin(0.5),
+             "y_hi": NoFluxWithDrift()},
+            {"x_lo": Robin(2.0), "x_hi": Dirichlet(), "y_lo": NoFluxWithDrift(),
+             "y_hi": Dirichlet()},
+        ), 2)
+        ops = TransportOperators(Problem(grid, zero_reactions(2), coeff, boundary), 0.0)
+        rhs = rng.uniform(0.0, 2.0, size=(3, 2, grid.ncells))
+        stacked = ops.solve(0.05, rhs)
+        for column, b in zip(stacked, rhs):
+            assert column.tobytes() == ops.solve(0.05, b).tobytes()
+
     def test_one_factorization_per_dt(self, monkeypatch):
         calls = []
         real_lu = integrator.TridiagonalLU
@@ -312,6 +355,34 @@ class TestStep:
         ops = TransportOperators(problem, 0.0)
         with pytest.raises(PositivityError):
             step(state, cfg, ops, sink)
+
+    def test_state_floor_holds_under_a_looser_tolerance(self):
+        # a constant sink of 1e-8 takes a zero state to -1e-8 in one step of 1:
+        # inside positivity_tol = 1e-6, so no halving, but below the -1e-12 floor
+        sink = ReactionSystem(
+            m=1, evaluate=lambda x, t, u: np.full(np.shape(u), -1e-8),
+            mass_weights=np.ones(1), mass_constants=(0.0, 0.0), sum_matrix=np.eye(1),
+            intermediate_order=1.0, growth_order=1.0, growth_constant=1.0,
+        )
+        problem = make_problem(sink, n=4, diffusion=0.1)
+        state = SimState(0.0, np.zeros((1, 4)), TruncationParam(1e-6))
+        cfg = SolverConfig(dt=1.0, t_end=2.0, positivity_tol=1e-6)
+        with pytest.raises(PositivityError, match="below -1e-12"):
+            step(state, cfg, TransportOperators(problem, 0.0), sink)
+
+    def test_accepted_state_is_not_validated_again(self, monkeypatch):
+        # step has tested the new minimum; SimState's own check would repeat it
+        system = builtin_reversible_reaction()
+        problem = make_problem(system, n=8, diffusion=0.1)
+        state = SimState(0.0, np.ones((2, 8)), TruncationParam(1e-3))
+        validated = []
+        monkeypatch.setattr(SimState, "__post_init__", lambda self: validated.append(self))
+        new_state, report = step(state, SolverConfig(dt=0.1, t_end=1.0),
+                                 TransportOperators(problem, 0.0), system)
+        assert validated == []
+        assert isinstance(new_state, SimState)
+        assert new_state.t == 0.1 and new_state.eps is state.eps
+        assert report.min_value == new_state.fields.min()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 3), ncells=st.integers(1, 8))
@@ -565,6 +636,99 @@ class TestEpsilonStudy:
         # distances to the eps -> 0 limit scale linearly, so consecutive
         # differences shrink by about the eps ratio
         assert d[1] <= 0.2 * d[0]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def shipped_ladder(name, t_end=None):
+    """Problem, members and solver settings of `rdasim epsilon-study` on a shipped config."""
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    if t_end is not None:
+        cfg["solver"]["t_end"] = t_end
+    grid, system, coeff, boundary, initial, _, _ = cli._assemble(cfg, REPO / "configs")
+    eps = cfg.get("diagnostics", {}).get("epsilon_study", [1e-2, 1e-3, 1e-4])
+    members = [SimState(0.0, initial, TruncationParam(e)) for e in eps]
+    return Problem(grid, system, coeff, boundary), members, build_solver_config(cfg)
+
+
+def stiff_ladder(record_dt):
+    """A sink against which eps = 1 and eps = 1e-4 halve dt in different steps."""
+    sink = system_from_expressions(
+        ["0 - 1000*u1"], mass_weights=[1.0], mass_constants=(0.0, 0.0),
+        intermediate_order=1.0, growth_order=1.0, growth_constant=1000.0,
+    )
+    problem = make_problem(sink, n=64, diffusion=0.1, bc=Dirichlet())
+    fields = np.exp(-50.0 * (problem.grid.cell_centers[0] - 0.5) ** 2)[None, :]
+    members = [SimState(0.0, fields, TruncationParam(e)) for e in (1.0, 1e-4)]
+    return problem, members, SolverConfig(dt=0.01, t_end=1.0, record_dt=record_dt)
+
+
+class TestEpsilonLadder:
+    @pytest.mark.parametrize("name, t_end", [
+        ("reversible", None),
+        ("heat", None),
+        ("epidemic", 20.0),  # 4,000 of its 40,000 steps
+    ])
+    def test_batched_snapshots_equal_member_runs(self, name, t_end):
+        problem, members, cfg = shipped_ladder(name, t_end)
+        times, states = integrator._march_ladder(members, cfg, problem)
+        assert states.shape[:2] == (len(members), times.size)
+        for member, member_states in zip(members, states):
+            traj = run(member, cfg, problem)
+            assert traj.times.tobytes() == times.tobytes()
+            assert traj.states.tobytes() == member_states.tobytes()
+
+    def test_shipped_ladder_assembles_and_factorizes_once(self, monkeypatch):
+        factored, assembled = [], []
+        real_lu, real_assemble = integrator.TridiagonalLU, integrator.assemble_transport
+
+        def counting_lu(a):
+            factored.append(a.shape)
+            return real_lu(a)
+
+        def counting_assemble(grid, coefficients, boundary, species, t):
+            assembled.append(species)
+            return real_assemble(grid, coefficients, boundary, species, t)
+
+        monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
+        monkeypatch.setattr(integrator, "assemble_transport", counting_assemble)
+        problem, members, cfg = shipped_ladder("reversible")
+        report = epsilon_refinement_study(problem, members[0].fields,
+                                          [m.eps for m in members], cfg)
+        assert report["monotone_shrinking"]
+        assert factored == [(64, 64)]
+        assert assembled == [0, 1]
+
+    def test_halving_member_raises_like_member_runs(self):
+        problem, members, cfg = stiff_ladder(record_dt=0.1)
+        assert integrator._march_ladder(members, cfg, problem) is None
+        a, b = (run(member, cfg, problem) for member in members)
+        k = int(np.argmin(np.isclose(a.times, b.times)))
+        assert k > 0 and not np.isclose(a.times[k], b.times[k])
+        with pytest.raises(SolverError) as raised:
+            epsilon_refinement_study(problem, members[0].fields, [1.0, 1e-4], cfg)
+        assert str(raised.value).startswith(
+            f"the eps=1.0 and eps=0.0001 runs recorded different snapshot times: "
+            f"snapshot {k} is at t={float(a.times[k])!r} and t={float(b.times[k])!r}")
+
+    def test_halving_member_falls_back_to_member_runs(self):
+        # with one snapshot at t_end the halving member's grid still matches
+        problem, members, cfg = stiff_ladder(record_dt=1.0)
+        report = epsilon_refinement_study(problem, members[0].fields, [1.0, 1e-4], cfg)
+        a, b = (run(member, cfg, problem) for member in members)
+        vol = problem.grid.cell_volumes
+        expected = np.sqrt(np.trapezoid(((a.states - b.states) ** 2 @ vol).sum(axis=1), a.times))
+        assert report["pair_distances"] == [float(expected)]
+
+    def test_non_finite_member_raises_like_its_run(self):
+        problem = make_problem(system_from_expressions(
+            ["u1^2*exp(u1)"], mass_weights=[1.0], mass_constants=(0.0, 0.0),
+        ), n=8)
+        fields = np.full((1, 8), 800.0)
+        with pytest.raises(NonFiniteError, match="non-finite reaction inf for species 1"):
+            epsilon_refinement_study(problem, fields, [1e-2, 1e-3],
+                                     SolverConfig(dt=0.01, t_end=0.1))
 
 
 class TestCheckpoints:

@@ -64,6 +64,15 @@ class TestTruncate:
         f = np.ones((2, 7))
         assert truncate(f, 1.0).shape == (2, 7)
 
+    def test_per_column_epsilon_matches_scalar_columns(self):
+        f = np.random.default_rng(3).uniform(-1e3, 1e3, size=(3, 12))
+        eps = np.repeat([1e-2, 1e-3, 1e-4], 4)
+        out = truncate(f, eps)
+        for col in range(12):
+            assert out[:, [col]].tobytes() == truncate(f[:, [col]], eps[col]).tobytes()
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            truncate(f, np.where(np.arange(12) == 5, 0.0, 1e-3))
+
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
             truncate(np.ones(2), 0.0)
@@ -248,6 +257,15 @@ class TestBuiltins:
         u = rng.uniform(0, 10, size=(2, 500))
         f = system.evaluate(None, 0.0, u)
         assert np.allclose(f.sum(axis=0), 0.0, atol=1e-12)
+
+    def test_reversible_returns_a_fresh_array_per_call(self):
+        system = builtin_reversible_reaction()
+        u = np.random.default_rng(4).uniform(0, 10, size=(2, 50))
+        first, second = system.evaluate(None, 0.0, u), system.evaluate(None, 0.0, u)
+        assert not np.shares_memory(first, second)
+        gain = u[1] * u[1] - u[0] * u[1]
+        assert first.tobytes() == np.stack([gain, -gain]).tobytes()
+        assert system.evaluate(None, 0.0, u[:, 7]).tobytes() == first[:, 7].tobytes()
 
     def test_linear_decay(self):
         system = builtin_linear_decay(m=4, rate=0.5)
