@@ -679,6 +679,30 @@ class TestEpsilonLadder:
             assert traj.times.tobytes() == times.tobytes()
             assert traj.states.tobytes() == member_states.tobytes()
 
+    def test_2d_ladder_across_a_switch_equals_member_runs(self, monkeypatch):
+        # diffusion and drift switch at t = 0.5: the batch reassembles and
+        # factorizes once per epoch for all three members
+        grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 1.0)], [6, 5])
+        rng = np.random.default_rng(14)
+        coeff = CoefficientField(
+            grid, rng.uniform(0.01, 1.0, size=(2, 2, grid.ncells)),
+            rng.uniform(-1.0, 1.0, size=(2, 2, grid.ncells)),
+            schedule=[(0.5, rng.uniform(0.01, 1.0, size=(2, 2, grid.ncells)),
+                       rng.uniform(-1.0, 1.0, size=(2, 2, grid.ncells)))],
+        )
+        problem = Problem(grid, builtin_reversible_reaction(), coeff,
+                          BoundarySpec.uniform(2, 2, NoFluxWithDrift()))
+        fields = rng.uniform(0.5, 1.5, size=(2, grid.ncells))
+        members = [SimState(0.0, fields, TruncationParam(e)) for e in (1e-1, 1e-2, 1e-3)]
+        cfg = SolverConfig(dt=0.05, t_end=1.0, record_dt=0.2)
+        factored = count_sparse_lu(monkeypatch)
+        times, states = integrator._march_ladder(members, cfg, problem)
+        assert factored == [(60, 60), (60, 60)]
+        for member, member_states in zip(members, states):
+            traj = run(member, cfg, problem)
+            assert traj.times.tobytes() == times.tobytes()
+            assert traj.states.tobytes() == member_states.tobytes()
+
     def test_shipped_ladder_assembles_and_factorizes_once(self, monkeypatch):
         factored, assembled = [], []
         real_lu, real_assemble = integrator.TridiagonalLU, integrator.assemble_transport
