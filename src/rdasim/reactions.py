@@ -79,8 +79,11 @@ class ReactionSystem:
 
     evaluate(x, t, u) takes positions x of shape (dim, N) or None, a time,
     and states u of shape (m,) or (m, N); it returns reaction values of the
-    same shape as u.  The evaluator must be pure and re-entrant, and
-    locally Lipschitz in u (user obligation, not checked).
+    same shape as u.  Each output column may depend only on the same
+    column of x and u: the checkers evaluate sample batches, and the
+    epsilon ladder evaluates its members' cells side by side.  The
+    evaluator must be pure and re-entrant, and locally Lipschitz in u
+    (user obligation, not checked).
 
     sample_positions, when given, holds representative positions (dim, K)
     the checkers probe for spatially dependent fields.
