@@ -189,7 +189,8 @@ CONFIG_SCHEMA = {
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
                 "positivity_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_halvings": {"type": "integer", "minimum": 0},
-                "record_dt": {"type": ["number", "null"]},
+                # null records every step
+                "record_dt": {"type": ["number", "null"], "exclusiveMinimum": 0},
             },
         },
         "diagnostics": {

@@ -83,10 +83,6 @@ class Trajectory:
     def m(self) -> int:
         return self.states.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
     def _dense_series(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-step (times, masses); falls back to snapshot-derived masses."""
         if self.step_times is not None and self.step_masses is not None:

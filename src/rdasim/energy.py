@@ -420,10 +420,6 @@ class BlockMatrix:
             raise ValueError("block matrix is not symmetric after symmetrization")
         self.matrix = mat
 
-    def block(self, k: int, l: int) -> np.ndarray:
-        n = self.n
-        return self.matrix[k * n:(k + 1) * n, l * n:(l + 1) * n]
-
 
 def assemble_coupling_matrix(diffusion_mats, weights: WeightVector) -> BlockMatrix:
     """Assemble the weight-scaled diffusion block matrix.

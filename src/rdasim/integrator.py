@@ -25,17 +25,17 @@ one row of a preallocated float array rather than as per-step Python
 objects.  Checkpoints serialize a state as a flat little-endian binary
 record; loading checks its size.
 
-The epsilon ladder marches its members as one batch: they differ only in
-eps, so one operator assembly per epoch and one factorization per dt
-serve them all, each step's L right-hand sides are the columns of one
-solve, and the reaction is evaluated once on the members' cells side by
-side.  If any member would halve dt, or its reaction is not finite, the
-ladder falls back to one `run` per member, so its numbers always equal
-those of solo runs.
+The epsilon ladder takes the same steps on a batch: its members differ
+only in eps, so they are one state whose columns hold the members side by
+side, cell by cell, with one eps per column.  One operator assembly per
+epoch and one factorization per dt serve them all, and each time step is
+one `step` call in the epoch loop `run` uses (`_march`).  If any member
+would halve dt, or its reaction is not finite, the ladder falls back to
+one `run` per member, so its numbers always equal those of solo runs.
 
 scipy is imported where a scipy object is built -- the shifted system and
-its LU factors -- and not in `step`, `TransportOperators.solve` or
-`TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
+its LU factors -- and not in `_march`, `step`, `TransportOperators.solve`
+or `TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
 never build an operator, so they never pay scipy's import time, and a 1D
 run never loads scipy.sparse.linalg.
 """
@@ -97,10 +97,15 @@ class NonFiniteError(SolverError):
 
 @dataclass
 class SimState:
-    """Species fields at one time level, with the truncation strength."""
+    """Species fields at one time level, with the truncation strength.
+
+    A batch of L members is one state with fields (m, ncells * L), where
+    column c * L + l holds member l at cell c; its eps is then an
+    (ncells * L,) array with one strength per column.
+    """
 
     t: float
-    fields: np.ndarray  # (m, ncells)
+    fields: np.ndarray  # (m, ncells), or (m, ncells * L) for a batch
     eps: TruncationParam
 
     def __post_init__(self):
@@ -129,6 +134,8 @@ class SolverConfig:
             raise ValueError("dt and t_end must be positive")
         if self.positivity_tol <= 0:
             raise ValueError("positivity_tol must be positive")
+        if self.record_dt is not None and not self.record_dt > 0:
+            raise ValueError(f"record_dt must be positive or None, got {self.record_dt}")
 
 
 @dataclass
@@ -244,21 +251,30 @@ class TransportOperators:
     def solve(self, dt: float, rhs: np.ndarray) -> np.ndarray:
         """Solve (I/dt + A_i) u_i = rhs_i for every species i.
 
-        `rhs` is one (m, ncells) right-hand side, or a stack (L, m, ncells)
-        of them, which is solved as the L columns of one multi-column solve
-        with the same factors.
+        `rhs` is (m, ncells), or a batch (m, ncells * L) of L members whose
+        column c * L + l is member l at cell c: each member is then one
+        column of a multi-column solve with the same factors.
         """
-        if rhs.ndim == 2:
-            return self._system(dt).solve(rhs.ravel()).reshape(rhs.shape)
-        # the transpose of the (L, m * ncells) stack is its Fortran-ordered columns
-        return self._system(dt).solve(rhs.reshape(rhs.shape[0], -1).T).T.reshape(rhs.shape)
+        unknowns = rhs.shape[0] * self.problem.grid.ncells
+        return self._system(dt).solve(rhs.reshape(unknowns, -1)).reshape(rhs.shape)
 
 
 def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
          system: ReactionSystem, max_dt: float | None = None) -> tuple[SimState, StepReport]:
-    """Advance one accepted IMEX step, halving dt until positivity holds."""
+    """Advance one accepted IMEX step, halving dt until positivity holds.
+
+    A batch state of L members, (m, ncells * L) with member l of cell c in
+    column c * L + l, takes the same step: the reaction is evaluated at the
+    cell centres repeated L times, truncated with each column's eps, and
+    the L right-hand sides are solved together.  Its reaction mass sums
+    over every member.
+    """
     grid = operators.problem.grid
-    raw = np.asarray(system.evaluate(grid.cell_centers, state.t, state.fields), dtype=float)
+    members = state.fields.shape[1] // grid.ncells
+    centers, vol = grid.cell_centers, grid.cell_volumes
+    if members > 1:
+        centers, vol = centers.repeat(members, axis=1), vol.repeat(members)
+    raw = np.asarray(system.evaluate(centers, state.t, state.fields), dtype=float)
     if not np.isfinite(raw).all():
         species, cell = np.argwhere(~np.isfinite(raw))[0]
         raise NonFiniteError(
@@ -290,72 +306,59 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
         dt=dt,
         halvings=halvings,
         min_value=low,
-        reaction_mass=reaction @ grid.cell_volumes,
+        reaction_mass=reaction @ vol,
     )
     return new_state, report
 
 
-class _Schedule:
-    """Epoch boundaries and snapshot cadence of one integration to cfg.t_end.
-
-    `run` and the batched epsilon ladder both step through it.  Each step
-    asks `plan(t)` whether t crossed a coefficient switch (the operators
-    are then reassembled at t + eps_round) and for the step cap that lands
-    the step on the epoch's end; steps straddle a switch time (or t_end)
-    by rounding at most.  After the step, `snapshot_due(t)` says whether
-    the new state is recorded: at the configured cadence (every step if
-    none) and at t_end.
-    """
-
-    def __init__(self, t0: float, cfg: SolverConfig, problem: Problem):
-        self.t_end = cfg.t_end
-        if self.t_end <= t0:
-            raise ValueError(f"t_end {self.t_end} must exceed the initial time {t0}")
-        switches = [s for s in problem.coefficients.switch_times() if t0 < s < self.t_end]
-        self.boundaries = sorted(set(switches + [self.t_end]))
-        self.dt = cfg.dt
-        self.record_dt = cfg.record_dt
-        self.next_record = t0 + cfg.record_dt if cfg.record_dt else None
-        self.epoch = 0
-        self.eps_round = 1e-12 * max(1.0, abs(self.t_end))
-
-    def running(self, t: float) -> bool:
-        return t < self.t_end - self.eps_round
-
-    def plan(self, t: float) -> tuple[bool, float | None]:
-        """Whether t starts a new epoch, and the step's max_dt (None: the full dt)."""
-        boundary = self.boundaries[self.epoch]
-        switched = t >= boundary - self.eps_round
-        if switched:
-            self.epoch += 1
-            boundary = self.boundaries[self.epoch]
-        # t accumulates by addition, so an epoch of whole steps can end a
-        # rounding error short of dt: that remainder reuses the cached dt
-        room = boundary - t
-        return switched, None if room >= self.dt - self.eps_round else room
-
-    def snapshot_due(self, t: float) -> bool:
-        if self.next_record is None or t >= self.t_end - self.eps_round:
-            return True
-        if t < self.next_record - self.eps_round:
-            return False
-        while self.next_record <= t + self.eps_round:
-            self.next_record += self.record_dt
-        return True
-
-
-def _check_initial(initial: SimState, problem: Problem) -> None:
+def _check_initial(initial: SimState, cfg: SolverConfig, problem: Problem) -> None:
     shape = (problem.system.m, problem.grid.ncells)
     if initial.fields.shape != shape:
         raise ValueError(f"initial fields shape {initial.fields.shape} does not match {shape}")
     if not np.all(np.isfinite(initial.fields)):
         raise ValueError("initial data must be finite")
+    if cfg.t_end <= initial.t:
+        raise ValueError(f"t_end {cfg.t_end} must exceed the initial time {initial.t}")
+
+
+def _march(state: SimState, cfg: SolverConfig, problem: Problem):
+    """Step a solo or batch state to cfg.t_end, yielding (state, report, recorded).
+
+    Each coefficient epoch ends at a schedule switch or at t_end.  At a
+    switch the old epoch's operators are released, and the next ones are
+    assembled at t + eps_round.  The last step of an epoch is capped so
+    that it lands on the epoch's end; it straddles the end by rounding at
+    most.  `recorded` says whether the new state is a snapshot: at the
+    configured cadence (every step if none) and at t_end.  The last
+    epoch's operators are released once the generator is exhausted.
+    """
+    t_end = cfg.t_end
+    eps_round = 1e-12 * max(1.0, abs(t_end))
+    switches = [s for s in problem.coefficients.switch_times() if state.t < s < t_end]
+    next_record = None if cfg.record_dt is None else state.t + cfg.record_dt
+    operators = TransportOperators(problem, state.t)
+    for epoch, boundary in enumerate(sorted(set(switches + [t_end]))):
+        if epoch:
+            # release the old epoch's cached systems before assembling the
+            # next ones, so the two are never held at once
+            operators = None
+            operators = TransportOperators(problem, state.t + eps_round)
+        while state.t < boundary - eps_round:
+            # t accumulates by addition, so an epoch of whole steps can end a
+            # rounding error short of dt: that remainder reuses the cached dt
+            room = boundary - state.t
+            state, report = step(state, cfg, operators, problem.system,
+                                 max_dt=None if room >= cfg.dt - eps_round else room)
+            recorded = next_record is None or state.t >= min(next_record, t_end) - eps_round
+            while next_record is not None and next_record <= state.t + eps_round:
+                next_record += cfg.record_dt
+            yield state, report, recorded
 
 
 def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     """Integrate to t_end, recording snapshots and per-step reduced summaries.
 
-    Epochs and snapshots follow `_Schedule`: operators are reassembled
+    Epochs and snapshots follow `_march`: operators are reassembled
     whenever a coefficient schedule switch is crossed.  The per-step
     series (masses, sup-norms, minima, cumulative applied reaction, dt,
     halvings) are always dense.  Each accepted step is one row of a
@@ -364,37 +367,26 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     Trajectory step arrays are contiguous copies of its columns.
     """
     grid = problem.grid
-    system = problem.system
-    _check_initial(initial, problem)
-    schedule = _Schedule(initial.t, cfg, problem)
+    _check_initial(initial, cfg, problem)
 
-    m = system.m
+    m = problem.system.m
     # series columns: t | masses | sup-norms | min | reaction integrals | dt, halvings
     mass, sup, low, react, dt_col = 1, 1 + m, 1 + 2 * m, 2 + 2 * m, 2 + 3 * m
-    capacity = math.ceil((cfg.t_end - initial.t) / cfg.dt) + len(schedule.boundaries) + 1
+    epochs = len(problem.coefficients.switch_times()) + 1
+    capacity = math.ceil((cfg.t_end - initial.t) / cfg.dt) + epochs + 1
     series = np.zeros((capacity, dt_col + 2))
 
     vol = grid.cell_volumes
-    state = initial
-    snap_times = [state.t]
-    snapshots = [state.fields.copy()]
+    snap_times = [initial.t]
+    snapshots = [initial.fields.copy()]
     row = series[0]
-    row[0] = state.t
-    row[mass:sup] = state.fields @ vol
-    row[sup:low] = np.abs(state.fields).max(axis=1)
-    row[low] = state.fields.min()
+    row[0] = initial.t
+    row[mass:sup] = initial.fields @ vol
+    row[sup:low] = np.abs(initial.fields).max(axis=1)
+    row[low] = initial.fields.min()
     n = 1
 
-    operators = TransportOperators(problem, state.t)
-    while schedule.running(state.t):
-        switched, max_dt = schedule.plan(state.t)
-        if switched:
-            # release the old epoch's cached systems before assembling the
-            # next ones, so the two are never held at once
-            operators = None
-            operators = TransportOperators(problem, state.t + schedule.eps_round)
-        state, report = step(state, cfg, operators, system, max_dt=max_dt)
-
+    for state, report, recorded in _march(initial, cfg, problem):
         if n == series.shape[0]:
             series = np.concatenate([series, np.zeros_like(series)])
         row = series[n]
@@ -405,13 +397,10 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
         row[react:dt_col] = report.reaction_mass
         row[dt_col:] = report.dt, report.halvings
         n += 1
-
-        if schedule.snapshot_due(state.t):
+        if recorded:
             snap_times.append(state.t)
             snapshots.append(state.fields.copy())
 
-    # free the last epoch's systems before the snapshots are stacked
-    operators = None
     series = series[:n]
     # applied reaction dt * mass per step, then its running sum: the same
     # products and sequential sums as accumulating it step by step
@@ -436,49 +425,31 @@ def _march_ladder(members: list[SimState], cfg: SolverConfig,
                   problem: Problem) -> tuple[np.ndarray, np.ndarray] | None:
     """March ladder members that differ only in eps as one batch, recording snapshots.
 
-    The L members are one (L, m, ncells) state.  Each step evaluates the
-    reaction once on (m, L * ncells) columns with the cell centres tiled,
-    truncates each column with its member's eps, and solves the L
-    right-hand sides in one multi-column solve.  Each member's values go
-    through the operations `step` applies to a solo state, so the
-    snapshots equal solo `run`s bit for bit.  Returns the snapshot times
-    and the (L, ntimes, m, ncells) snapshots, or None once a member's
-    reaction is not finite or its step would halve dt or fail the state
-    floor.
+    The L members are one batch state (m, ncells * L), with member l of
+    cell c in column c * L + l and its eps tiled over the cells, which
+    `_march` steps like a solo state.  Each member's values go through
+    the operations a solo `run` applies, so the snapshots equal solo runs
+    bit for bit.  Returns the snapshot times and the contiguous
+    (L, ntimes, m, ncells) snapshots, or None once a step halves dt or
+    raises SolverError.
     """
-    grid, system = problem.grid, problem.system
     first = members[0]
-    _check_initial(first, problem)
-    schedule = _Schedule(first.t, cfg, problem)
+    _check_initial(first, cfg, problem)
     L, (m, n) = len(members), first.fields.shape
-    centers = np.tile(grid.cell_centers, L)
-    eps = np.repeat([member.eps.epsilon for member in members], n)
-    floor = -min(cfg.positivity_tol, _STATE_TOL)
-
-    t = first.t
-    fields = np.stack([member.fields for member in members])
-    snap_times = [t]
-    snapshots = [fields]
-    operators = TransportOperators(problem, t)
-    while schedule.running(t):
-        switched, max_dt = schedule.plan(t)
-        if switched:
-            operators = None
-            operators = TransportOperators(problem, t + schedule.eps_round)
-        columns = fields.transpose(1, 0, 2).reshape(m, L * n)
-        raw = np.asarray(system.evaluate(centers, t, columns), dtype=float)
-        if not np.isfinite(raw).all():
-            return None
-        reaction = truncate(raw, eps).reshape(m, L, n).transpose(1, 0, 2)
-        dt = cfg.dt if max_dt is None else min(cfg.dt, max_dt)
-        fields = operators.solve(dt, fields / dt + reaction)
-        if fields.min() < floor:
-            return None
-        t += dt
-        if schedule.snapshot_due(t):
-            snap_times.append(t)
-            snapshots.append(fields)
-    return np.asarray(snap_times), np.stack(snapshots, axis=1)
+    fields = np.stack([member.fields for member in members], axis=2).reshape(m, n * L)
+    batch = SimState(first.t, fields, np.tile([member.eps.epsilon for member in members], n))
+    snap_times, snapshots = [first.t], [fields]
+    try:
+        for state, report, recorded in _march(batch, cfg, problem):
+            if report.halvings:
+                return None
+            if recorded:
+                snap_times.append(state.t)
+                snapshots.append(state.fields)
+    except SolverError:
+        return None
+    states = np.stack(snapshots).reshape(-1, m, n, L).transpose(3, 0, 1, 2)
+    return np.asarray(snap_times), np.ascontiguousarray(states)
 
 
 def _check_snapshot_times(eps_a: float, times_a: np.ndarray,
@@ -503,9 +474,9 @@ def epsilon_refinement_study(problem: Problem, initial_fields: np.ndarray,
     """Run the same problem for a ladder of truncation strengths.
 
     The members share the grid, the operators, dt and the step count, so
-    they march as one batch (`_march_ladder`): one operator assembly per
-    epoch, one factorization per dt and one multi-column solve per step
-    serve the whole ladder.  If any member would need a dt halving, or its
+    they march as one batch state (`_march_ladder`): one operator assembly
+    per epoch, one factorization per dt and one `step` per time step serve
+    the whole ladder.  If any member would need a dt halving, or its
     reaction is not finite, the batch is discarded and each member is
     integrated by its own `run`, so every reported number is what solo
     runs give.  Members whose runs record different snapshot times raise

@@ -155,6 +155,27 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "epsilon-study"])
+    @pytest.mark.parametrize("record_dt", [-0.05, 0])
+    def test_non_positive_record_dt_exits_2(self, tmp_path, capsys, command, record_dt):
+        # the next snapshot time would never pass t, so the run would not end
+        cfg = load_config(REPO / "configs" / "heat.json")
+        cfg["solver"]["record_dt"] = record_dt
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(ConfigError, match="^invalid config at solver/record_dt: "):
+            load_config(path)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config at solver/record_dt" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_null_record_dt_is_valid(self, tmp_path):
+        cfg = heat_config(tmp_path / "out")
+        cfg["solver"]["record_dt"] = None
+        assert validate_config(cfg) is cfg
+
     def test_diagnostics_window_exits_2(self, tmp_path, capsys):
         cfg = heat_config(tmp_path / "out")
         cfg["diagnostics"]["window"] = 2.0

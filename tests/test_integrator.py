@@ -210,11 +210,13 @@ class TestTransportSolve:
                                       for _ in range(m)), 1)
         ops = TransportOperators(Problem(grid, zero_reactions(m), coeff, boundary), 0.0)
         dt = 10.0 ** data.draw(st.floats(-3.0, 0.0))
-        rhs = draw(-10.0, 10.0, (members, m, ncells))
+        # a batch: column c * members + l holds member l at cell c
+        rhs = draw(-10.0, 10.0, (m, ncells * members))
         stacked = ops.solve(dt, rhs)
         assert stacked.shape == rhs.shape
-        for column, b in zip(stacked, rhs):
-            assert column.tobytes() == ops.solve(dt, b).tobytes()
+        for l in range(members):
+            b = np.ascontiguousarray(rhs[:, l::members])
+            assert stacked[:, l::members].tobytes() == ops.solve(dt, b).tobytes()
 
     def test_2d_multi_column_solve_equals_member_solves(self):
         grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 2.0)], [9, 7])
@@ -228,10 +230,11 @@ class TestTransportSolve:
              "y_hi": Dirichlet()},
         ), 2)
         ops = TransportOperators(Problem(grid, zero_reactions(2), coeff, boundary), 0.0)
-        rhs = rng.uniform(0.0, 2.0, size=(3, 2, grid.ncells))
+        rhs = rng.uniform(0.0, 2.0, size=(2, grid.ncells * 3))
         stacked = ops.solve(0.05, rhs)
-        for column, b in zip(stacked, rhs):
-            assert column.tobytes() == ops.solve(0.05, b).tobytes()
+        for l in range(3):
+            b = np.ascontiguousarray(rhs[:, l::3])
+            assert stacked[:, l::3].tobytes() == ops.solve(0.05, b).tobytes()
 
     def test_one_factorization_per_dt(self, monkeypatch):
         calls = []
@@ -291,6 +294,7 @@ class TestTransportSolve:
 
 class TestStep:
     @pytest.mark.parametrize("function", [
+        integrator._march,
         step,
         TransportOperators.solve,
         integrator.TridiagonalLU.solve,
@@ -483,6 +487,18 @@ class TestRun:
         state = SimState(0.0, np.ones((1, 8)), TruncationParam(1.0))
         traj = run(state, SolverConfig(dt=0.01, t_end=1.0, record_dt=0.25), problem)
         assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-9)
+
+    def test_t_end_off_the_cadence_is_recorded(self):
+        problem = make_problem(zero_reactions(1), n=8, diffusion=0.1)
+        state = SimState(0.0, np.ones((1, 8)), TruncationParam(1.0))
+        traj = run(state, SolverConfig(dt=0.01, t_end=1.0, record_dt=0.3), problem)
+        assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("record_dt", [-0.05, 0.0])
+    def test_non_positive_record_dt_rejected(self, record_dt):
+        # the next snapshot time would never pass t, so the run would not end
+        with pytest.raises(ValueError, match="record_dt must be positive or None"):
+            SolverConfig(dt=0.01, t_end=1.0, record_dt=record_dt)
 
     def test_coefficient_schedule_applied(self):
         # diffusion switches from tiny to huge at t = 0.5: the spatial
@@ -703,6 +719,19 @@ class TestEpsilonLadder:
             assert traj.times.tobytes() == times.tobytes()
             assert traj.states.tobytes() == member_states.tobytes()
 
+    def test_position_dependent_ladder_equals_member_runs(self):
+        # the rates vary by cell, so every batch column must see its own cell's centre
+        system = system_from_expressions(["x*u2 - u1", "u1 - x*u2"], mass_weights=[1.0, 1.0])
+        problem = make_problem(system, n=16, diffusion=0.05, drift=0.2)
+        fields = np.random.default_rng(15).uniform(0.5, 1.5, size=(2, 16))
+        members = [SimState(0.0, fields, TruncationParam(e)) for e in (1.0, 1e-1, 1e-2)]
+        cfg = SolverConfig(dt=0.01, t_end=0.5, record_dt=0.1)
+        times, states = integrator._march_ladder(members, cfg, problem)
+        for member, member_states in zip(members, states):
+            traj = run(member, cfg, problem)
+            assert traj.times.tobytes() == times.tobytes()
+            assert traj.states.tobytes() == member_states.tobytes()
+
     def test_shipped_ladder_assembles_and_factorizes_once(self, monkeypatch):
         factored, assembled = [], []
         real_lu, real_assemble = integrator.TridiagonalLU, integrator.assemble_transport
@@ -723,6 +752,21 @@ class TestEpsilonLadder:
         assert report["monotone_shrinking"]
         assert factored == [(64, 64)]
         assert assembled == [0, 1]
+
+    def test_reversible_ladder_calls_step_once_per_time_step(self, monkeypatch):
+        # the batch takes each time step through `step`, at its module name
+        shapes = []
+        real_step = integrator.step
+
+        def counting_step(state, *args, **kwargs):
+            shapes.append(state.fields.shape)
+            return real_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(integrator, "step", counting_step)
+        problem, members, cfg = shipped_ladder("reversible")
+        epsilon_refinement_study(problem, members[0].fields, [m.eps for m in members], cfg)
+        m, ncells = members[0].fields.shape
+        assert shapes == [(m, ncells * len(members))] * round(cfg.t_end / cfg.dt)
 
     def test_halving_member_raises_like_member_runs(self):
         problem, members, cfg = stiff_ladder(record_dt=0.1)
