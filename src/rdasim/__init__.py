@@ -6,7 +6,6 @@ functionals and a bounded regularization of the reactions."""
 __version__ = "0.1.0"
 
 from .energy import (
-    BlockMatrix,
     EnergySpec,
     MultiIndex,
     WeightVector,
@@ -26,7 +25,6 @@ from .grid import (
     Dirichlet,
     NoFluxWithDrift,
     Robin,
-    ScalarField,
     StructuredGrid,
     assemble_advection,
     assemble_diffusion,

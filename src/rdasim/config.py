@@ -475,14 +475,9 @@ def build_epi_params(cfg: dict, grid: StructuredGrid, base_dir: Path) -> EpiPara
 
 
 def build_solver_config(cfg: dict) -> SolverConfig:
-    block = cfg["solver"]
-    return SolverConfig(
-        dt=block["dt"],
-        t_end=block["t_end"],
-        positivity_tol=block.get("positivity_tol", 1e-12),
-        max_halvings=block.get("max_halvings", 20),
-        record_dt=block.get("record_dt"),
-    )
+    # only the keys the config sets, so SolverConfig's defaults apply;
+    # epsilon is the truncation strength, which the state carries
+    return SolverConfig(**{k: v for k, v in cfg["solver"].items() if k != "epsilon"})
 
 
 def diffusion_matrix_samples(coeff: CoefficientField, max_cells: int = 6) -> list:

@@ -37,7 +37,6 @@ __all__ = [
     "MultiIndex",
     "WeightVector",
     "EnergySpec",
-    "BlockMatrix",
     "IndexBudgetError",
     "WeightSearchError",
     "count_multi_indices",
@@ -317,9 +316,8 @@ def energy_functional(field, grid, spec: EnergySpec) -> float:
 def energy_time_derivative(u, dudt, spec: EnergySpec):
     """Exact time derivative of the density along a state velocity.
 
-    For p >= 2 evaluates the chain-rule expansion over indices of order
-    p - 1; p = 1 uses the closed form sum_j w_j * dudt_j (an order-0
-    density would be constant with derivative 0).  Shapes as in
+    Evaluates the chain-rule expansion over indices of order p - 1; at
+    p = 1 its single order-0 term is sum_j w_j * dudt_j.  Shapes as in
     `energy_density`.
     """
     batch, single = _as_batch(u, spec.m)
@@ -328,10 +326,6 @@ def energy_time_derivative(u, dudt, spec: EnergySpec):
         raise ValueError(f"state shape {batch.shape} != velocity shape {vel.shape}")
     if np.any(batch < 0):
         raise ValueError("energy derivative requires non-negative species values")
-    w = spec.weights.as_array()
-    if spec.p == 1:
-        out = w @ vel
-        return float(out[0]) if single else out
     idx, coefs, wpow, _, _, slope = spec._finite_level(spec.p - 1)
     upow = _state_powers(batch, idx)  # (K, N)
     inner = slope @ vel  # (K, N)
@@ -402,29 +396,11 @@ def ibp_identity_sides(u, grad_u, mats, spec: EnergySpec) -> tuple[float, float]
     return float(lhs), float(rhs)
 
 
-@dataclass
-class BlockMatrix:
-    """Dense symmetric matrix assembled from m x m blocks of size n x n."""
-
-    matrix: np.ndarray
-    m: int
-    n: int
-
-    def __post_init__(self):
-        size = self.m * self.n
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (size, size):
-            raise ValueError(f"expected shape ({size}, {size}), got {mat.shape}")
-        scale = np.linalg.norm(mat) or 1.0
-        if np.linalg.norm(mat - mat.T) > 1e-14 * scale:
-            raise ValueError("block matrix is not symmetric after symmetrization")
-        self.matrix = mat
-
-
-def assemble_coupling_matrix(diffusion_mats, weights: WeightVector) -> BlockMatrix:
+def assemble_coupling_matrix(diffusion_mats, weights: WeightVector) -> np.ndarray:
     """Assemble the weight-scaled diffusion block matrix.
 
-    Diagonal blocks are w_k^2 * sym(D_k); off-diagonal blocks are
+    Returns the symmetric (m n, m n) array of m x m blocks of size n x n:
+    diagonal blocks are w_k^2 * sym(D_k); off-diagonal blocks are
     (sym(D_k) + sym(D_l)) / 2.  Positive definiteness of the result
     certifies dissipativity of the gradient form for every index order,
     independently of the particular multi-index.
@@ -446,8 +422,7 @@ def assemble_coupling_matrix(diffusion_mats, weights: WeightVector) -> BlockMatr
             else:
                 blk = (sym[k] + sym[l]) / 2.0
             out[k * n:(k + 1) * n, l * n:(l + 1) * n] = blk
-    out = (out + out.T) / 2.0
-    return BlockMatrix(out, m, n)
+    return (out + out.T) / 2.0
 
 
 def min_eigenvalue(mat) -> float:
@@ -455,7 +430,7 @@ def min_eigenvalue(mat) -> float:
 
     Raises ValueError for a non-square or non-symmetric input.
     """
-    a = mat.matrix if isinstance(mat, BlockMatrix) else np.asarray(mat, dtype=float)
+    a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = np.linalg.norm(a) or 1.0

@@ -167,8 +167,10 @@ def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
     no-flux condition).  The evaluator applies the scalar-rate exchange
     (waning, recovery, mortality, pathogen decay) as one constant 4x4
     matrix and adds the infection and shedding terms with their per-cell
-    rates.  It resolves those rates by locating the query positions on the
-    grid; passing the grid's own cell-center array skips the lookup.
+    rates.  The grid's own cell-center array gets the per-cell rate
+    arrays, and uniform rates are used as scalars at any positions (the
+    products have the same bits); only spatially varying rates at other
+    positions are resolved by locating those positions on the grid.
     """
     validate_params(params)
     grid = params.grid
@@ -195,10 +197,10 @@ def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
             u = u[:, None]
         if x is grid.cell_centers and u.shape[1] == grid.ncells:
             si, sb, sh = sigma_i, sigma_b, phi
-        elif x is None:
-            if not uniform_rates:
-                raise ValueError("spatially varying rates need query positions")
+        elif uniform_rates:
             si, sb, sh = sigma_i[0], sigma_b[0], phi[0]
+        elif x is None:
+            raise ValueError("spatially varying rates need query positions")
         else:
             cells = grid.locate(x)
             si, sb, sh = sigma_i[cells], sigma_b[cells], phi[cells]
@@ -296,9 +298,8 @@ def s_infinity(traj, params: EpiParams, fit_fraction: float = 0.5) -> SInfinityE
 
 @dataclass
 class EpiReport:
-    """Series and flags summarizing one scenario run."""
+    """Series and flags of one scenario run; the snapshot times stay on the trajectory."""
 
-    times: np.ndarray                 # snapshot times
     conservation_times: np.ndarray
     conservation_residual: np.ndarray
     l1_series: dict                   # species name -> dense L1 series (step grid)
@@ -307,7 +308,6 @@ class EpiReport:
     s_inf: SInfinityEstimate
     final_fractions: dict             # species name -> final L1 / max L1
     decayed: dict                     # species name -> final fraction <= threshold
-    threshold: float
 
 
 def decay_report(traj, params: EpiParams, p_values=(2.0,),
@@ -329,7 +329,6 @@ def decay_report(traj, params: EpiParams, p_values=(2.0,),
     fractions = np.divide(masses[-1, 1:], peaks, out=np.zeros(peaks.size), where=peaks > 0)
     final_fractions = dict(zip(SPECIES[1:], fractions.tolist()))
     return EpiReport(
-        times=traj.times.copy(),
         conservation_times=ct,
         conservation_residual=cres,
         l1_series=dict(zip(SPECIES, masses.T.copy())),
@@ -338,5 +337,4 @@ def decay_report(traj, params: EpiParams, p_values=(2.0,),
         s_inf=s_infinity(traj, params),
         final_fractions=final_fractions,
         decayed={name: frac <= threshold for name, frac in final_fractions.items()},
-        threshold=threshold,
     )

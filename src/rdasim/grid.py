@@ -35,7 +35,6 @@ import numpy as np
 
 __all__ = [
     "StructuredGrid",
-    "ScalarField",
     "CoefficientField",
     "Dirichlet",
     "Robin",
@@ -72,9 +71,6 @@ class StructuredGrid:
         self.axis_centers = tuple(
             self.origin[a] + np.cumsum(widths[a]) - widths[a] / 2.0 for a in range(self.dim)
         )
-        self.extents = tuple(
-            (self.origin[a], self.origin[a] + float(np.sum(widths[a]))) for a in range(self.dim)
-        )
         mesh = np.meshgrid(*self.axis_centers, indexing="ij")
         self.cell_centers = np.stack([m.ravel() for m in mesh])  # (dim, ncells)
         wmesh = np.meshgrid(*widths, indexing="ij")
@@ -97,9 +93,6 @@ class StructuredGrid:
                 raise ValueError(f"bad axis specification ({lo}, {hi}) with {n} cells")
             widths.append(np.full(n, (hi - lo) / n))
         return cls(widths, origin=[e[0] for e in extents])
-
-    def flat_index(self, *ij: int) -> int:
-        return int(np.ravel_multi_index(ij, self.shape))
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Flat cell indices containing each column of `points` (dim, N)."""
@@ -125,21 +118,6 @@ class StructuredGrid:
 
     def is_uniform(self) -> bool:
         return all(np.allclose(w, w[0]) for w in self.widths)
-
-
-@dataclass
-class ScalarField:
-    """Per-cell values bound to a grid."""
-
-    values: np.ndarray
-    grid: StructuredGrid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).ravel()
-        if self.values.size != self.grid.ncells:
-            raise ValueError(
-                f"field has {self.values.size} values for {self.grid.ncells} cells"
-            )
 
 
 class CoefficientField:
@@ -274,9 +252,6 @@ class BoundarySpec:
     def uniform(cls, m: int, dim: int, bc) -> "BoundarySpec":
         return cls(tuple({s: bc for s in _sides(dim)} for _ in range(m)), dim)
 
-    def for_species(self, i: int) -> dict:
-        return self.conditions[i]
-
 
 def face_diffusivity(d_left, d_right, h_left, h_right):
     """Distance-weighted harmonic mean of two adjacent cell diffusivities.
@@ -358,7 +333,7 @@ def _diffusion_terms(coeff: CoefficientField, bc: BoundarySpec, species: int, t:
         d_face = face_diffusivity(d[axis, left], d[axis, right], h_left, h_right)
         trans = d_face * area / ((h_left + h_right) / 2.0)
         faces.append((left, right, trans, -trans))
-    side_bcs = bc.for_species(species)
+    side_bcs = bc.conditions[species]
     wall_terms = []
     for side, (axis, cells, area, h, _) in walls.items():
         condition = side_bcs[side]
@@ -380,7 +355,7 @@ def _advection_terms(coeff: CoefficientField, bc: BoundarySpec, species: int, t:
         b_face = 0.5 * (b[axis, left] + b[axis, right])
         faces.append((left, right, np.maximum(b_face, 0.0) * area,
                       np.minimum(b_face, 0.0) * area))
-    side_bcs = bc.for_species(species)
+    side_bcs = bc.conditions[species]
     wall_terms = [
         (cells, np.maximum(sign * b[axis, cells], 0.0) * area)
         for side, (axis, cells, area, _, sign) in walls.items()
@@ -433,20 +408,20 @@ def assemble_transport(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
 
 
 def discrete_norm(fld, grid: StructuredGrid, p):
-    """(sum |u|^p vol)^(1/p), or the max norm for p = inf, over the last axis.
+    """(sum |u|^p vol)^(1/p), or the max norm for p = np.inf, over the last axis.
 
-    One field (a ScalarField or ncells values) gives a float; a stack of
-    fields of shape (..., ncells), such as a trajectory's snapshots,
-    gives an array of shape (...).
+    One field of ncells values gives a float; a stack of fields of shape
+    (..., ncells), such as a trajectory's snapshots, gives an array of
+    shape (...).
     """
-    values = fld.values if isinstance(fld, ScalarField) else np.asarray(fld, dtype=float)
+    values = np.asarray(fld, dtype=float)
     if values.shape[-1:] != (grid.ncells,):
         raise ValueError(f"fields of shape {values.shape} do not end in {grid.ncells} cells")
-    if p == np.inf or p == "inf":
+    p = float(p)
+    if p < 1:
+        raise ValueError(f"norm order must be >= 1 or inf, got {p}")
+    if p == np.inf:
         norm = np.max(np.abs(values), axis=-1)
     else:
-        p = float(p)
-        if p < 1:
-            raise ValueError(f"norm order must be >= 1 or inf, got {p}")
         norm = np.sum(np.abs(values) ** p * grid.cell_volumes, axis=-1) ** (1.0 / p)
     return float(norm) if values.ndim == 1 else norm

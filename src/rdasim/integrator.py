@@ -328,14 +328,16 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
     switch the old epoch's operators are released, and the next ones are
     assembled at t + eps_round.  The last step of an epoch is capped so
     that it lands on the epoch's end; it straddles the end by rounding at
-    most.  `recorded` says whether the new state is a snapshot: at the
-    configured cadence (every step if none) and at t_end.  The last
-    epoch's operators are released once the generator is exhausted.
+    most.  `recorded` says whether the new state is a snapshot: at t_end,
+    and on every step that passes a point t0 + k * record_dt (every step if
+    record_dt is None).  The passed points are counted by one floor
+    division, so a record_dt below the rounding of t still advances.  The
+    last epoch's operators are released once the generator is exhausted.
     """
     t_end = cfg.t_end
     eps_round = 1e-12 * max(1.0, abs(t_end))
     switches = [s for s in problem.coefficients.switch_times() if state.t < s < t_end]
-    next_record = None if cfg.record_dt is None else state.t + cfg.record_dt
+    t0, passed = state.t, 0.0
     operators = TransportOperators(problem, state.t)
     for epoch, boundary in enumerate(sorted(set(switches + [t_end]))):
         if epoch:
@@ -349,9 +351,10 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
             room = boundary - state.t
             state, report = step(state, cfg, operators, problem.system,
                                  max_dt=None if room >= cfg.dt - eps_round else room)
-            recorded = next_record is None or state.t >= min(next_record, t_end) - eps_round
-            while next_record is not None and next_record <= state.t + eps_round:
-                next_record += cfg.record_dt
+            recorded = cfg.record_dt is None or state.t >= t_end - eps_round
+            if cfg.record_dt is not None:
+                count = (state.t - t0 + eps_round) // cfg.record_dt
+                recorded, passed = recorded or count > passed, count
             yield state, report, recorded
 
 

@@ -399,19 +399,18 @@ def _validate_expr(tree: ast.AST, names: set[str], text: str):
 
 
 def compile_expression(text: str, m: int = 0, allow_state: bool = True,
-                       allow_space: bool = True, allow_time: bool = True) -> Callable:
+                       allow_time: bool = True) -> Callable:
     """Compile a closed-form expression into an evaluator f(x, t, u).
 
     The grammar covers +, -, *, /, powers (^ or **), exp, and two-argument
-    min/max over the species symbols u1..um, the space symbols x, y, and
-    the time symbol t.  Evaluation broadcasts over numpy arrays.  Positions
-    default to zero when the caller passes x = None.
+    min/max over the species symbols u1..um (unless allow_state is false),
+    the space symbols x, y, which are always valid, and the time symbol t
+    (unless allow_time is false).  Evaluation broadcasts over numpy arrays.
+    Positions default to zero when the caller passes x = None.
     """
-    names = set()
+    names = {"x", "y"}
     if allow_state:
         names |= {f"u{i + 1}" for i in range(m)}
-    if allow_space:
-        names |= {"x", "y"}
     if allow_time:
         names |= {"t"}
     try:
@@ -428,14 +427,13 @@ def compile_expression(text: str, m: int = 0, allow_state: bool = True,
             uarr = np.asarray(u, dtype=float)
             for i in range(m):
                 env[f"u{i + 1}"] = uarr[i]
-        if allow_space:
-            if x is None:
-                env["x"] = 0.0
-                env["y"] = 0.0
-            else:
-                xarr = np.atleast_2d(np.asarray(x, dtype=float))
-                env["x"] = xarr[0]
-                env["y"] = xarr[1] if xarr.shape[0] > 1 else 0.0
+        if x is None:
+            env["x"] = 0.0
+            env["y"] = 0.0
+        else:
+            xarr = np.atleast_2d(np.asarray(x, dtype=float))
+            env["x"] = xarr[0]
+            env["y"] = xarr[1] if xarr.shape[0] > 1 else 0.0
         if allow_time:
             env["t"] = t
         return eval(code, {"__builtins__": {}}, env)

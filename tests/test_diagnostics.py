@@ -72,6 +72,37 @@ class TestTrajectory:
             snapshot_trajectory(grid, [0.0, 1.0], [np.zeros((1, 3))] * 2)
 
 
+class TestSnapshotOnlyFallback:
+    """A reloaded trajectory carries no step arrays: the mass and sup-norm
+    diagnostics use the masses and sup-norms of its snapshots."""
+
+    grid = StructuredGrid([np.array([0.25, 0.5, 0.25])])
+    times = np.linspace(0.0, 4.0, 9)
+    states = np.random.default_rng(9).uniform(0.0, 2.0, size=(9, 2, 3))
+
+    def test_mass_budget(self):
+        system = system_from_expressions(["0*u1", "0*u2"], mass_weights=[1.0, 2.0],
+                                         mass_constants=(0.5, 0.25))
+        traj = snapshot_trajectory(self.grid, self.times, self.states)
+        times, residual = mass_budget(traj, system)
+        masses = np.array([[field @ self.grid.cell_volumes for field in snap]
+                           for snap in self.states])
+        weighted = masses @ [1.0, 2.0]
+        integrand = 0.5 * masses.sum(axis=1) + 0.25 * self.grid.domain_volume
+        accum = [np.trapezoid(integrand[:k + 1], self.times[:k + 1]) for k in range(9)]
+        assert np.array_equal(times, self.times)
+        assert np.allclose(residual, weighted - weighted[0] - accum, rtol=0, atol=1e-13)
+
+    def test_windowed_sup(self):
+        traj = snapshot_trajectory(self.grid, self.times, self.states)
+        result = windowed_sup(traj, window=2.0)
+        sups = self.states.max(axis=2)
+        expected = [sups[(self.times > tau) & (self.times <= tau + 2.0)].max(axis=0)
+                    for tau in (0.0, 1.0, 2.0)]
+        assert np.array_equal(result["anchors"], [0.0, 1.0, 2.0])
+        assert np.array_equal(result["values"], np.transpose(expected))
+
+
 class TestNormSeries:
     def test_constant_state_constant_series(self):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [8])

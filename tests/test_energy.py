@@ -13,7 +13,6 @@ import pytest
 import scipy.linalg
 
 from rdasim.energy import (
-    BlockMatrix,
     EnergySpec,
     IndexBudgetError,
     MultiIndex,
@@ -341,7 +340,7 @@ class TestCouplingMatrixAndEigen:
         d = np.array([[2.0, 0.3], [0.1, 1.5]])
         block = assemble_coupling_matrix([d], WeightVector((1.7,)))
         sym = (d + d.T) / 2
-        assert np.allclose(block.matrix, 1.7**2 * sym)
+        assert np.allclose(block, 1.7**2 * sym)
         assert min_eigenvalue(block) > 0
 
     @pytest.mark.parametrize("t", [0.5, 0.99, 1.01, 2.0])
@@ -383,10 +382,6 @@ class TestCouplingMatrixAndEigen:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             min_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_block_matrix_validation(self):
-        with pytest.raises(ValueError):
-            BlockMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), 2, 1)
 
 
 class TestSelectWeights:

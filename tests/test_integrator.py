@@ -1,6 +1,9 @@
 """Stepping, transport solves, conservation, convergence, checkpoints."""
 
 import dis
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -494,6 +497,26 @@ class TestRun:
         traj = run(state, SolverConfig(dt=0.01, t_end=1.0, record_dt=0.3), problem)
         assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-9)
 
+    def test_record_dt_below_rounding_returns_and_records_every_step(self):
+        # 1e-20 is below half an ulp of t, so a next snapshot time advanced
+        # by adding record_dt would never pass t; a subprocess with a
+        # timeout turns such a hang into a failure
+        script = "\n".join([
+            "import numpy as np",
+            "from rdasim import *",
+            "grid = StructuredGrid.uniform([(0.0, 1.0)], [8])",
+            "problem = Problem(grid, builtin_linear_decay(1), CoefficientField.constant(grid, [0.1]),",
+            "                  BoundarySpec.uniform(1, 1, NoFluxWithDrift()))",
+            "state = SimState(0.0, np.ones((1, 8)), TruncationParam(1.0))",
+            "traj = run(state, SolverConfig(dt=0.01, t_end=0.05, record_dt=1e-20), problem)",
+            "print(np.array_equal(traj.times, traj.step_times))",
+        ])
+        src = str(Path(integrator.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["True"]
+
     @pytest.mark.parametrize("record_dt", [-0.05, 0.0])
     def test_non_positive_record_dt_rejected(self, record_dt):
         # the next snapshot time would never pass t, so the run would not end
@@ -694,6 +717,17 @@ class TestEpsilonLadder:
             traj = run(member, cfg, problem)
             assert traj.times.tobytes() == times.tobytes()
             assert traj.states.tobytes() == member_states.tobytes()
+
+    def test_uniform_rate_epidemic_ladder_never_locates(self, monkeypatch):
+        # the batch evaluates at the cell centres repeated per member;
+        # uniform rates need no cell lookup for them
+        problem, members, cfg = shipped_ladder("epidemic", 1.0)
+        calls = []
+        locate = StructuredGrid.locate
+        monkeypatch.setattr(StructuredGrid, "locate",
+                            lambda grid, points: calls.append(1) or locate(grid, points))
+        epsilon_refinement_study(problem, members[0].fields, [m.eps for m in members], cfg)
+        assert calls == []
 
     def test_2d_ladder_across_a_switch_equals_member_runs(self, monkeypatch):
         # diffusion and drift switch at t = 0.5: the batch reassembles and
