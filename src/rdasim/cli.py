@@ -303,7 +303,7 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
         for k, t in enumerate(traj.times):
             fields = {names[i]: traj.states[k][i] for i in range(system.m)}
             write_vtk_structured_points(out_dir / "vtk" / f"snapshot_{k:06d}.vtk",
-                                        grid, fields, title=f"t={t!r}")
+                                        grid, fields, title=f"t={float(t)!r}")
 
     write_json(out_dir / "summary.json", summary)
     return EXIT_OK

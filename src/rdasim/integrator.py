@@ -331,8 +331,9 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
     most.  `recorded` says whether the new state is a snapshot: at t_end,
     and on every step that passes a point t0 + k * record_dt (every step if
     record_dt is None).  The passed points are counted by one floor
-    division, so a record_dt below the rounding of t still advances.  The
-    last epoch's operators are released once the generator is exhausted.
+    division, so a record_dt below the rounding of t still advances, and
+    one so small that the count overflows records every step.  The last
+    epoch's operators are released once the generator is exhausted.
     """
     t_end = cfg.t_end
     eps_round = 1e-12 * max(1.0, abs(t_end))
@@ -354,7 +355,8 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
             recorded = cfg.record_dt is None or state.t >= t_end - eps_round
             if cfg.record_dt is not None:
                 count = (state.t - t0 + eps_round) // cfg.record_dt
-                recorded, passed = recorded or count > passed, count
+                # a count that overflows to inf passes a point on every step
+                recorded, passed = recorded or count > passed or math.isinf(count), count
             yield state, report, recorded
 
 

@@ -1,9 +1,10 @@
 """Deterministic writers: CSV series, JSON summaries, legacy-VTK snapshots.
 
-Every file carries the config hash and the seed for provenance.  Floats
-are written with shortest round-trip repr, so reruns with the same seed
-produce byte-identical files.  CSV files double as gnuplot column input
-(comment lines start with '#').
+Every file carries the config hash and the seed for provenance.  CSV and
+JSON floats are written with shortest round-trip repr, and VTK data as
+exact big-endian float64, so reruns with the same seed produce
+byte-identical files.  CSV files double as gnuplot column input (comment
+lines start with '#').
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ def write_energy_csv(path, trace, meta=None) -> None:
 
 
 def write_vtk_structured_points(path, grid, fields: dict, title: str = "rdasim fields") -> None:
-    """Legacy-ASCII VTK structured-points snapshot of cell-centered fields.
+    """Legacy-VTK 3.0 BINARY structured-points snapshot of cell-centered fields.
 
     Fields are emitted as point data at the cell centers, which requires a
-    uniform grid.
+    uniform grid.  Each field's values follow its two text lines as one
+    big-endian float64 block and a newline; the values are stored exactly.
     """
     if not grid.is_uniform():
         raise ValueError("VTK structured-points output requires a uniform grid")
@@ -141,18 +143,18 @@ def write_vtk_structured_points(path, grid, fields: dict, title: str = "rdasim f
     lines = [
         "# vtk DataFile Version 3.0",
         title,
-        "ASCII",
+        "BINARY",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {nx} {ny} 1",
         f"ORIGIN {fmt(ox)} {fmt(oy)} 0.0",
         f"SPACING {fmt(hx)} {fmt(hy)} 1.0",
         f"POINT_DATA {nx * ny}",
     ]
-    for name, values in fields.items():
-        values = np.asarray(values, dtype=float)
-        # VTK iterates x fastest; the flat cell order has the last axis fastest
-        ordered = values if grid.dim == 1 else values.reshape(nx, ny).T.ravel()
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(map(repr, ordered.tolist()))
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
+        for name, values in fields.items():
+            values = np.asarray(values, dtype=float)
+            # VTK iterates x fastest; the flat cell order has the last axis fastest
+            ordered = values if grid.dim == 1 else values.reshape(nx, ny).T.ravel()
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode())
+            fh.write(np.ascontiguousarray(ordered, dtype=">f8").tobytes() + b"\n")

@@ -33,6 +33,25 @@ def reversible_out(tmp_path_factory):
     return out
 
 
+def read_vtk(path):
+    """Text lines and decoded big-endian float64 fields of a binary VTK snapshot."""
+    raw, pos, npoints = path.read_bytes(), 0, 0
+    lines, fields = [], {}
+    while pos < len(raw):
+        end = raw.index(b"\n", pos)
+        line, pos = raw[pos:end].decode(), end + 1
+        lines.append(line)
+        if line.startswith("POINT_DATA "):
+            npoints = int(line.split()[1])
+        elif line == "LOOKUP_TABLE default":
+            name = lines[-2].split()[1]
+            fields[name] = np.frombuffer(raw, ">f8", count=npoints, offset=pos)
+            pos += 8 * npoints
+            assert raw[pos:pos + 1] == b"\n"
+            pos += 1
+    return lines, fields
+
+
 def heat_config(out_dir, cells=32, t_end=0.05):
     return {
         "grid": {"cells": [cells], "extents": [[0.0, 1.0]]},
@@ -291,20 +310,32 @@ class TestRunCommand:
         assert report["conservation_max_abs"] < 1e-6
 
     def test_vtk_snapshots(self, tmp_path):
+        # 2D and not square, so the x-fastest point order differs from the
+        # cell order and from its transpose
         out = tmp_path / "out"
-        cfg = heat_config(out, cells=8, t_end=0.01)
+        cfg = heat_config(out, t_end=0.01)
+        cfg["grid"] = {"cells": [4, 3], "extents": [[0.0, 1.0], [0.0, 1.0]]}
+        cfg["system"]["initial"] = ["exp(0 - 50*(x - 0.5)^2) * (1 + y)"]
         cfg["output"]["vtk"] = True
         cfg["solver"]["record_dt"] = 0.005
         path = write_config(tmp_path, cfg)
         assert main(["run", "--config", str(path), "--quiet"]) == 0
         vtks = sorted((out / "vtk").glob("*.vtk"))
-        assert vtks
-        text = vtks[0].read_text().splitlines()
-        assert text[0].startswith("# vtk DataFile")
-        assert "DATASET STRUCTURED_POINTS" in text
-        assert "DIMENSIONS 8 1 1" in text
-        values = text[text.index("LOOKUP_TABLE default") + 1:]
-        assert len(values) == 8
+        from rdasim.cli import load_trajectory
+        traj, index = load_trajectory(out / "trajectory")
+        assert len(vtks) == len(index["files"]) == 3
+        # the title is the snapshot time as a plain float
+        assert read_vtk(vtks[0])[0][1] == "t=0.0"
+        for k, vtk in enumerate(vtks):
+            lines, fields = read_vtk(vtk)
+            assert lines[:3] == ["# vtk DataFile Version 3.0", f"t={index['times'][k]!r}",
+                                 "BINARY"]
+            assert "DATASET STRUCTURED_POINTS" in lines
+            assert "DIMENSIONS 4 3 1" in lines
+            assert list(fields) == ["u1"]
+            # back into cell order: the flat cell index is ix * ny + iy
+            cells = fields["u1"].reshape(3, 4).T.astype("<f8")
+            assert cells.tobytes() == traj.states[k][0].astype("<f8").tobytes()
 
     def test_missing_initial_is_config_error(self, tmp_path):
         out = tmp_path / "out"
@@ -573,10 +604,12 @@ class TestVtkOrdering:
         values = np.arange(6, dtype=float)  # flat order: last axis fastest
         path = tmp_path / "snap.vtk"
         write_vtk_structured_points(path, grid, {"f": values})
-        lines = path.read_text().splitlines()
-        data = [float(v) for v in lines[lines.index("LOOKUP_TABLE default") + 1:]]
+        raw = path.read_bytes()
+        start = raw.index(b"LOOKUP_TABLE default\n") + len(b"LOOKUP_TABLE default\n")
+        data = np.frombuffer(raw, ">f8", count=6, offset=start)
+        assert raw[start + data.nbytes:] == b"\n"
         # VTK iterates x fastest: (ix, iy) = (0,0),(1,0),(0,1),(1,1),(0,2),(1,2)
-        assert data == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
+        assert data.tolist() == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
 
 
 def scipy_modules_after(*argvs):

@@ -517,6 +517,14 @@ class TestRun:
                               capture_output=True, text=True, timeout=60, check=True)
         assert done.stdout.split() == ["True"]
 
+    def test_record_dt_overflowing_the_count_records_every_step(self):
+        # 0.01 / 5e-324 overflows to inf, so the passed-point count cannot grow
+        problem = make_problem(builtin_linear_decay(1), n=8, diffusion=0.1)
+        state = SimState(0.0, np.ones((1, 8)), TruncationParam(1.0))
+        traj = run(state, SolverConfig(dt=0.01, t_end=0.05, record_dt=5e-324), problem)
+        assert traj.step_times.size == 6
+        assert np.array_equal(traj.times, traj.step_times)
+
     @pytest.mark.parametrize("record_dt", [-0.05, 0.0])
     def test_non_positive_record_dt_rejected(self, record_dt):
         # the next snapshot time would never pass t, so the run would not end

@@ -1,5 +1,6 @@
 """Writers: byte identity with a row-by-row reference formatting."""
 
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,6 +44,7 @@ def reference_csv(header, rows, meta):
 
 
 def reference_vtk(grid, fields, title):
+    """Header text, then per field its two lines and one packed big-endian block."""
     nx = grid.shape[0]
     ny = grid.shape[1] if grid.dim == 2 else 1
     hx = float(grid.widths[0][0])
@@ -52,19 +54,20 @@ def reference_vtk(grid, fields, title):
     lines = [
         "# vtk DataFile Version 3.0",
         title,
-        "ASCII",
+        "BINARY",
         "DATASET STRUCTURED_POINTS",
         f"DIMENSIONS {nx} {ny} 1",
         f"ORIGIN {fmt(ox)} {fmt(oy)} 0.0",
         f"SPACING {fmt(hx)} {fmt(hy)} 1.0",
         f"POINT_DATA {nx * ny}",
     ]
+    blob = ("\n".join(lines) + "\n").encode()
     for name, vals in fields.items():
-        ordered = vals if grid.dim == 1 else vals.reshape(nx, ny).T.ravel()
-        lines.append(f"SCALARS {name} double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(fmt(v) for v in ordered)
-    return "\n".join(lines) + "\n"
+        # VTK iterates x fastest: point (ix, iy) is cell ix * ny + iy
+        ordered = [vals[ix * ny + iy] for iy in range(ny) for ix in range(nx)]
+        blob += f"SCALARS {name} double 1\nLOOKUP_TABLE default\n".encode()
+        blob += struct.pack(f">{len(ordered)}d", *ordered) + b"\n"
+    return blob
 
 
 @st.composite
@@ -141,4 +144,4 @@ def test_write_vtk_matches_reference(tmp_path_factory, data, nx, ny, dim):
               "b": data.draw(float_arrays(grid.ncells))}
     path = tmp_path_factory.mktemp("vtk") / "snap.vtk"
     write_vtk_structured_points(path, grid, fields, title="t=0.5")
-    assert path.read_bytes() == reference_vtk(grid, fields, "t=0.5").encode()
+    assert path.read_bytes() == reference_vtk(grid, fields, "t=0.5")
