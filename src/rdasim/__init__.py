@@ -26,8 +26,7 @@ from .grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
-    assemble_advection,
-    assemble_diffusion,
+    assemble_transport,
     discrete_norm,
     face_diffusivity,
 )

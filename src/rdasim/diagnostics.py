@@ -34,7 +34,6 @@ __all__ = [
     "energy_trace",
     "windowed_sup",
     "mass_budget",
-    "apriori_hypothesis_monitor",
     "no_growth",
 ]
 
@@ -234,29 +233,3 @@ def mass_budget(traj: Trajectory, system) -> tuple[np.ndarray, np.ndarray]:
     accum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]))])
     residual = weighted - weighted[0] - accum
     return times.copy(), residual
-
-
-def apriori_hypothesis_monitor(traj: Trajectory, mode: str, exponent: float) -> dict:
-    """Monitor one of the two a-priori norm hypotheses over the trajectory.
-
-    mode "La": per-species sup over time of the spatial L^a norm; the
-    admissible intermediate order then extends to r < 1 + 2a/n.
-    mode "Lb": per-species space-time L^b norm; the threshold becomes
-    r < 1 + 2b/(n + 2).  The report carries the computed norms and the
-    threshold; it asserts nothing.
-    """
-    n = traj.grid.dim
-    a = float(exponent)
-    if a < 1:
-        raise ValueError(f"exponent must be >= 1, got {a}")
-    if mode == "La":
-        norms = discrete_norm(traj.states, traj.grid, a).max(axis=0)
-        threshold = 1.0 + 2.0 * a / n
-    elif mode == "Lb":
-        powers = discrete_norm(traj.states, traj.grid, a) ** a  # (ntimes, m)
-        norms = np.trapezoid(powers, traj.times, axis=0) ** (1.0 / a)
-        threshold = 1.0 + 2.0 * a / (n + 2)
-    else:
-        raise ValueError(f"mode must be 'La' or 'Lb', got {mode!r}")
-    return {"mode": mode, "exponent": a, "norms": norms,
-            "admissible_order_threshold": float(threshold)}

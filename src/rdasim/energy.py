@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .reactions import SampleReport, _sweep
+from .reactions import STATE_TOL, SampleReport, _sweep
 from .sampling import orthant_samples, plateau
 
 __all__ = [
@@ -268,12 +268,15 @@ def energy_density(u, spec: EnergySpec):
     """Evaluate the weighted multinomial density at u >= 0.
 
     Accepts a single state of shape (m,) or a batch of shape (m, N);
-    returns a scalar or an (N,) array accordingly.  Terms whose weight
-    power exceeds float range are accumulated in log space.
+    returns a scalar or an (N,) array accordingly.  Values down to
+    -STATE_TOL, the rounding the stepper accepts, count as 0.  Terms whose
+    weight power exceeds float range are accumulated in log space.
     """
     batch, single = _as_batch(u, spec.m)
-    if np.any(batch < 0):
-        raise ValueError("energy density requires non-negative species values")
+    if np.any(batch < -STATE_TOL):
+        raise ValueError(f"energy density requires non-negative species values "
+                         f"(down to -{STATE_TOL})")
+    batch = np.where(batch < 0, 0.0, batch)
     idx, coefs, wpow, log_wpow, big, _ = spec._level(spec.p)
     if not big.any():
         upow = _state_powers(batch, idx)

@@ -302,7 +302,6 @@ class EpiReport:
 
     conservation_times: np.ndarray
     conservation_residual: np.ndarray
-    l1_series: dict                   # species name -> dense L1 series (step grid)
     lp_series: dict                   # (species name, p) -> snapshot series
     s_fluctuation: np.ndarray         # ||s - mean(s)||_L2 snapshots
     s_inf: SInfinityEstimate
@@ -314,9 +313,9 @@ def decay_report(traj, params: EpiParams, p_values=(2.0,),
                  threshold: float = 0.01) -> EpiReport:
     """Decay diagnostics for the infected, recovered and pathogen compartments.
 
-    L1 series come from the dense step masses (the fields are
-    non-negative); the additional L^p norms and the susceptible
-    fluctuation around its volume average use the snapshots.
+    The final fractions come from the dense step masses (the fields are
+    non-negative); the L^p norms and the susceptible fluctuation around
+    its volume average use the snapshots.
     """
     grid = traj.grid
     _, masses = traj._dense_series()
@@ -331,7 +330,6 @@ def decay_report(traj, params: EpiParams, p_values=(2.0,),
     return EpiReport(
         conservation_times=ct,
         conservation_residual=cres,
-        l1_series=dict(zip(SPECIES, masses.T.copy())),
         lp_series=lp,
         s_fluctuation=s_fluct,
         s_inf=s_infinity(traj, params),

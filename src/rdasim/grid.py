@@ -8,21 +8,19 @@ conditions: homogeneous Dirichlet (ghost mirror value 0), Robin
 (diffusive flux proportional to the trace), and total-flux-zero walls
 that also cancel the advective face term.
 
-Both operators come from one face walk in any dimension: `_face_table`
-slices the flat-index array and the width meshes along each axis into
-the interior faces and the wall faces of each side.  Diffusion and
-advection each turn it into per-face flux coefficients (a, b) -- the
-flux a*u_left + b*u_right leaves the left cell and enters the right
-one -- plus diagonal wall terms, and `_flux_operator` builds the sparse
-matrix from them.  `assemble_transport` sums the two sets of terms
-first, so the combined operator is one sparse build.
+`assemble_transport` builds every species' diffusion plus advection
+operator from one face walk in any dimension: `_face_table` slices the
+flat-index array and the width meshes along each axis into the interior
+faces and the wall faces of each side.  Each face's diffusion and upwind
+coefficients are summed into one flux pair, and the wall terms are
+added to the diagonal; all species go into one block-diagonal sparse
+matrix in one COO-to-CSR pass.
 
 Operators act pointwise (rows are divided by cell volume), so on uniform
 grids the pure-diffusion operator is symmetric; on non-uniform grids it
-is volume-similar to a symmetric matrix.  Assembled operators are
-scipy.sparse CSR matrices.  `_flux_operator` builds every one of them
-and is the only place that imports scipy: `check` and `energy-report`
-never assemble an operator, so they never pay scipy's import time.
+is volume-similar to a symmetric matrix.  Only `assemble_transport`
+imports scipy here: `check` and `energy-report` never assemble an
+operator, so they never pay scipy's import time.
 """
 
 from __future__ import annotations
@@ -41,8 +39,7 @@ __all__ = [
     "NoFluxWithDrift",
     "BoundarySpec",
     "face_diffusivity",
-    "assemble_diffusion",
-    "assemble_advection",
+    "assemble_transport",
     "discrete_norm",
 ]
 
@@ -298,113 +295,72 @@ def _face_table(grid: StructuredGrid):
     return interior, walls
 
 
-def _flux_operator(grid: StructuredGrid, faces, walls) -> sp.csr_matrix:
-    """CSR operator from per-face flux coefficients and diagonal wall terms.
+def assemble_transport(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
+                       t: float = 0.0):
+    """Block-diagonal transport operator of every species, as one CSR matrix.
 
-    faces: one (left, right, a, b) per axis; the flux a*u_left + b*u_right
-    leaves the left cell and enters the right one.  walls: (cells, w)
-    pairs added to the diagonal.  Every row is divided by its cell volume.
+    Block i, rows and columns i * ncells to (i + 1) * ncells, is species
+    i's negative diffusion divergence plus its upwind drift divergence.
+    Interior faces use distance-weighted harmonic means of the adjacent
+    per-cell diffusivities, so 1D piecewise-constant interface problems are
+    reproduced exactly at cell centers, and the average of the two cell
+    drifts, transported from the upwind cell.  Dirichlet walls eliminate
+    the ghost cell via a mirror value of zero and Robin walls add
+    alpha * area / volume to the diagonal; both admit outflow against a
+    zero exterior state.  Total-flux-zero walls drop both face terms, so
+    the volume-weighted column sums vanish (discrete conservation).  Each
+    block is a weakly diagonally dominant M-matrix.
+
+    Each face's diffusion and upwind coefficients are summed into one flux
+    a*u_left + b*u_right, which leaves the left cell and enters the right
+    one.  Species by species, the entries fill preallocated COO arrays:
+    per axis the left-left, left-right, right-left and right-right
+    couplings of every face, then the diffusion and then the advection
+    wall terms of each side.  One COO-to-CSR conversion sums them.
     """
     import scipy.sparse as sp
 
-    vol = grid.cell_volumes
-    rows, cols, vals = [], [], []
-    for left, right, a, b in faces:
-        rows += [left, left, right, right]
-        cols += [left, right, left, right]
-        vals += [a / vol[left], b / vol[left], -a / vol[right], -b / vol[right]]
-    for cells, w in walls:
-        rows.append(cells)
-        cols.append(cells)
-        vals.append(w / vol[cells])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(grid.ncells, grid.ncells)).tocsr()
+    diff, drift = coeff.at_time(t)
+    interior, walls = _face_table(grid)
+    m, n, vol = coeff.m, grid.ncells, grid.cell_volumes
+    per_species = (4 * sum(faces[0].size for faces in interior)
+                   + 2 * sum(wall[1].size for wall in walls.values()))
+    rows = np.empty(m * per_species, dtype=np.int32)
+    cols = np.empty_like(rows)
+    vals = np.empty(rows.size)
+    k = 0
 
+    def put(row, col, values):
+        nonlocal k
+        end = k + row.size
+        rows[k:end], cols[k:end], vals[k:end] = row, col, values
+        k = end
 
-def _diffusion_terms(coeff: CoefficientField, bc: BoundarySpec, species: int, t: float,
-                     interior, walls):
-    """Per-face (left, right, a, b) diffusion flux pairs and diagonal wall terms."""
-    diff, _ = coeff.at_time(t)
-    d = diff[species]  # (dim, ncells)
-    faces = []
-    for axis, (left, right, area, h_left, h_right) in enumerate(interior):
-        d_face = face_diffusivity(d[axis, left], d[axis, right], h_left, h_right)
-        trans = d_face * area / ((h_left + h_right) / 2.0)
-        faces.append((left, right, trans, -trans))
-    side_bcs = bc.conditions[species]
-    wall_terms = []
-    for side, (axis, cells, area, h, _) in walls.items():
-        condition = side_bcs[side]
-        if isinstance(condition, Dirichlet):
-            wall_terms.append((cells, 2.0 * d[axis, cells] * area / h))
-        elif isinstance(condition, Robin):
-            wall_terms.append((cells, condition.alpha * area))
-        # total-flux-zero: no face contribution
-    return faces, wall_terms
-
-
-def _advection_terms(coeff: CoefficientField, bc: BoundarySpec, species: int, t: float,
-                     interior, walls):
-    """Per-face (left, right, a, b) upwind flux pairs and diagonal wall terms."""
-    _, drift = coeff.at_time(t)
-    b = drift[species]  # (dim, ncells)
-    faces = []
-    for axis, (left, right, area, _, _) in enumerate(interior):
-        b_face = 0.5 * (b[axis, left] + b[axis, right])
-        faces.append((left, right, np.maximum(b_face, 0.0) * area,
-                      np.minimum(b_face, 0.0) * area))
-    side_bcs = bc.conditions[species]
-    wall_terms = [
-        (cells, np.maximum(sign * b[axis, cells], 0.0) * area)
-        for side, (axis, cells, area, _, sign) in walls.items()
-        if not isinstance(side_bcs[side], NoFluxWithDrift)
-    ]
-    return faces, wall_terms
-
-
-def assemble_diffusion(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
-                       species: int, t: float = 0.0) -> sp.csr_matrix:
-    """Two-point-flux operator for the negative diffusion divergence.
-
-    Interior faces use distance-weighted harmonic means of the adjacent
-    per-cell diffusivities, so 1D piecewise-constant interface problems are
-    reproduced exactly at cell centers.  Dirichlet walls eliminate the
-    ghost cell via a mirror value of zero, Robin walls add
-    alpha * area / volume to the diagonal, total-flux-zero walls drop the
-    face term.  The result is a weakly diagonally dominant M-matrix.
-    """
-    return _flux_operator(grid, *_diffusion_terms(coeff, bc, species, t, *_face_table(grid)))
-
-
-def assemble_advection(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
-                       species: int, t: float = 0.0) -> sp.csr_matrix:
-    """First-order upwind operator for the drift divergence.
-
-    Face drift is the average of the two adjacent cell values; the upwind
-    cell supplies the transported value.  Dirichlet and Robin walls admit
-    outflow against a zero exterior state; total-flux-zero walls cancel
-    the advective face term entirely, which makes the volume-weighted
-    column sums vanish (discrete conservation).
-    """
-    return _flux_operator(grid, *_advection_terms(coeff, bc, species, t, *_face_table(grid)))
-
-
-def assemble_transport(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
-                       species: int, t: float = 0.0) -> sp.csr_matrix:
-    """The diffusion plus the advection operator, assembled once.
-
-    Each face's diffusion and upwind flux pairs are summed, and both sets
-    of wall terms kept, before one sparse build; the result equals
-    assemble_diffusion + assemble_advection up to the rounding of those sums.
-    """
-    table = _face_table(grid)
-    d_faces, d_walls = _diffusion_terms(coeff, bc, species, t, *table)
-    a_faces, a_walls = _advection_terms(coeff, bc, species, t, *table)
-    faces = [(left, right, a + a_adv, b + b_adv)
-             for (left, right, a, b), (_, _, a_adv, b_adv) in zip(d_faces, a_faces)]
-    return _flux_operator(grid, faces, d_walls + a_walls)
+    for i, (d, b) in enumerate(zip(diff, drift)):
+        start = k
+        for axis, (left, right, area, h_left, h_right) in enumerate(interior):
+            d_face = face_diffusivity(d[axis, left], d[axis, right], h_left, h_right)
+            trans = d_face * area / ((h_left + h_right) / 2.0)
+            b_face = 0.5 * (b[axis, left] + b[axis, right])
+            a_left = trans + np.maximum(b_face, 0.0) * area
+            a_right = -trans + np.minimum(b_face, 0.0) * area
+            put(left, left, a_left / vol[left])
+            put(left, right, a_right / vol[left])
+            put(right, left, -a_left / vol[right])
+            put(right, right, -a_right / vol[right])
+        side_bcs = bc.conditions[i]
+        open_walls = [(wall, side_bcs[side]) for side, wall in walls.items()
+                      if not isinstance(side_bcs[side], NoFluxWithDrift)]
+        for (axis, cells, area, h, _), condition in open_walls:
+            if isinstance(condition, Dirichlet):
+                put(cells, cells, 2.0 * d[axis, cells] * area / h / vol[cells])
+            else:
+                put(cells, cells, condition.alpha * area / vol[cells])
+        for (axis, cells, area, _, sign), _ in open_walls:
+            put(cells, cells, np.maximum(sign * b[axis, cells], 0.0) * area / vol[cells])
+        rows[start:k] += i * n
+        cols[start:k] += i * n
+    return sp.coo_matrix((vals[:k], (rows[:k], cols[:k])), shape=(m * n, m * n)).tocsr()
 
 
 def discrete_norm(fld, grid: StructuredGrid, p):

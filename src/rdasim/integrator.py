@@ -11,8 +11,9 @@ If any cell of the solution dips below the positivity tolerance the step
 is retried with a halved dt; states are never clamped, and every solve is
 direct, so the discrete mass budget is exact up to rounding.
 
-The block-diagonal species system I/dt + A is factorized once per dt for
-each coefficient epoch, whose last step takes the full dt when the
+All species' transport operators form one block-diagonal matrix A,
+assembled once per coefficient epoch.  The system I/dt + A is factorized
+once per dt in each epoch, whose last step takes the full dt when the
 remainder is within rounding of it.  On 1D grids the two-point flux makes
 each species' system tridiagonal, so the block-diagonal stack of them is
 one tridiagonal matrix: LAPACK's tridiagonal LU (dgttrf) factorizes it,
@@ -33,8 +34,8 @@ one `step` call in the epoch loop `run` uses (`_march`).  If any member
 would halve dt, or its reaction is not finite, the ladder falls back to
 one `run` per member, so its numbers always equal those of solo runs.
 
-scipy is imported where a scipy object is built -- the shifted system and
-its LU factors -- and not in `_march`, `step`, `TransportOperators.solve`
+scipy is imported where a scipy object is built -- the assembled operator
+and the LU factors -- and not in `_march`, `step`, `TransportOperators.solve`
 or `TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
 never build an operator, so they never pay scipy's import time, and a 1D
 run never loads scipy.sparse.linalg.
@@ -57,7 +58,7 @@ from .grid import (
     StructuredGrid,
     assemble_transport,
 )
-from .reactions import ReactionSystem, TruncationParam, truncate
+from .reactions import STATE_TOL, ReactionSystem, TruncationParam, truncate
 
 __all__ = [
     "SimState",
@@ -75,8 +76,6 @@ __all__ = [
     "dump_state",
     "load_state",
 ]
-
-_STATE_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -113,8 +112,8 @@ class SimState:
         if self.fields.ndim != 2:
             raise ValueError(f"fields must be (m, ncells), got shape {self.fields.shape}")
         low = float(self.fields.min(initial=0.0))
-        if low < -_STATE_TOL:
-            raise PositivityError(f"state has component {low} below -{_STATE_TOL}")
+        if low < -STATE_TOL:
+            raise PositivityError(f"state has component {low} below -{STATE_TOL}")
 
     @property
     def m(self) -> int:
@@ -202,10 +201,10 @@ class TridiagonalLU:
 
 
 class TransportOperators:
-    """Assembled per-species transport operators for one coefficient epoch.
+    """The assembled transport operator of every species for one coefficient epoch.
 
-    Each species' diffusion + advection operator is one `assemble_transport`
-    build.  The block-diagonal species system I/dt + A_i is factorized the
+    `matrix` is the block-diagonal operator A of all species, one
+    `assemble_transport` build.  The system I/dt + A is factorized the
     first time a dt is solved and cached per dt value, so every step is a
     direct solve.  In 1D the system is tridiagonal and its factors are a
     TridiagonalLU; in 2D they are SuperLU's.  At 128^2 cells the 2D L + U
@@ -216,18 +215,13 @@ class TransportOperators:
 
     def __init__(self, problem: Problem, t: float):
         self.problem = problem
-        self.matrices = [
-            assemble_transport(problem.grid, problem.coefficients, problem.boundary, i, t)
-            for i in range(problem.system.m)
-        ]
+        self.matrix = assemble_transport(problem.grid, problem.coefficients, problem.boundary, t)
         self._systems: dict[float, object] = {}
 
     def _system(self, dt: float):
         cached = self._systems.get(dt)
         if cached is None:
-            import scipy.sparse as sp
-
-            block = sp.block_diag(self.matrices, format="csc")
+            block = self.matrix.tocsc()
             block.setdiag(block.diagonal() + 1.0 / dt)
             if self.problem.grid.dim == 1:
                 cached = TridiagonalLU(block)
@@ -297,8 +291,8 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
                 f"(min value {low:.3e} at t={state.t:.6g})"
             )
         dt /= 2.0
-    if low < -_STATE_TOL:
-        raise PositivityError(f"state has component {low} below -{_STATE_TOL}")
+    if low < -STATE_TOL:
+        raise PositivityError(f"state has component {low} below -{STATE_TOL}")
     # `low` is the accepted state's minimum, so __post_init__'s checks would repeat it
     new_state = object.__new__(SimState)
     new_state.t, new_state.fields, new_state.eps = state.t + dt, new_fields, state.eps

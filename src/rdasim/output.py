@@ -1,10 +1,11 @@
 """Deterministic writers: CSV series, JSON summaries, legacy-VTK snapshots.
 
-Every file carries the config hash and the seed for provenance.  CSV and
-JSON floats are written with shortest round-trip repr, and VTK data as
-exact big-endian float64, so reruns with the same seed produce
-byte-identical files.  CSV files double as gnuplot column input (comment
-lines start with '#').
+CSV and JSON files carry the config hash and the seed for provenance;
+a VTK snapshot carries neither, only its `t=...` title.  CSV and JSON
+floats are written with shortest round-trip repr, and VTK data as exact
+big-endian float64, so reruns with the same seed produce byte-identical
+files.  CSV files double as gnuplot column input (comment lines start
+with '#').
 """
 
 from __future__ import annotations

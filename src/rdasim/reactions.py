@@ -60,6 +60,9 @@ __all__ = [
 _MAX_STORED_VIOLATIONS = 20
 # residual beyond which a quasi-positivity or mass-control sample violates
 _TOL = 1e-9
+# lowest value a species may take in a state: the rounding that direct
+# transport solves leave below zero, shared by the stepper and the energies
+STATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from rdasim.grid import (
     Dirichlet,
     NoFluxWithDrift,
     StructuredGrid,
-    assemble_diffusion,
+    assemble_transport,
     discrete_norm,
 )
 from rdasim.integrator import (
@@ -214,7 +214,7 @@ def test_criterion_6_interface_exactness():
     d = np.where(grid.cell_centers[0] < 0.5, 1.0, 10.0)
     coeff = CoefficientField(grid, d[None, None, :])
     boundary = BoundarySpec.uniform(1, 1, Dirichlet())
-    a = assemble_diffusion(grid, coeff, boundary, 0).toarray()
+    a = assemble_transport(grid, coeff, boundary).toarray()
     h = 1.0 / n
     rhs = np.zeros(n)
     rhs[0] = 2.0 * d[0] / h**2  # ghost-mirror lift imposing value 1 at x=0

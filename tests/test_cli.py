@@ -499,6 +499,25 @@ class TestEnergyReportCommand:
                 if not l.startswith("#")][1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
+    def test_rounding_below_zero_is_an_energy_state(self, tmp_path):
+        # u1 decays into u2 so fast that the solves leave u1 about -1e-15,
+        # which the stepper accepts: the energies must accept it as well
+        out = tmp_path / "out"
+        cfg = heat_config(out, cells=16, t_end=1.0)
+        cfg["system"] = {"expressions": ["0 - 10*u1", "10*u1"], "mass_weights": [1, 1],
+                         "initial": ["0.3 + x*x*7.77", "1"]}
+        cfg["coefficients"] = {"diffusion": [0.01, 0.01]}
+        cfg["bc"] = {"all": "noflux"}
+        cfg["solver"] = {"dt": 0.1, "t_end": 1, "epsilon": 1e-300}
+        cfg["diagnostics"] = {"energy": [{"p": 2, "weights": [1, 1]}]}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+        assert (out / "summary.json").is_file()
+        rows = [l for l in (out / "series_steps.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert min(float(r.split(",")[-1]) for r in rows) < 0.0
+        assert main(["energy-report", "--config", str(path), "--quiet"]) == 0
+
     def test_missing_trajectory_is_error(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, heat_config(out))

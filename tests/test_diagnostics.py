@@ -5,7 +5,6 @@ import pytest
 
 from rdasim.diagnostics import (
     Trajectory,
-    apriori_hypothesis_monitor,
     energy_trace,
     mass_budget,
     no_growth,
@@ -281,37 +280,6 @@ class TestMassBudget:
         traj, _ = run_problem(source, fields, t_end=1.0, eps=1e-9)
         _, residual = mass_budget(traj, source)
         assert np.max(np.abs(residual)) < 1e-6
-
-
-class TestAprioriMonitor:
-    def test_l1_mode_threshold(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [8])
-        traj = snapshot_trajectory(grid, [0.0, 1.0], [np.ones((1, 8))] * 2)
-        report = apriori_hypothesis_monitor(traj, "La", 1.0)
-        assert report["admissible_order_threshold"] == pytest.approx(1 + 2 / 1)
-        assert report["norms"][0] == pytest.approx(1.0)
-
-    def test_lb_mode_threshold(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [8])
-        traj = snapshot_trajectory(grid, [0.0, 1.0], [np.ones((1, 8))] * 2)
-        report = apriori_hypothesis_monitor(traj, "Lb", 2.0)
-        assert report["admissible_order_threshold"] == pytest.approx(1 + 4 / 3)
-        assert report["norms"][0] == pytest.approx(1.0)
-
-    def test_thresholds_monotone_in_exponent(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [8])
-        traj = snapshot_trajectory(grid, [0.0, 1.0], [np.ones((1, 8))] * 2)
-        thresholds = [
-            apriori_hypothesis_monitor(traj, "La", a)["admissible_order_threshold"]
-            for a in (1, 2, 4, 8)
-        ]
-        assert all(b > a for a, b in zip(thresholds, thresholds[1:]))
-
-    def test_bad_mode(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [8])
-        traj = snapshot_trajectory(grid, [0.0], [np.ones((1, 8))])
-        with pytest.raises(ValueError, match="mode"):
-            apriori_hypothesis_monitor(traj, "Lc", 1.0)
 
 
 class TestNoGrowth:

@@ -12,8 +12,6 @@ from rdasim.grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
-    assemble_advection,
-    assemble_diffusion,
     assemble_transport,
     discrete_norm,
     face_diffusivity,
@@ -32,18 +30,30 @@ def floats_array(draw, size, lo, hi):
 
 
 @st.composite
-def random_problems(draw):
-    """One species on a non-uniform 1D or 2D grid, a wall kind drawn per side."""
-    dim = draw(st.integers(1, 2))
+def random_problems(draw, max_species=1):
+    """1 to max_species species on a non-uniform 1D or 2D grid, a wall kind
+    drawn per species and side."""
+    dim, m = draw(st.integers(1, 2)), draw(st.integers(1, max_species))
     grid = StructuredGrid([floats_array(draw, draw(st.integers(1, 7)), 0.05, 1.0)
                            for _ in range(dim)])
-    diff = floats_array(draw, dim * grid.ncells, 1e-3, 10.0).reshape(1, dim, -1)
-    drift = floats_array(draw, dim * grid.ncells, -2.0, 2.0).reshape(1, dim, -1)
+    diff = floats_array(draw, m * dim * grid.ncells, 1e-3, 10.0).reshape(m, dim, -1)
+    drift = floats_array(draw, m * dim * grid.ncells, -2.0, 2.0).reshape(m, dim, -1)
     walls = st.one_of(st.just(Dirichlet()), st.builds(Robin, st.floats(0.0, 5.0)),
                       st.just(NoFluxWithDrift()))
     sides = ("x_lo", "x_hi", "y_lo", "y_hi")[:2 * dim]
-    boundary = BoundarySpec(({side: draw(walls) for side in sides},), dim)
+    boundary = BoundarySpec(tuple({side: draw(walls) for side in sides} for _ in range(m)), dim)
     return grid, CoefficientField(grid, diff, drift), boundary
+
+
+def diffusion_only(grid, coeff):
+    """The same diffusivities with zero drift: the pure diffusion operator."""
+    return CoefficientField(grid, coeff.at_time(0.0)[0])
+
+
+def advection_part(grid, coeff, boundary):
+    """The transport operator minus its zero-drift (pure diffusion) operator."""
+    return (assemble_transport(grid, coeff, boundary)
+            - assemble_transport(grid, diffusion_only(grid, coeff), boundary))
 
 
 def open_wall_cells(grid, boundary):
@@ -139,7 +149,7 @@ class TestDiffusionAssembly:
         grid = StructuredGrid.uniform([(0.0, 3.0)], [3])
         coeff, _ = constant_problem(grid, 1, 1.0)
         boundary = BoundarySpec.uniform(1, 1, Dirichlet())
-        a = assemble_diffusion(grid, coeff, boundary, 0).toarray()
+        a = assemble_transport(grid, coeff, boundary).toarray()
         expected = np.array([[3.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 3.0]])
         assert np.allclose(a, expected)
 
@@ -149,9 +159,8 @@ class TestDiffusionAssembly:
         diff = rng.uniform(0.5, 3.0, size=(2, 2, grid.ncells))
         coeff = CoefficientField(grid, diff)
         boundary = BoundarySpec.uniform(2, 2, NoFluxWithDrift())
-        for i in range(2):
-            a = assemble_diffusion(grid, coeff, boundary, i)
-            assert np.max(np.abs(a @ np.ones(grid.ncells))) < 1e-13
+        a = assemble_transport(grid, coeff, boundary)
+        assert np.max(np.abs(a @ np.ones(2 * grid.ncells))) < 1e-13
 
     def test_interface_steady_state_exact(self):
         # two materials, unit left value imposed through the boundary lift
@@ -160,7 +169,7 @@ class TestDiffusionAssembly:
         d = np.where(grid.cell_centers[0] < 0.5, 1.0, 10.0)
         coeff = CoefficientField(grid, d[None, None, :])
         boundary = BoundarySpec.uniform(1, 1, Dirichlet())
-        a = assemble_diffusion(grid, coeff, boundary, 0).toarray()
+        a = assemble_transport(grid, coeff, boundary).toarray()
         h = 1.0 / n
         rhs = np.zeros(n)
         rhs[0] = 2.0 * d[0] / h**2 * 1.0  # ghost-mirror lift for u(0) = 1
@@ -174,12 +183,12 @@ class TestDiffusionAssembly:
     @settings(max_examples=60, deadline=None)
     @given(random_problems())
     def test_m_matrix_signs(self, problem):
-        # both operators: non-negative diagonal, non-positive off-diagonal,
-        # and weak diagonal dominance of the volume-weighted columns (the
-        # flux-form dominance behind the discrete maximum principle)
+        # with and without drift: non-negative diagonal, non-positive
+        # off-diagonal, and weak diagonal dominance of the volume-weighted
+        # columns (the flux-form dominance behind the discrete maximum principle)
         grid, coeff, boundary = problem
-        for assemble in (assemble_diffusion, assemble_advection, assemble_transport):
-            a = assemble(grid, coeff, boundary, 0).toarray()
+        for field in (coeff, diffusion_only(grid, coeff)):
+            a = assemble_transport(grid, field, boundary).toarray()
             off = a - np.diag(np.diag(a))
             assert np.all(np.diag(a) >= 0.0)
             assert np.all(off <= 0.0)
@@ -193,34 +202,32 @@ class TestDiffusionAssembly:
         coeff = CoefficientField(grid, diff)
         for bc in (Dirichlet(), NoFluxWithDrift()):
             boundary = BoundarySpec.uniform(1, 2, bc)
-            a = assemble_diffusion(grid, coeff, boundary, 0)
+            a = assemble_transport(grid, coeff, boundary)
             asym = abs(a - a.T).max()
             assert asym <= 1e-13 * abs(a).max()
 
     def test_robin_converges_to_noflux(self):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [8])
         coeff, _ = constant_problem(grid, 1, 2.0)
-        noflux = assemble_diffusion(
-            grid, coeff, BoundarySpec.uniform(1, 1, NoFluxWithDrift()), 0
+        noflux = assemble_transport(
+            grid, coeff, BoundarySpec.uniform(1, 1, NoFluxWithDrift())
         ).toarray()
         for alpha in (1e-3, 1e-6, 1e-9):
-            robin = assemble_diffusion(
-                grid, coeff, BoundarySpec.uniform(1, 1, Robin(alpha)), 0
+            robin = assemble_transport(
+                grid, coeff, BoundarySpec.uniform(1, 1, Robin(alpha))
             ).toarray()
             assert np.max(np.abs(robin - noflux)) <= alpha * 8 + 1e-10
         assert np.allclose(
-            assemble_diffusion(grid, coeff,
-                               BoundarySpec.uniform(1, 1, Robin(0.0)), 0).toarray(),
+            assemble_transport(grid, coeff, BoundarySpec.uniform(1, 1, Robin(0.0))).toarray(),
             noflux,
         )
 
     def test_robin_adds_area_over_volume(self):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
         coeff, _ = constant_problem(grid, 1, 1.0)
-        a_rob = assemble_diffusion(grid, coeff,
-                                   BoundarySpec.uniform(1, 1, Robin(0.5)), 0).toarray()
-        a_nof = assemble_diffusion(grid, coeff,
-                                   BoundarySpec.uniform(1, 1, NoFluxWithDrift()), 0).toarray()
+        a_rob = assemble_transport(grid, coeff, BoundarySpec.uniform(1, 1, Robin(0.5))).toarray()
+        a_nof = assemble_transport(grid, coeff,
+                                   BoundarySpec.uniform(1, 1, NoFluxWithDrift())).toarray()
         delta = a_rob - a_nof
         # alpha * area / volume = 0.5 / 0.25 = 2.0 on both wall cells
         assert delta[0, 0] == pytest.approx(2.0)
@@ -230,17 +237,21 @@ class TestDiffusionAssembly:
 
 class TestAdvectionAssembly:
     def test_zero_drift_zero_operator(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [6])
-        coeff, boundary = constant_problem(grid, 1, 1.0, drift=0.0)
-        a = assemble_advection(grid, coeff, boundary, 0)
-        assert a.nnz == 0 or abs(a).max() == 0.0
+        # zero drift adds nothing, not even rounding: with h = 1/4, D = 1 and
+        # Dirichlet walls the operator is the exact diffusion stencil
+        grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
+        coeff, boundary = constant_problem(grid, 1, 1.0, drift=0.0, bc=Dirichlet())
+        a = assemble_transport(grid, coeff, boundary).toarray()
+        expected = 16.0 * (2 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1))
+        expected[[0, -1], [0, -1]] = 48.0
+        assert np.array_equal(a, expected)
 
     def test_interior_upwind_stencil(self):
         # uniform positive drift: interior row is (u_i - u_{i-1}) b / h
         n, b = 8, 0.7
         grid = StructuredGrid.uniform([(0.0, 1.0)], [n])
         coeff, boundary = constant_problem(grid, 1, 1.0, drift=b)
-        a = assemble_advection(grid, coeff, boundary, 0).toarray()
+        a = advection_part(grid, coeff, boundary).toarray()
         h = 1.0 / n
         i = 4
         assert a[i, i] == pytest.approx(b / h)
@@ -255,8 +266,9 @@ class TestAdvectionAssembly:
         # through; with total-flux-zero walls all round, mass is conserved
         grid, coeff, boundary = problem
         interior = ~open_wall_cells(grid, boundary)
-        for assemble in (assemble_diffusion, assemble_advection, assemble_transport):
-            weighted = grid.cell_volumes[:, None] * assemble(grid, coeff, boundary, 0).toarray()
+        for field in (coeff, diffusion_only(grid, coeff)):
+            weighted = grid.cell_volumes[:, None] * assemble_transport(grid, field,
+                                                                       boundary).toarray()
             col = weighted.sum(axis=0)
             assert np.all(np.abs(col[interior])
                           <= 1e-13 * np.abs(weighted).sum(axis=0)[interior])
@@ -264,7 +276,7 @@ class TestAdvectionAssembly:
     def test_volume_weighted_column_sums_vanish(self):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [16])
         coeff, boundary = constant_problem(grid, 1, 1.0, drift=0.9)
-        a = assemble_advection(grid, coeff, boundary, 0)
+        a = assemble_transport(grid, coeff, boundary)
         col = grid.cell_volumes @ a
         assert np.max(np.abs(col)) < 1e-13
 
@@ -273,7 +285,7 @@ class TestAdvectionAssembly:
         grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
         coeff, _ = constant_problem(grid, 1, 1.0, drift=1.0)
         boundary = BoundarySpec.uniform(1, 1, Dirichlet())
-        a = assemble_advection(grid, coeff, boundary, 0)
+        a = advection_part(grid, coeff, boundary)
         col = grid.cell_volumes @ a
         assert col[-1] == pytest.approx(1.0)  # outward flux coefficient
         assert np.allclose(col[:-1], 0.0, atol=1e-14)
@@ -281,18 +293,25 @@ class TestAdvectionAssembly:
 
 class TestTransportAssembly:
     @settings(max_examples=60, deadline=None)
-    @given(random_problems())
-    def test_equals_diffusion_plus_advection(self, problem):
-        # one build from the summed face pairs and wall terms; only the
-        # rounding of those sums may differ from adding the two operators
+    @given(random_problems(max_species=3))
+    def test_blocks_are_the_one_species_operators(self, problem):
+        # no coupling between species, and block i is, byte for byte, the
+        # operator of a one-species problem with species i's coefficients
         grid, coeff, boundary = problem
-        diffusion = assemble_diffusion(grid, coeff, boundary, 0)
-        advection = assemble_advection(grid, coeff, boundary, 0)
-        combined = assemble_transport(grid, coeff, boundary, 0)
-        assert combined.has_canonical_format
-        scale = abs(diffusion).toarray() + abs(advection).toarray()
-        assert np.all(np.abs(combined.toarray() - (diffusion + advection).toarray())
-                      <= 4 * np.finfo(float).eps * scale)
+        a = assemble_transport(grid, coeff, boundary)
+        n, m = grid.ncells, coeff.m
+        assert a.shape == (m * n, m * n) and a.has_canonical_format
+        rows = np.repeat(np.arange(m * n), np.diff(a.indptr))
+        assert np.array_equal(rows // n, a.indices // n)
+        diff, drift = coeff.at_time(0.0)
+        for i in range(m):
+            single = assemble_transport(
+                grid, CoefficientField(grid, diff[i:i + 1], drift[i:i + 1]),
+                BoundarySpec((boundary.conditions[i],), grid.dim))
+            start, end = a.indptr[i * n], a.indptr[(i + 1) * n]
+            assert (a.indptr[i * n:(i + 1) * n + 1] - start).tobytes() == single.indptr.tobytes()
+            assert (a.indices[start:end] - i * n).tobytes() == single.indices.tobytes()
+            assert a.data[start:end].tobytes() == single.data.tobytes()
 
 
 class TestDiscreteNorm:

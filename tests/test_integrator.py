@@ -82,7 +82,7 @@ def direct_solve(a, b, shape, dt=np.inf):
     problem = Problem(grid, zero_reactions(1), CoefficientField.constant(grid, [1.0]),
                       BoundarySpec.uniform(1, 2, NoFluxWithDrift()))
     ops = TransportOperators(problem, 0.0)
-    ops.matrices[0] = sp.csr_matrix(a)
+    ops.matrix = sp.csr_matrix(a)
     return ops.solve(dt, np.asarray(b, dtype=float)[None, :])[0]
 
 
@@ -135,9 +135,8 @@ class TestLinearSolve:
 
 
 def dense_transport_oracle(ops, dt, rhs):
-    n = rhs.shape[1]
-    return np.array([np.linalg.solve(np.eye(n) / dt + a.toarray(), r)
-                     for a, r in zip(ops.matrices, rhs)])
+    n = rhs.size
+    return np.linalg.solve(np.eye(n) / dt + ops.matrix.toarray(), rhs.ravel()).reshape(rhs.shape)
 
 
 def relative_error(u, ref):
@@ -274,7 +273,8 @@ class TestTransportSolve:
     def test_1d_rejects_entries_off_the_three_diagonals(self):
         problem = make_problem(builtin_reversible_reaction(), n=8)
         ops = TransportOperators(problem, 0.0)
-        ops.matrices[1] = ops.matrices[1] + sp.csr_matrix(([1e-3], ([2], [5])), shape=(8, 8))
+        # species 1's cells 2 and 5 are rows and columns 10 and 13
+        ops.matrix = ops.matrix + sp.csr_matrix(([1e-3], ([10], [13])), shape=(16, 16))
         with pytest.raises(LinearSolveError, match=r"entry \(10, 13\) of a 16-row system"):
             ops.solve(0.1, np.ones((2, 8)))
 
@@ -282,7 +282,7 @@ class TestTransportSolve:
         # A = -I/dt cancels the shifted identity: every pivot is zero
         problem = make_problem(builtin_reversible_reaction(), n=8)
         ops = TransportOperators(problem, 0.0)
-        ops.matrices[0] = -sp.identity(8, format="csr") / 0.1
+        ops.matrix = sp.block_diag([-sp.identity(8) / 0.1, ops.matrix[8:, 8:]], format="csr")
         with pytest.raises(LinearSolveError, match="dgttrf info 1 "):
             ops.solve(0.1, np.ones((2, 8)))
 
@@ -290,7 +290,7 @@ class TestTransportSolve:
         # the same cancellation on a 2D grid: SuperLU finds an exactly zero pivot
         problem = make_problem(builtin_reversible_reaction(), n=4, dim=2)
         ops = TransportOperators(problem, 0.0)
-        ops.matrices[0] = -sp.identity(16, format="csr") / 0.1
+        ops.matrix = sp.block_diag([-sp.identity(16) / 0.1, ops.matrix[16:, 16:]], format="csr")
         with pytest.raises(LinearSolveError, match="a 32-row system failed: .*singular"):
             ops.solve(0.1, np.ones((2, 16)))
 
@@ -782,9 +782,9 @@ class TestEpsilonLadder:
             factored.append(a.shape)
             return real_lu(a)
 
-        def counting_assemble(grid, coefficients, boundary, species, t):
-            assembled.append(species)
-            return real_assemble(grid, coefficients, boundary, species, t)
+        def counting_assemble(grid, coefficients, boundary, t):
+            assembled.append(t)
+            return real_assemble(grid, coefficients, boundary, t)
 
         monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
         monkeypatch.setattr(integrator, "assemble_transport", counting_assemble)
@@ -793,7 +793,7 @@ class TestEpsilonLadder:
                                           [m.eps for m in members], cfg)
         assert report["monotone_shrinking"]
         assert factored == [(64, 64)]
-        assert assembled == [0, 1]
+        assert assembled == [0.0]
 
     def test_reversible_ladder_calls_step_once_per_time_step(self, monkeypatch):
         # the batch takes each time step through `step`, at its module name
