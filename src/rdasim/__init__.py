@@ -7,16 +7,13 @@ __version__ = "0.1.0"
 
 from .energy import (
     EnergySpec,
-    MultiIndex,
     WeightVector,
     assemble_coupling_matrix,
     energy_density,
     energy_functional,
     energy_time_derivative,
-    enumerate_multi_indices,
     ibp_identity_sides,
     min_eigenvalue,
-    multinomial_coefficient,
     select_weights,
 )
 from .grid import (
@@ -55,7 +52,6 @@ from .integrator import (
     step,
 )
 from .diagnostics import (
-    EnergyTrace,
     Trajectory,
     energy_trace,
     mass_budget,

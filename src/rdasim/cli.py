@@ -136,6 +136,21 @@ def _resolve_energy_specs(cfg, system, coeff, seed: int):
     return specs, searches
 
 
+def _energy_records(traj, specs, csv_path: Path, meta: dict) -> list:
+    """Trace each energy along the snapshots, write the CSV, return one record per spec.
+
+    `bounded_no_growth` is the trend test on the latter half of the series:
+    a series that rises through a transient and then plateaus is bounded;
+    one still climbing is not.
+    """
+    values = diagnostics.energy_trace(traj, specs)
+    write_energy_csv(csv_path, traj.times, specs, values, meta)
+    return [{"p": spec.p, "weights": list(spec.weights.entries),
+             "bounded_no_growth": diagnostics.no_growth(series[series.size // 2:]),
+             "sup_value": float(series.max()), "initial_value": float(series[0])}
+            for spec, series in zip(specs, values)]
+
+
 def cmd_check(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
     """Run every structural hypothesis check plus the dissipativity certificate."""
     report = {"config_sha256": config_hash(cfg), "seed": seed, "checks": []}
@@ -252,13 +267,7 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
     summary["mass_budget_max_abs"] = float(np.max(np.abs(budget)))
 
     if specs:
-        trace = diagnostics.energy_trace(traj, specs)
-        write_energy_csv(out_dir / "series_energy.csv", trace, meta)
-        summary["energy"] = [
-            {"p": spec.p, "weights": list(spec.weights.entries),
-             "fit": trace.fits[k], "bounded_no_growth": trace.bounded_flags[k]}
-            for k, spec in enumerate(specs)
-        ]
+        summary["energy"] = _energy_records(traj, specs, out_dir / "series_energy.csv", meta)
         if searches:
             summary["weight_searches"] = searches
 
@@ -270,6 +279,7 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
             "conservation_max_abs": float(np.max(np.abs(epi_report.conservation_residual))),
             "final_fractions": epi_report.final_fractions,
             "decayed": epi_report.decayed,
+            "s_fluctuation_final": float(epi_report.s_fluctuation[-1]),
             "s_infinity": {
                 "estimate": epi_report.s_inf.estimate,
                 "tail_bound": epi_report.s_inf.tail_bound,
@@ -339,27 +349,19 @@ def cmd_energy_report(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool
     specs, searches = _resolve_energy_specs(cfg, system, coeff, seed)
     if not specs:
         specs = [EnergySpec(2, WeightVector.ones(system.m))]
-    trace = diagnostics.energy_trace(traj, specs)
     meta = {"config_sha256": config_hash(cfg), "seed": seed}
-    write_energy_csv(out_dir / "energy_report.csv", trace, meta)
     payload = {
         "config_sha256": meta["config_sha256"],
         "seed": seed,
         "trajectory_sha256": index.get("config_sha256"),
-        "energies": [
-            {"p": spec.p, "weights": list(spec.weights.entries),
-             "fit": trace.fits[k], "bounded_no_growth": trace.bounded_flags[k],
-             "sup_value": float(np.max(trace.values[k])),
-             "initial_value": float(trace.values[k][0])}
-            for k, spec in enumerate(specs)
-        ],
+        "energies": _energy_records(traj, specs, out_dir / "energy_report.csv", meta),
     }
     if searches:
         payload["weight_searches"] = searches
     write_json(out_dir / "energy_report.json", payload)
     for entry in payload["energies"]:
         _say(quiet, f"p={entry['p']}: bounded={entry['bounded_no_growth']} "
-                    f"fit={entry['fit']}")
+                    f"sup={entry['sup_value']!r} initial={entry['initial_value']!r}")
     return EXIT_OK
 
 

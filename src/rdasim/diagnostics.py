@@ -6,21 +6,15 @@ masses and sup-norms, the global minimum, and the cumulative applied
 reaction).  Time integrals in budgets use trapezoidal accumulation over
 whichever series is used.
 
-The energy trace fits, for each energy specification, the smallest
-exponential envelope
-
-    L(t_{k+1}) <= L(t_k) exp(-delta dt) + (C / delta)(1 - exp(-delta dt))
-
-over a grid of decay rates delta > 0 and reports (C, delta) together with
-the implied plateau C / delta; by construction every recorded value then
-sits below max(L(0), plateau).  Whether the trajectory is actually
-non-growing is flagged separately by a trend test (last value against the
-early maximum), which is also what the windowed sup-norm criterion uses.
+An energy trace is the plain (nspecs, ntimes) array of each energy
+functional at each snapshot.  Whether a series is non-growing is a trend
+test (last value against the early maximum), which is also what the
+windowed sup-norm criterion uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +23,6 @@ from .grid import StructuredGrid, discrete_norm
 
 __all__ = [
     "Trajectory",
-    "EnergyTrace",
     "norm_series",
     "energy_trace",
     "windowed_sup",
@@ -117,68 +110,17 @@ def no_growth(series: np.ndarray, tol: float = DEFAULT_GROWTH_TOL) -> bool:
     return bool(series[-1] <= np.max(head) * (1.0 + tol))
 
 
-def _fit_envelope(times: np.ndarray, values: np.ndarray) -> dict:
-    """Smallest exponential envelope over a log grid of decay rates."""
-    if times.size < 2:
-        return {"fit_ok": False, "C": float("nan"), "delta": float("nan"),
-                "plateau": float("nan"), "bound": float("nan")}
-    dt = np.diff(times)
-    l_old = values[:-1]
-    l_new = values[1:]
-    best = None
-    for delta in np.logspace(-4, 2, 121):
-        decay = np.exp(-delta * dt)
-        denom = 1.0 - decay
-        if np.any(denom <= 0.0):
-            continue
-        c_needed = delta * np.max((l_new - l_old * decay) / denom)
-        plateau = c_needed / delta
-        bound = max(values[0], plateau)
-        if not np.isfinite(bound):
-            continue
-        if best is None or bound < best["bound"] - 1e-15 * abs(best["bound"]):
-            best = {"fit_ok": True, "C": float(c_needed), "delta": float(delta),
-                    "plateau": float(plateau), "bound": float(bound)}
-    if best is None:
-        return {"fit_ok": False, "C": float("nan"), "delta": float("nan"),
-                "plateau": float("nan"), "bound": float("nan")}
-    return best
+def energy_trace(traj: Trajectory, specs) -> np.ndarray:
+    """Energy functional values at every snapshot, one row per spec.
 
-
-@dataclass
-class EnergyTrace:
-    """Energy values over time for a list of specs, with envelope fits."""
-
-    times: np.ndarray
-    specs: list
-    values: list                     # one (ntimes,) array per spec
-    fits: list = field(default_factory=list)
-    bounded_flags: list = field(default_factory=list)
-
-    def __post_init__(self):
-        for vals in self.values:
-            if np.any(np.asarray(vals) < 0):
-                raise ValueError("energy values must be non-negative")
-
-
-def energy_trace(traj: Trajectory, specs) -> EnergyTrace:
-    """Evaluate the energy functionals along the snapshots and fit envelopes.
-
-    A failed fit (too few snapshots) is reported in the fit record, not
-    raised.  The bounded flag is the no-growth trend test on the energy
-    series itself.
+    Returns an (nspecs, ntimes) float array.  Each snapshot is evaluated
+    on its own, so the temporaries stay one snapshot's size.
     """
     specs = list(specs)
-    values = []
-    for spec in specs:
-        vals = np.array([energy_functional(state, traj.grid, spec) for state in traj.states])
-        values.append(vals)
-    fits = [_fit_envelope(traj.times, vals) for vals in values]
-    # trend test on the latter half: a series that rises through a
-    # transient and then plateaus is bounded; one still climbing is not
-    flags = [no_growth(vals[vals.size // 2:]) for vals in values]
-    return EnergyTrace(times=traj.times.copy(), specs=specs, values=values,
-                       fits=fits, bounded_flags=flags)
+    values = np.empty((len(specs), traj.times.size))
+    for k, spec in enumerate(specs):
+        values[k] = [energy_functional(state, traj.grid, spec) for state in traj.states]
+    return values
 
 
 def windowed_sup(traj: Trajectory, window: float = DEFAULT_WINDOW,

@@ -33,15 +33,12 @@ from .reactions import STATE_TOL, SampleReport, _sweep
 from .sampling import orthant_samples, plateau
 
 __all__ = [
-    "DEFAULT_INDEX_CAP",
-    "MultiIndex",
+    "INDEX_CAP",
     "WeightVector",
     "EnergySpec",
     "IndexBudgetError",
     "WeightSearchError",
     "count_multi_indices",
-    "enumerate_multi_indices",
-    "multinomial_coefficient",
     "energy_density",
     "energy_functional",
     "energy_time_derivative",
@@ -51,7 +48,8 @@ __all__ = [
     "select_weights",
 ]
 
-DEFAULT_INDEX_CAP = 10**6
+# the most multi-indices one energy spec may enumerate (config input reaches it)
+INDEX_CAP = 10**6
 
 # exponent magnitude beyond which float powers are accumulated in log space
 _LOG_DOMAIN_CUTOFF = 700.0
@@ -61,32 +59,11 @@ _RATIO_BLOCK_ROWS = 256
 
 
 class IndexBudgetError(RuntimeError):
-    """Multi-index enumeration would exceed the configured cap."""
+    """Multi-index enumeration would exceed INDEX_CAP."""
 
 
 class WeightSearchError(RuntimeError):
     """The doubling search for admissible weights failed."""
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """An m-tuple of non-negative integers with cached order |b| = sum b_i."""
-
-    entries: tuple[int, ...]
-    order: int = -1  # filled in __post_init__
-
-    def __post_init__(self):
-        entries = tuple(int(e) for e in self.entries)
-        if any(e < 0 for e in entries):
-            raise ValueError(f"multi-index entries must be non-negative, got {entries}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "order", sum(entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -131,26 +108,12 @@ def _index_tuples(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _check_index_budget(m: int, p: int, index_cap: int) -> None:
+def _check_index_budget(m: int, p: int) -> None:
     n = count_multi_indices(m, p)
-    if n > index_cap:
+    if n > INDEX_CAP:
         raise IndexBudgetError(
-            f"enumeration of {n} multi-indices (m={m}, p={p}) exceeds cap {index_cap}"
+            f"enumeration of {n} multi-indices (m={m}, p={p}) exceeds cap {INDEX_CAP}"
         )
-
-
-def enumerate_multi_indices(m: int, p: int, index_cap: int = DEFAULT_INDEX_CAP) -> list[MultiIndex]:
-    """All multi-indices of length m and order p, lexicographically ordered.
-
-    Raises IndexBudgetError (naming the offending count) if the enumeration
-    would exceed `index_cap`.
-    """
-    if m < 1:
-        raise ValueError(f"species count must be >= 1, got {m}")
-    if p < 0:
-        raise ValueError(f"order must be >= 0, got {p}")
-    _check_index_budget(m, p, index_cap)
-    return [MultiIndex(t) for t in _index_tuples(m, p)]
 
 
 @lru_cache(maxsize=None)
@@ -159,30 +122,6 @@ def _index_array(m: int, p: int) -> np.ndarray:
     arr = np.array(_index_tuples(m, p), dtype=np.int64).reshape(-1, m)
     arr.setflags(write=False)
     return arr
-
-
-def _entries_of(beta) -> tuple[int, ...]:
-    if isinstance(beta, MultiIndex):
-        return beta.entries
-    return tuple(int(b) for b in beta)
-
-
-def multinomial_coefficient(p: int, beta) -> int:
-    """Exact p!/(b_1! ... b_m!) for a multi-index with |b| = p.
-
-    Arbitrary-precision integer arithmetic, so the result is always exact.
-    Raises ValueError if the order of `beta` does not match p.
-    """
-    entries = _entries_of(beta)
-    if any(b < 0 for b in entries):
-        raise ValueError(f"multi-index entries must be non-negative, got {entries}")
-    order = sum(entries)
-    if order != p:
-        raise ValueError(f"multi-index order {order} does not match p={p}")
-    denom = 1
-    for b in entries:
-        denom *= math.factorial(b)
-    return math.factorial(p) // denom
 
 
 def _poly_weights(p: int, idx: np.ndarray) -> np.ndarray:
@@ -201,17 +140,16 @@ class EnergySpec:
     """Order p >= 1 plus weights defining one energy density.
 
     Construction fails if the multi-index enumeration for (m, p) exceeds
-    `index_cap`.  Coefficient tables are computed once and reused.
+    `INDEX_CAP`.  Coefficient tables are computed once and reused.
     """
 
     p: int
     weights: WeightVector
-    index_cap: int = DEFAULT_INDEX_CAP
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"energy order must be >= 1, got {self.p}")
-        _check_index_budget(self.m, self.p, self.index_cap)
+        _check_index_budget(self.m, self.p)
         self._tables: dict[int, tuple] = {}
 
     @property
@@ -264,6 +202,13 @@ def _as_batch(u, m: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"expected shape ({m},) or ({m}, N), got {arr.shape}")
 
 
+def _nonnegative(u: np.ndarray, what: str) -> np.ndarray:
+    """u with values down to -STATE_TOL, the rounding the stepper accepts, read as 0."""
+    if np.any(u < -STATE_TOL):
+        raise ValueError(f"{what} requires non-negative species values (down to -{STATE_TOL})")
+    return np.where(u < 0, 0.0, u)
+
+
 def energy_density(u, spec: EnergySpec):
     """Evaluate the weighted multinomial density at u >= 0.
 
@@ -273,10 +218,7 @@ def energy_density(u, spec: EnergySpec):
     weight power exceeds float range are accumulated in log space.
     """
     batch, single = _as_batch(u, spec.m)
-    if np.any(batch < -STATE_TOL):
-        raise ValueError(f"energy density requires non-negative species values "
-                         f"(down to -{STATE_TOL})")
-    batch = np.where(batch < 0, 0.0, batch)
+    batch = _nonnegative(batch, "energy density")
     idx, coefs, wpow, log_wpow, big, _ = spec._level(spec.p)
     if not big.any():
         upow = _state_powers(batch, idx)
@@ -320,15 +262,14 @@ def energy_time_derivative(u, dudt, spec: EnergySpec):
     """Exact time derivative of the density along a state velocity.
 
     Evaluates the chain-rule expansion over indices of order p - 1; at
-    p = 1 its single order-0 term is sum_j w_j * dudt_j.  Shapes as in
-    `energy_density`.
+    p = 1 its single order-0 term is sum_j w_j * dudt_j.  Shapes, and the
+    values down to -STATE_TOL that count as 0, as in `energy_density`.
     """
     batch, single = _as_batch(u, spec.m)
     vel, vsingle = _as_batch(dudt, spec.m)
     if batch.shape != vel.shape:
         raise ValueError(f"state shape {batch.shape} != velocity shape {vel.shape}")
-    if np.any(batch < 0):
-        raise ValueError("energy derivative requires non-negative species values")
+    batch = _nonnegative(batch, "energy derivative")
     idx, coefs, wpow, _, _, slope = spec._finite_level(spec.p - 1)
     upow = _state_powers(batch, idx)  # (K, N)
     inner = slope @ vel  # (K, N)
@@ -347,8 +288,9 @@ def ibp_identity_sides(u, grad_u, mats, spec: EnergySpec) -> tuple[float, float]
     paths share only the enumeration tables.
 
     u: (m,), grad_u: (m, n), mats: m matrices of shape (n, n).  Requires
-    p >= 2.  Terms with a zero component and positive exponent vanish (the
-    0^0 = 1 convention applies to zero exponents).
+    p >= 2.  Values of u down to -STATE_TOL count as 0.  Terms with a zero
+    component and positive exponent vanish (the 0^0 = 1 convention applies
+    to zero exponents).
     """
     if spec.p < 2:
         raise ValueError(f"identity requires order >= 2, got p={spec.p}")
@@ -363,8 +305,7 @@ def ibp_identity_sides(u, grad_u, mats, spec: EnergySpec) -> tuple[float, float]
     amats = [np.asarray(a, dtype=float) for a in mats]
     if len(amats) != m or any(a.shape != (n, n) for a in amats):
         raise ValueError(f"expected {m} matrices of shape ({n}, {n})")
-    if np.any(uvec < 0):
-        raise ValueError("identity requires non-negative species values")
+    uvec = _nonnegative(uvec, "identity")
 
     flux = np.array([amats[k] @ grads[k] for k in range(m)])  # (m, n)
     w = spec.weights.as_array()

@@ -302,25 +302,21 @@ class EpiReport:
 
     conservation_times: np.ndarray
     conservation_residual: np.ndarray
-    lp_series: dict                   # (species name, p) -> snapshot series
     s_fluctuation: np.ndarray         # ||s - mean(s)||_L2 snapshots
     s_inf: SInfinityEstimate
     final_fractions: dict             # species name -> final L1 / max L1
     decayed: dict                     # species name -> final fraction <= threshold
 
 
-def decay_report(traj, params: EpiParams, p_values=(2.0,),
-                 threshold: float = 0.01) -> EpiReport:
+def decay_report(traj, params: EpiParams, threshold: float = 0.01) -> EpiReport:
     """Decay diagnostics for the infected, recovered and pathogen compartments.
 
     The final fractions come from the dense step masses (the fields are
-    non-negative); the L^p norms and the susceptible fluctuation around
-    its volume average use the snapshots.
+    non-negative); the susceptible fluctuation around its volume average
+    uses the snapshots.
     """
     grid = traj.grid
     _, masses = traj._dense_series()
-    lp = {(name, p): series for p in p_values
-          for name, series in zip(SPECIES[1:], discrete_norm(traj.states[:, 1:], grid, p).T)}
     s = traj.states[:, 0]
     s_fluct = discrete_norm(s - (s @ grid.cell_volumes)[:, None] / grid.domain_volume, grid, 2)
     ct, cres = conservation_residual(traj, params)
@@ -330,7 +326,6 @@ def decay_report(traj, params: EpiParams, p_values=(2.0,),
     return EpiReport(
         conservation_times=ct,
         conservation_residual=cres,
-        lp_series=lp,
         s_fluctuation=s_fluct,
         s_inf=s_infinity(traj, params),
         final_fractions=final_fractions,

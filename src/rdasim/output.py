@@ -113,15 +113,13 @@ def write_norm_series_csv(path, series: dict, species_names=None, meta=None) -> 
     write_csv(path, ["time", "species", "p", "value"], rows, meta)
 
 
-def write_energy_csv(path, trace, meta=None) -> None:
+def write_energy_csv(path, times, specs, values, meta=None) -> None:
+    """One column per energy spec; `values` is the (nspecs, ntimes) trace."""
     header = ["time"] + [
         f"L{spec.p}_w{'_'.join(fmt(w) for w in spec.weights.entries)}"
-        for spec in trace.specs
+        for spec in specs
     ]
-    rows = []
-    for k, t in enumerate(trace.times):
-        rows.append([t] + [vals[k] for vals in trace.values])
-    write_csv(path, header, rows, meta)
+    write_csv(path, header, np.column_stack([times, np.asarray(values).T]), meta)
 
 
 def write_vtk_structured_points(path, grid, fields: dict, title: str = "rdasim fields") -> None:

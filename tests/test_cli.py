@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from rdasim.cli import main
+from rdasim.cli import load_trajectory, main
 from rdasim.config import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -19,6 +19,7 @@ from rdasim.config import (
     load_config,
     validate_config,
 )
+from rdasim.grid import discrete_norm
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -308,6 +309,12 @@ class TestRunCommand:
         assert (out / "epi_conservation.csv").exists()
         report = json.loads((out / "epi_report.json").read_text())
         assert report["conservation_max_abs"] < 1e-6
+        # the final snapshot's susceptible field, less its volume average
+        traj, _ = load_trajectory(out / "trajectory")
+        s = traj.states[-1, 0]
+        mean = (s @ traj.grid.cell_volumes) / traj.grid.domain_volume
+        expected = discrete_norm(s - mean, traj.grid, 2)
+        assert report["s_fluctuation_final"] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_vtk_snapshots(self, tmp_path):
         # 2D and not square, so the x-fastest point order differs from the
@@ -485,8 +492,21 @@ class TestEnergyReportCommand:
         entry = payload["energies"][0]
         assert entry["p"] == 2
         assert entry["bounded_no_growth"]
-        assert entry["sup_value"] <= max(entry["initial_value"],
-                                         entry["fit"]["plateau"]) * (1 + 1e-6)
+        assert "fit" not in entry
+
+    def test_run_and_report_share_one_record(self, reversible_out):
+        # energy-report recomputes from the checkpoints what run wrote
+        assert main(["energy-report", "--config", str(REVERSIBLE), "--out",
+                     str(reversible_out), "--quiet"]) == 0
+        summary = json.loads((reversible_out / "summary.json").read_text())
+        payload = json.loads((reversible_out / "energy_report.json").read_text())
+        assert summary["energy"] == payload["energies"]
+        rows = [l for l in (reversible_out / "energy_report.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        values = [float(r.split(",")[1]) for r in rows]
+        (entry,) = payload["energies"]
+        assert entry["sup_value"] == max(values)
+        assert entry["initial_value"] == values[0]
 
     def test_zero_trajectory_zero_energies(self, tmp_path):
         out = tmp_path / "out"

@@ -1,8 +1,9 @@
-"""Norm series, energy envelopes, windowed sup-norms, and budgets."""
+"""Norm series, energy traces, windowed sup-norms, and budgets."""
 
 import numpy as np
 import pytest
 
+from rdasim.cli import _energy_records
 from rdasim.diagnostics import (
     Trajectory,
     energy_trace,
@@ -150,49 +151,43 @@ class TestEnergyTrace:
     def test_zero_trajectory(self):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [8])
         traj = snapshot_trajectory(grid, [0.0, 1.0], [np.zeros((2, 8))] * 2)
-        trace = energy_trace(traj, [EnergySpec(4, WeightVector.ones(2))])
-        assert np.all(trace.values[0] == 0.0)
+        values = energy_trace(traj, [EnergySpec(4, WeightVector.ones(2))])
+        assert values.shape == (1, 2)
+        assert np.all(values == 0.0)
 
     def test_order_one_equals_l1_sum(self):
         rng = np.random.default_rng(1)
         grid = StructuredGrid.uniform([(0.0, 1.0)], [16])
         states = [rng.uniform(0, 2, size=(3, 16)) for _ in range(4)]
         traj = snapshot_trajectory(grid, [0.0, 0.3, 0.6, 1.0], states)
-        trace = energy_trace(traj, [EnergySpec(1, WeightVector.ones(3))])
+        values = energy_trace(traj, [EnergySpec(1, WeightVector.ones(3))])
         for k, state in enumerate(states):
             l1 = sum(discrete_norm(state[i], grid, 1) for i in range(3))
-            assert trace.values[0][k] == pytest.approx(l1, rel=1e-13)
+            assert values[0, k] == pytest.approx(l1, rel=1e-13)
 
-    def test_linear_decay_fits_positive_rate(self):
+    def test_linear_decay_fits_positive_rate(self, tmp_path):
         system = builtin_linear_decay(m=2, rate=1.0)
         rng = np.random.default_rng(2)
         fields = rng.uniform(0.5, 1.5, size=(2, 24))
         traj, _ = run_problem(system, fields, t_end=2.0, record_dt=0.1)
-        trace = energy_trace(traj, [EnergySpec(3, WeightVector.ones(2))])
-        fit = trace.fits[0]
-        assert fit["fit_ok"]
-        assert fit["delta"] > 0
-        assert trace.bounded_flags[0]
+        specs = [EnergySpec(3, WeightVector.ones(2))]
+        values = energy_trace(traj, specs)
+        assert np.all(np.diff(values[0]) < 0)
+        (record,) = _energy_records(traj, specs, tmp_path / "energy.csv", {})
+        assert record["bounded_no_growth"]
+        assert record["sup_value"] == record["initial_value"] == values[0, 0]
 
-    def test_envelope_certifies_recorded_sup(self):
-        system = builtin_reversible_reaction()
-        rng = np.random.default_rng(3)
-        fields = rng.uniform(0.2, 1.2, size=(2, 24))
-        traj, _ = run_problem(system, fields, t_end=2.0, record_dt=0.1)
-        trace = energy_trace(traj, [EnergySpec(4, WeightVector((1.0, 2.0)))])
-        fit = trace.fits[0]
-        sup = float(np.max(trace.values[0]))
-        assert sup <= max(trace.values[0][0], fit["plateau"]) * (1 + 1e-6)
-
-    def test_growth_flagged_unbounded(self):
+    def test_growth_flagged_unbounded(self, tmp_path):
         growth = system_from_expressions(
             ["u1"], mass_weights=[1.0], mass_constants=(1.0, 0.0),
             intermediate_order=1.0, growth_order=1.0, growth_constant=1.0,
         )
         fields = np.ones((1, 24))
         traj, _ = run_problem(growth, fields, t_end=2.0, record_dt=0.1)
-        trace = energy_trace(traj, [EnergySpec(2, WeightVector.ones(1))])
-        assert not trace.bounded_flags[0]
+        specs = [EnergySpec(2, WeightVector.ones(1))]
+        (record,) = _energy_records(traj, specs, tmp_path / "energy.csv", {})
+        assert not record["bounded_no_growth"]
+        assert record["sup_value"] == energy_trace(traj, specs)[0, -1]
 
 
 class TestWindowedSup:

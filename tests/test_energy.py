@@ -6,6 +6,7 @@ differences, and inertia bisection for eigenvalues.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ import scipy.linalg
 from rdasim.energy import (
     EnergySpec,
     IndexBudgetError,
-    MultiIndex,
     WeightSearchError,
     WeightVector,
     _RATIO_BLOCK_ROWS,
@@ -27,10 +27,8 @@ from rdasim.energy import (
     energy_density,
     energy_functional,
     energy_time_derivative,
-    enumerate_multi_indices,
     ibp_identity_sides,
     min_eigenvalue,
-    multinomial_coefficient,
     select_weights,
 )
 from rdasim.grid import StructuredGrid
@@ -39,25 +37,32 @@ from rdasim.sampling import DEFAULT_RADII
 
 
 def brute_force_indices(m, p):
-    """Oracle: nested loops over {0..p}^m filtered by the sum."""
-    out = []
-    for flat in np.ndindex(*([p + 1] * m)):
-        if sum(flat) == p:
-            out.append(tuple(flat))
-    return sorted(out)
+    """Oracle: all of {0..p}^m filtered by the sum, in lexicographic order."""
+    return sorted(beta for beta in itertools.product(range(p + 1), repeat=m)
+                  if sum(beta) == p)
+
+
+def multinomial(p, beta):
+    """Oracle: exact p!/(b_1! ... b_m!) in integer arithmetic."""
+    denom = 1
+    for b in beta:
+        denom *= math.factorial(b)
+    return math.factorial(p) // denom
+
+
+def index_rows(m, p):
+    return [tuple(row) for row in _index_array(m, p).tolist()]
 
 
 class TestEnumeration:
     def test_single_species(self):
-        assert [mi.entries for mi in enumerate_multi_indices(1, 5)] == [(5,)]
+        assert index_rows(1, 5) == [(5,)]
 
     def test_two_species_order_two(self):
-        assert [mi.entries for mi in enumerate_multi_indices(2, 2)] == [
-            (0, 2), (1, 1), (2, 0)
-        ]
+        assert index_rows(2, 2) == [(0, 2), (1, 1), (2, 0)]
 
     def test_four_species_order_six_vs_brute_force(self):
-        got = [mi.entries for mi in enumerate_multi_indices(4, 6)]
+        got = index_rows(4, 6)
         assert len(got) == 84
         assert all(sum(e) == 6 for e in got)
         assert got == brute_force_indices(4, 6)
@@ -65,43 +70,51 @@ class TestEnumeration:
     @pytest.mark.parametrize("m", range(1, 7))
     @pytest.mark.parametrize("p", range(0, 11))
     def test_count_is_complete(self, m, p):
-        indices = enumerate_multi_indices(m, p)
+        indices = index_rows(m, p)
         assert len(indices) == count_multi_indices(m, p) == math.comb(p + m - 1, m - 1)
-        assert len(set(mi.entries for mi in indices)) == len(indices)
+        assert len(set(indices)) == len(indices)
 
     def test_cap_exceeded_names_count(self):
-        with pytest.raises(IndexBudgetError, match=str(math.comb(13, 5))):
-            enumerate_multi_indices(6, 8, index_cap=10)
+        # C(47, 7) = 62,891,499 multi-indices for m = 8, p = 40
+        with pytest.raises(IndexBudgetError, match=str(math.comb(47, 7))):
+            EnergySpec(40, WeightVector.ones(8))
 
     def test_multi_index_invariants(self):
-        mi = MultiIndex((1, 0, 3))
-        assert mi.order == 4
+        table = _index_array(3, 4)
+        assert (1, 0, 3) in index_rows(3, 4)
+        assert np.all(table >= 0) and np.all(table.sum(axis=1) == 4)
         with pytest.raises(ValueError):
-            MultiIndex((1, -1))
+            table[0, 0] = 1  # the cached table is read-only
+
+
+def poly_weight(p, beta):
+    """The `_poly_weights` entry of a single index row."""
+    return _poly_weights(p, np.array([beta]))[0]
 
 
 class TestMultinomialCoefficient:
     def test_pair(self):
-        assert multinomial_coefficient(2, (1, 1)) == 2
+        assert poly_weight(2, (1, 1)) == 2.0
 
     def test_factorial_oracle(self):
         # 6! / (2! 2! 2!) = 720 / 8
-        assert multinomial_coefficient(6, (2, 2, 2)) == 720 // 8 == 90
+        assert poly_weight(6, (2, 2, 2)) == 720 // 8 == 90
 
     @pytest.mark.parametrize("p", [1, 3, 7])
     def test_boundary_composition(self, p):
-        assert multinomial_coefficient(p, (p, 0, 0)) == 1
+        assert poly_weight(p, (p, 0, 0)) == 1.0
 
     def test_order_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            multinomial_coefficient(3, (1, 1))
+        # a row of lower order keeps p! on top, as the derivative tables need
+        assert poly_weight(3, (1, 1)) == 3 * multinomial(2, (1, 1)) == 6
+        assert poly_weight(5, (0, 2)) == math.factorial(5) // 2
 
     def test_exact_for_large_order(self):
         beta = (5, 7, 8)
         expected = math.factorial(20) // (
             math.factorial(5) * math.factorial(7) * math.factorial(8)
         )
-        assert multinomial_coefficient(20, beta) == expected
+        assert poly_weight(20, beta) == float(multinomial(20, beta)) == float(expected)
 
     @pytest.mark.parametrize("m, p", [(1, 4), (2, 5), (3, 6), (4, 3), (3, 25)])
     def test_poly_weights_match_row_by_row(self, m, p):
@@ -109,8 +122,8 @@ class TestMultinomialCoefficient:
         idx = _index_array(m, p)
         weights = _poly_weights(p, idx)
         assert weights.shape == (idx.shape[0],)
-        for row, w in zip(idx, weights):
-            assert w == float(multinomial_coefficient(p, row))
+        for row, w in zip(idx.tolist(), weights):
+            assert w == float(multinomial(p, row))
 
 
 class TestEnergyDensity:
@@ -170,8 +183,10 @@ class TestEnergyDensity:
         assert energy_density(np.array([u]), spec) == pytest.approx(expected, rel=1e-10)
 
     def test_spec_rejects_blown_budget(self):
+        # C(27, 7) = 888,030 fits under the cap of 10^6; C(28, 7) = 1,184,040 does not
+        assert EnergySpec(20, WeightVector.ones(8)).p == 20
         with pytest.raises(IndexBudgetError):
-            EnergySpec(8, WeightVector.ones(6), index_cap=100)
+            EnergySpec(21, WeightVector.ones(8))
 
 
 class TestEnergyFunctional:
@@ -253,6 +268,36 @@ class TestEnergyTimeDerivative:
         assert energy_time_derivative(u, du, spec) == pytest.approx(
             fd_directional_derivative(u, du, spec), rel=1e-6
         )
+
+
+class TestRoundingBelowZero:
+    """Values down to -STATE_TOL, which the stepper accepts, count as 0."""
+
+    SPEC = EnergySpec(3, WeightVector((1.0, 2.0)))
+    ROUNDED = np.array([1.0, -1e-15])
+    ZERO = np.array([1.0, 0.0])
+
+    def test_density(self):
+        assert energy_density(self.ROUNDED, self.SPEC) == energy_density(self.ZERO, self.SPEC)
+
+    def test_time_derivative(self):
+        du = np.array([0.5, -0.25])
+        assert (energy_time_derivative(self.ROUNDED, du, self.SPEC)
+                == energy_time_derivative(self.ZERO, du, self.SPEC))
+
+    def test_ibp_identity_sides(self):
+        grads = np.array([[1.0, -0.5], [0.25, 2.0]])
+        mats = [np.eye(2), np.diag([2.0, 0.5])]
+        assert (ibp_identity_sides(self.ROUNDED, grads, mats, self.SPEC)
+                == ibp_identity_sides(self.ZERO, grads, mats, self.SPEC))
+
+    def test_below_tolerance_rejected(self):
+        # energy_density's rejection is test_negative_input_rejected
+        state = np.array([1.0, -1e-9])
+        with pytest.raises(ValueError, match="non-negative"):
+            energy_time_derivative(state, np.ones(2), self.SPEC)
+        with pytest.raises(ValueError, match="non-negative"):
+            ibp_identity_sides(state, np.ones((2, 1)), [np.eye(1)] * 2, self.SPEC)
 
 
 def random_spd(rng, n):
