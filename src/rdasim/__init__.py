@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .energy import (
     EnergySpec,
-    WeightVector,
     assemble_coupling_matrix,
     energy_density,
     energy_functional,
@@ -30,7 +29,6 @@ from .grid import (
 from .reactions import (
     ReactionSystem,
     SampleReport,
-    TruncationParam,
     builtin_linear_decay,
     builtin_reversible_reaction,
     check_intermediate_sum,

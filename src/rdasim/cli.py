@@ -32,7 +32,6 @@ from .config import (
 from .energy import (
     EnergySpec,
     WeightSearchError,
-    WeightVector,
     assemble_coupling_matrix,
     min_eigenvalue,
     select_weights,
@@ -57,7 +56,6 @@ from .output import (
     write_vtk_structured_points,
 )
 from .reactions import (
-    TruncationParam,
     check_intermediate_sum,
     check_mass_control,
     check_polynomial_growth,
@@ -124,14 +122,11 @@ def _resolve_energy_specs(cfg, system, coeff, seed: int):
     searches = []
     for entry in _energy_entries(cfg, system.m):
         p = entry["p"]
-        choice = entry.get("weights", "auto")
-        if choice == "auto":
+        weights = entry.get("weights", "auto")
+        if weights == "auto":
             weights, k_est = select_weights(system, diffusion_matrix_samples(coeff), p,
                                             seed=seed)
-            searches.append({"p": p, "weights": list(weights.entries),
-                             "bound_constant": k_est})
-        else:
-            weights = WeightVector(tuple(choice))
+            searches.append({"p": p, "weights": weights.tolist(), "bound_constant": k_est})
         specs.append(EnergySpec(p, weights))
     return specs, searches
 
@@ -145,7 +140,7 @@ def _energy_records(traj, specs, csv_path: Path, meta: dict) -> list:
     """
     values = diagnostics.energy_trace(traj, specs)
     write_energy_csv(csv_path, traj.times, specs, values, meta)
-    return [{"p": spec.p, "weights": list(spec.weights.entries),
+    return [{"p": spec.p, "weights": spec.weights.tolist(),
              "bounded_no_growth": diagnostics.no_growth(series[series.size // 2:]),
              "sup_value": float(series.max()), "initial_value": float(series[0])}
             for spec, series in zip(specs, values)]
@@ -209,11 +204,11 @@ def cmd_check(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int
             report["checks"].append({
                 "name": f"dissipativity_p{p}",
                 "passed": True,
-                "weights": list(weights.entries),
+                "weights": weights.tolist(),
                 "bound_constant": k_est,
                 "min_eigenvalues": eigs,
             })
-            _say(quiet, f"ok   dissipativity_p{p} (weights {list(weights.entries)})")
+            _say(quiet, f"ok   dissipativity_p{p} (weights {weights.tolist()})")
         except WeightSearchError as exc:
             report["checks"].append({
                 "name": f"dissipativity_p{p}", "passed": False, "error": str(exc),
@@ -236,7 +231,7 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
     solver_cfg = build_solver_config(cfg)
     if solver_cfg.record_dt is None and "record_dt" not in cfg["solver"]:
         solver_cfg.record_dt = solver_cfg.t_end / 200.0
-    eps = TruncationParam(cfg["solver"].get("epsilon", 1e-6))
+    eps = cfg["solver"].get("epsilon", 1e-6)
     problem = Problem(grid, system, coeff, boundary)
     meta = {"config_sha256": config_hash(cfg), "seed": seed}
     # a failing weight search stops the command before the integration
@@ -300,7 +295,7 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
             "config_sha256": meta["config_sha256"],
             "seed": seed,
             "m": system.m,
-            "epsilon": eps.epsilon,
+            "epsilon": eps,
             "times": [float(t) for t in traj.times],
             "files": files,
             "grid": {
@@ -348,7 +343,7 @@ def cmd_energy_report(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool
     grid, system, coeff, *_ = _assemble(cfg, base_dir)
     specs, searches = _resolve_energy_specs(cfg, system, coeff, seed)
     if not specs:
-        specs = [EnergySpec(2, WeightVector.ones(system.m))]
+        specs = [EnergySpec(2, np.ones(system.m))]
     meta = {"config_sha256": config_hash(cfg), "seed": seed}
     payload = {
         "config_sha256": meta["config_sha256"],

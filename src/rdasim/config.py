@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+# sampled cells per coefficient epoch in the dissipativity certificate
+_MAX_SAMPLED_CELLS = 6
+
+
 class ConfigError(ValueError):
     """The configuration document is invalid."""
 
@@ -480,12 +484,13 @@ def build_solver_config(cfg: dict) -> SolverConfig:
     return SolverConfig(**{k: v for k, v in cfg["solver"].items() if k != "epsilon"})
 
 
-def diffusion_matrix_samples(coeff: CoefficientField, max_cells: int = 6) -> list:
+def diffusion_matrix_samples(coeff: CoefficientField) -> list:
     """Representative per-species diffusion matrices at sampled cells.
 
     For every epoch, picks the cells extremizing each species' diffusivity
-    (plus the first cell) and returns, per sampled cell, the list of m
-    diagonal matrices used by the positive-definiteness certificate.
+    (plus the first cell), at most `_MAX_SAMPLED_CELLS` of them, and
+    returns, per sampled cell, the list of m diagonal matrices used by the
+    positive-definiteness certificate.
     """
     samples = []
     for _, diff, _ in coeff.epochs:
@@ -494,6 +499,6 @@ def diffusion_matrix_samples(coeff: CoefficientField, max_cells: int = 6) -> lis
             for axis in range(diff.shape[1]):
                 cells.add(int(np.argmin(diff[i, axis])))
                 cells.add(int(np.argmax(diff[i, axis])))
-        for cell in sorted(cells)[:max_cells]:
+        for cell in sorted(cells)[:_MAX_SAMPLED_CELLS]:
             samples.append([np.diag(diff[i, :, cell]) for i in range(diff.shape[0])])
     return samples

@@ -2,9 +2,9 @@
 
 A trajectory carries two granularities: full field snapshots at the
 recording cadence, and dense per-step reduced summaries (per-species
-masses and sup-norms, the global minimum, and the cumulative applied
-reaction).  Time integrals in budgets use trapezoidal accumulation over
-whichever series is used.
+masses and sup-norms, the global minimum, dt and the halvings).  Time
+integrals in budgets use trapezoidal accumulation over whichever series
+is used.
 
 An energy trace is the plain (nspecs, ntimes) array of each energy
 functional at each snapshot.  Whether a series is non-growing is a trend
@@ -53,7 +53,6 @@ class Trajectory:
     step_masses: np.ndarray | None = None        # (nsteps + 1, m)
     step_supnorms: np.ndarray | None = None      # (nsteps + 1, m)
     step_minima: np.ndarray | None = None
-    reaction_integrals: np.ndarray | None = None  # cumulative (nsteps + 1, m)
     step_dts: np.ndarray | None = None
     step_halvings: np.ndarray | None = None
 

@@ -34,7 +34,6 @@ from .sampling import orthant_samples, plateau
 
 __all__ = [
     "INDEX_CAP",
-    "WeightVector",
     "EnergySpec",
     "IndexBudgetError",
     "WeightSearchError",
@@ -64,31 +63,6 @@ class IndexBudgetError(RuntimeError):
 
 class WeightSearchError(RuntimeError):
     """The doubling search for admissible weights failed."""
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Strictly positive per-species weights."""
-
-    entries: tuple[float, ...]
-
-    def __post_init__(self):
-        entries = tuple(float(e) for e in self.entries)
-        if len(entries) == 0:
-            raise ValueError("weight vector must have at least one entry")
-        if any(not (e > 0.0) for e in entries):
-            raise ValueError(f"weights must be strictly positive, got {entries}")
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def ones(cls, m: int) -> "WeightVector":
-        return cls((1.0,) * m)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def count_multi_indices(m: int, p: int) -> int:
@@ -135,20 +109,29 @@ def _poly_weights(p: int, idx: np.ndarray) -> np.ndarray:
     return (math.factorial(p) // factorials[idx].prod(axis=1)).astype(float)
 
 
-@dataclass
+@dataclass(eq=False)
 class EnergySpec:
-    """Order p >= 1 plus weights defining one energy density.
+    """Order p >= 1 plus per-species weights defining one energy density.
 
-    Construction fails if the multi-index enumeration for (m, p) exceeds
-    `INDEX_CAP`.  Coefficient tables are computed once and reused.
+    `weights` may be any non-empty sequence of strictly positive values; it
+    is stored as a read-only float array, since the coefficient tables,
+    computed once and reused, depend on it.  Construction fails if the
+    multi-index enumeration for (m, p) exceeds `INDEX_CAP`.
     """
 
     p: int
-    weights: WeightVector
+    weights: np.ndarray
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError(f"energy order must be >= 1, got {self.p}")
+        weights = np.array(self.weights, dtype=float)
+        if weights.ndim != 1 or weights.size == 0:
+            raise ValueError(f"weights must be a non-empty list, got {self.weights!r}")
+        if not (weights > 0.0).all():
+            raise ValueError(f"weights must be strictly positive, got {tuple(weights.tolist())}")
+        weights.setflags(write=False)
+        self.weights = weights
         _check_index_budget(self.m, self.p)
         self._tables: dict[int, tuple] = {}
 
@@ -166,7 +149,7 @@ class EnergySpec:
         if q not in self._tables:
             idx = _index_array(self.m, q)
             coefs = _poly_weights(self.p, idx)
-            w = self.weights.as_array()
+            w = self.weights
             logw = np.log(w)
             sq = idx.astype(float) ** 2
             log_wpow = sq @ logw
@@ -308,7 +291,7 @@ def ibp_identity_sides(u, grad_u, mats, spec: EnergySpec) -> tuple[float, float]
     uvec = _nonnegative(uvec, "identity")
 
     flux = np.array([amats[k] @ grads[k] for k in range(m)])  # (m, n)
-    w = spec.weights.as_array()
+    w = spec.weights
 
     # left side: order p-1, gradient of the monomial expanded by product rule
     idx1, coefs1, wpow1, _, _, slope1 = spec._finite_level(spec.p - 1)
@@ -340,8 +323,8 @@ def ibp_identity_sides(u, grad_u, mats, spec: EnergySpec) -> tuple[float, float]
     return float(lhs), float(rhs)
 
 
-def assemble_coupling_matrix(diffusion_mats, weights: WeightVector) -> np.ndarray:
-    """Assemble the weight-scaled diffusion block matrix.
+def assemble_coupling_matrix(diffusion_mats, weights) -> np.ndarray:
+    """Assemble the weight-scaled diffusion block matrix for m per-species weights.
 
     Returns the symmetric (m n, m n) array of m x m blocks of size n x n:
     diagonal blocks are w_k^2 * sym(D_k); off-diagonal blocks are
@@ -350,14 +333,14 @@ def assemble_coupling_matrix(diffusion_mats, weights: WeightVector) -> np.ndarra
     independently of the particular multi-index.
     """
     mats = [np.asarray(d, dtype=float) for d in diffusion_mats]
+    w = np.asarray(weights, dtype=float)
     m = len(mats)
-    if m != len(weights):
-        raise ValueError(f"{m} matrices but {len(weights)} weights")
+    if w.shape != (m,):
+        raise ValueError(f"{m} matrices but weights of shape {w.shape}")
     n = mats[0].shape[0]
     if any(d.shape != (n, n) for d in mats):
         raise ValueError("all diffusion matrices must share the same square shape")
     sym = [(d + d.T) / 2.0 for d in mats]
-    w = weights.as_array()
     out = np.zeros((m * n, m * n))
     for k in range(m):
         for l in range(m):
@@ -399,7 +382,7 @@ def select_weights(
     samples_per_radius: int = 2000,
     max_doublings: int = 60,
     seed: int = 0,
-) -> tuple[WeightVector, float]:
+) -> tuple[np.ndarray, float]:
     """Doubling search for weights that certify dissipativity.
 
     Starting from all-ones weights and doubling entries in a backward sweep
@@ -427,11 +410,8 @@ def select_weights(
         raise WeightSearchError(f"non-finite reaction {value} at u={u.tolist()}")
 
     def pd_ok(warr: np.ndarray) -> bool:
-        wv = WeightVector(tuple(warr))
-        for mats in diffusion_samples:
-            if min_eigenvalue(assemble_coupling_matrix(mats, wv)) <= 0.0:
-                return False
-        return True
+        return not any(min_eigenvalue(assemble_coupling_matrix(mats, warr)) <= 0.0
+                       for mats in diffusion_samples)
 
     def ratio_status(warr: np.ndarray) -> tuple[bool, float]:
         ks = [_max_weighted_ratio(fvals, denom, warr, p) for fvals, denom in ladder]
@@ -443,7 +423,7 @@ def select_weights(
         pd_good = pd_ok(weights)
         ratio_good, k_est = ratio_status(weights)
         if pd_good and ratio_good:
-            return WeightVector(tuple(weights)), k_est
+            return weights, k_est
         if doublings >= max_doublings:
             failed = []
             if not pd_good:

@@ -46,6 +46,9 @@ __all__ = [
 
 SPECIES = ("susceptible", "infected", "recovered", "pathogen")
 
+# share of the dense series, from its end, that the infected-mass tail fit uses
+_TAIL_FIT_FRACTION = 0.5
+
 
 class AssumptionViolation(RuntimeError):
     """A structural assumption of the scenario fails; carries the report."""
@@ -265,14 +268,15 @@ class SInfinityEstimate:
     fit_ok: bool
 
 
-def s_infinity(traj, params: EpiParams, fit_fraction: float = 0.5) -> SInfinityEstimate:
+def s_infinity(traj, params: EpiParams) -> SInfinityEstimate:
     """Estimate the limiting susceptible mass and bound the horizon truncation.
 
     estimate = initial host mass - mortality * trapz(infected mass over the
     run).  The tail beyond the horizon is bounded by fitting an exponential
-    to the late infected-mass series: tail <= mortality * infected_mass(T) *
-    fitted decay time.  A failed fit (non-decaying or too-short tail) is
-    reported through fit_ok - the estimate itself is still returned.
+    to the late infected-mass series (its last `_TAIL_FIT_FRACTION`):
+    tail <= mortality * infected_mass(T) * fitted decay time.  A failed fit
+    (non-decaying or too-short tail) is reported through fit_ok - the
+    estimate itself is still returned.
     """
     times, masses = traj._dense_series()
     host0 = float(masses[0, :3].sum())
@@ -280,7 +284,7 @@ def s_infinity(traj, params: EpiParams, fit_fraction: float = 0.5) -> SInfinityE
     total_infected = float(np.trapezoid(infected, times))
     estimate = host0 - params.mortality * total_infected
 
-    start = int(len(times) * (1.0 - fit_fraction))
+    start = int(len(times) * (1.0 - _TAIL_FIT_FRACTION))
     tail_t = times[start:]
     tail_i = infected[start:]
     good = tail_i > 0

@@ -195,12 +195,6 @@ class CoefficientField:
     def switch_times(self) -> list[float]:
         return [e[0] for e in self.epochs[1:]]
 
-    def ellipticity_bound(self) -> float:
-        return float(min(np.min(diff) for _, diff, _ in self.epochs))
-
-    def drift_bound(self) -> float:
-        return float(max(np.max(np.abs(drift)) for _, _, drift in self.epochs))
-
 
 @dataclass(frozen=True)
 class Dirichlet:

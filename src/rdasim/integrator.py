@@ -21,10 +21,10 @@ and dgttrs solves every step at that dt.  On 2D grids SuperLU factorizes
 it (scipy's `splu`, minimum-degree ordering), and each step is one pair
 of triangular solves.  A non-finite reaction stops the step with
 NonFiniteError.  `run` writes the reduced summaries of each accepted step
-(time, masses, sup-norms, minimum, cumulative reaction, dt, halvings) as
-one row of a preallocated float array rather than as per-step Python
-objects.  Checkpoints serialize a state as a flat little-endian binary
-record; loading checks its size.
+(time, masses, sup-norms, minimum, dt, halvings) as one row of a
+preallocated float array rather than as per-step Python objects.
+Checkpoints serialize a state as a flat little-endian binary record;
+loading checks its size.
 
 The epsilon ladder takes the same steps on a batch: its members differ
 only in eps, so they are one state whose columns hold the members side by
@@ -58,7 +58,7 @@ from .grid import (
     StructuredGrid,
     assemble_transport,
 )
-from .reactions import STATE_TOL, ReactionSystem, TruncationParam, truncate
+from .reactions import STATE_TOL, ReactionSystem, truncate
 
 __all__ = [
     "SimState",
@@ -98,16 +98,20 @@ class NonFiniteError(SolverError):
 class SimState:
     """Species fields at one time level, with the truncation strength.
 
-    A batch of L members is one state with fields (m, ncells * L), where
-    column c * L + l holds member l at cell c; its eps is then an
-    (ncells * L,) array with one strength per column.
+    eps is a positive float.  A batch of L members is one state with
+    fields (m, ncells * L), where column c * L + l holds member l at cell
+    c; its eps is then an (ncells * L,) array with one strength per column.
     """
 
     t: float
     fields: np.ndarray  # (m, ncells), or (m, ncells * L) for a batch
-    eps: TruncationParam
+    eps: float | np.ndarray
 
     def __post_init__(self):
+        eps = np.asarray(self.eps, dtype=float)
+        if not (eps > 0).all():
+            raise ValueError(f"epsilon must be positive, got {self.eps}")
+        self.eps = float(eps) if eps.ndim == 0 else eps
         self.fields = np.asarray(self.fields, dtype=float)
         if self.fields.ndim != 2:
             raise ValueError(f"fields must be (m, ncells), got shape {self.fields.shape}")
@@ -142,7 +146,6 @@ class StepReport:
     dt: float
     halvings: int
     min_value: float
-    reaction_mass: np.ndarray | None = None  # per-species volume integral of it
 
 
 @dataclass
@@ -254,20 +257,20 @@ class TransportOperators:
 
 
 def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
-         system: ReactionSystem, max_dt: float | None = None) -> tuple[SimState, StepReport]:
+         max_dt: float | None = None) -> tuple[SimState, StepReport]:
     """Advance one accepted IMEX step, halving dt until positivity holds.
 
-    A batch state of L members, (m, ncells * L) with member l of cell c in
-    column c * L + l, takes the same step: the reaction is evaluated at the
-    cell centres repeated L times, truncated with each column's eps, and
-    the L right-hand sides are solved together.  Its reaction mass sums
-    over every member.
+    The reaction is the one of the problem the operators were assembled
+    for.  A batch state of L members, (m, ncells * L) with member l of
+    cell c in column c * L + l, takes the same step: the reaction is
+    evaluated at the cell centres repeated L times, truncated with each
+    column's eps, and the L right-hand sides are solved together.
     """
-    grid = operators.problem.grid
+    grid, system = operators.problem.grid, operators.problem.system
     members = state.fields.shape[1] // grid.ncells
-    centers, vol = grid.cell_centers, grid.cell_volumes
+    centers = grid.cell_centers
     if members > 1:
-        centers, vol = centers.repeat(members, axis=1), vol.repeat(members)
+        centers = centers.repeat(members, axis=1)
     raw = np.asarray(system.evaluate(centers, state.t, state.fields), dtype=float)
     if not np.isfinite(raw).all():
         species, cell = np.argwhere(~np.isfinite(raw))[0]
@@ -296,13 +299,7 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
     # `low` is the accepted state's minimum, so __post_init__'s checks would repeat it
     new_state = object.__new__(SimState)
     new_state.t, new_state.fields, new_state.eps = state.t + dt, new_fields, state.eps
-    report = StepReport(
-        dt=dt,
-        halvings=halvings,
-        min_value=low,
-        reaction_mass=reaction @ vol,
-    )
-    return new_state, report
+    return new_state, StepReport(dt=dt, halvings=halvings, min_value=low)
 
 
 def _check_initial(initial: SimState, cfg: SolverConfig, problem: Problem) -> None:
@@ -344,7 +341,7 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
             # t accumulates by addition, so an epoch of whole steps can end a
             # rounding error short of dt: that remainder reuses the cached dt
             room = boundary - state.t
-            state, report = step(state, cfg, operators, problem.system,
+            state, report = step(state, cfg, operators,
                                  max_dt=None if room >= cfg.dt - eps_round else room)
             recorded = cfg.record_dt is None or state.t >= t_end - eps_round
             if cfg.record_dt is not None:
@@ -359,8 +356,7 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
 
     Epochs and snapshots follow `_march`: operators are reassembled
     whenever a coefficient schedule switch is crossed.  The per-step
-    series (masses, sup-norms, minima, cumulative applied reaction, dt,
-    halvings) are always dense.  Each accepted step is one row of a
+    series (masses, sup-norms, minima, dt, halvings) are always dense.  Each accepted step is one row of a
     preallocated float array, sized for (t_end - t0) / dt steps plus one
     clipped step per epoch and doubled if halvings outgrow it; the
     Trajectory step arrays are contiguous copies of its columns.
@@ -369,8 +365,8 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
     _check_initial(initial, cfg, problem)
 
     m = problem.system.m
-    # series columns: t | masses | sup-norms | min | reaction integrals | dt, halvings
-    mass, sup, low, react, dt_col = 1, 1 + m, 1 + 2 * m, 2 + 2 * m, 2 + 3 * m
+    # series columns: t | masses | sup-norms | min | dt, halvings
+    mass, sup, low, dt_col = 1, 1 + m, 1 + 2 * m, 2 + 2 * m
     epochs = len(problem.coefficients.switch_times()) + 1
     capacity = math.ceil((cfg.t_end - initial.t) / cfg.dt) + epochs + 1
     series = np.zeros((capacity, dt_col + 2))
@@ -393,7 +389,6 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
         row[mass:sup] = state.fields @ vol
         row[sup:low] = np.abs(state.fields).max(axis=1)
         row[low] = report.min_value
-        row[react:dt_col] = report.reaction_mass
         row[dt_col:] = report.dt, report.halvings
         n += 1
         if recorded:
@@ -401,11 +396,6 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
             snapshots.append(state.fields.copy())
 
     series = series[:n]
-    # applied reaction dt * mass per step, then its running sum: the same
-    # products and sequential sums as accumulating it step by step
-    integrals = series[:, react:dt_col]
-    integrals *= series[:, dt_col, None]
-    np.cumsum(integrals, axis=0, out=integrals)
     return Trajectory(
         grid=grid,
         times=np.asarray(snap_times),
@@ -414,7 +404,6 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
         step_masses=series[:, mass:sup].copy(),
         step_supnorms=series[:, sup:low].copy(),
         step_minima=series[:, low].copy(),
-        reaction_integrals=series[:, react:dt_col].copy(),
         step_dts=series[1:, dt_col].copy(),
         step_halvings=series[1:, dt_col + 1].astype(int),
     )
@@ -436,7 +425,7 @@ def _march_ladder(members: list[SimState], cfg: SolverConfig,
     _check_initial(first, cfg, problem)
     L, (m, n) = len(members), first.fields.shape
     fields = np.stack([member.fields for member in members], axis=2).reshape(m, n * L)
-    batch = SimState(first.t, fields, np.tile([member.eps.epsilon for member in members], n))
+    batch = SimState(first.t, fields, np.tile([member.eps for member in members], n))
     snap_times, snapshots = [first.t], [fields]
     try:
         for state, report, recorded in _march(batch, cfg, problem):
@@ -486,10 +475,10 @@ def epsilon_refinement_study(problem: Problem, initial_fields: np.ndarray,
     the shared snapshot grid).  Shrinking distances as eps decreases are
     the numerical robustness signature of the regularization.
     """
-    eps_values = [e.epsilon if isinstance(e, TruncationParam) else float(e) for e in eps_list]
+    eps_values = [float(e) for e in eps_list]
     if len(eps_values) < 2:
         raise ValueError("need at least two truncation strengths")
-    members = [SimState(0.0, np.array(initial_fields, dtype=float), TruncationParam(eps))
+    members = [SimState(0.0, np.array(initial_fields, dtype=float), eps)
                for eps in eps_values]
     batch = _march_ladder(members, cfg, problem)
     if batch is None:
@@ -532,7 +521,7 @@ def dump_state(state: SimState, grid: StructuredGrid, path) -> None:
     if ncells != grid.ncells:
         raise ValueError(f"state has {ncells} cells for a grid with {grid.ncells}")
     header = _CHECKPOINT_HEADER.pack(
-        grid.content_hash(), m, ncells, state.t, state.eps.epsilon
+        grid.content_hash(), m, ncells, state.t, state.eps
     )
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
@@ -560,4 +549,4 @@ def load_state(path, grid: StructuredGrid) -> SimState:
             raise ValueError(f"checkpoint {path} holds {actual} data bytes, expected "
                              f"{expected} for {m} species x {ncells} cells")
         data = np.frombuffer(fh.read(expected), dtype="<f8").reshape(m, ncells)
-    return SimState(t, data.copy(), TruncationParam(eps))
+    return SimState(t, data.copy(), eps)

@@ -116,7 +116,7 @@ def write_norm_series_csv(path, series: dict, species_names=None, meta=None) -> 
 def write_energy_csv(path, times, specs, values, meta=None) -> None:
     """One column per energy spec; `values` is the (nspecs, ntimes) trace."""
     header = ["time"] + [
-        f"L{spec.p}_w{'_'.join(fmt(w) for w in spec.weights.entries)}"
+        f"L{spec.p}_w{'_'.join(fmt(w) for w in spec.weights)}"
         for spec in specs
     ]
     write_csv(path, header, np.column_stack([times, np.asarray(values).T]), meta)

@@ -41,7 +41,6 @@ from .sampling import (
 )
 
 __all__ = [
-    "TruncationParam",
     "ReactionSystem",
     "SampleReport",
     "ExpressionError",
@@ -63,17 +62,6 @@ _TOL = 1e-9
 # lowest value a species may take in a state: the rounding that direct
 # transport solves leave below zero, shared by the stepper and the energies
 STATE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TruncationParam:
-    """Regularization strength; reaction components are capped at 1/epsilon."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass
@@ -158,17 +146,19 @@ def truncate(f_values, eps) -> np.ndarray:
 
     Works on shape (m,) or (m, N); the denominator is shared across
     components of one state, so signs are preserved and every output
-    component is bounded by 1/eps.  `eps` is a TruncationParam, a scalar,
-    or an (N,) array with one strength per column.
+    component is bounded by 1/eps.  `eps` is a positive float, or an (N,)
+    array with one strength per column.
     """
-    if isinstance(eps, TruncationParam):
-        epsilon = eps.epsilon  # validated on construction
+    # a float, the solo run's eps, costs one comparison on every step
+    if isinstance(eps, float):
+        positive = eps > 0
     else:
-        epsilon = np.asarray(eps, dtype=float)
-        if not (epsilon > 0).all():
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        eps = np.asarray(eps, dtype=float)
+        positive = (eps > 0).all()
+    if not positive:
+        raise ValueError(f"epsilon must be positive, got {eps}")
     f = np.asarray(f_values, dtype=float)
-    denom = 1.0 + epsilon * np.abs(f).sum(axis=0)
+    denom = 1.0 + eps * np.abs(f).sum(axis=0)
     return f / denom
 
 

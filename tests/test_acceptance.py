@@ -16,7 +16,6 @@ from rdasim.config import diffusion_matrix_samples
 from rdasim.diagnostics import energy_trace, mass_budget, no_growth, windowed_sup
 from rdasim.energy import (
     EnergySpec,
-    WeightVector,
     assemble_coupling_matrix,
     energy_density,
     energy_time_derivative,
@@ -48,7 +47,7 @@ from rdasim.integrator import (
     epsilon_refinement_study,
     run,
 )
-from rdasim.reactions import TruncationParam, builtin_reversible_reaction, truncate
+from rdasim.reactions import builtin_reversible_reaction, truncate
 
 TRAJECTORIES = {}
 
@@ -89,7 +88,7 @@ def desk_epi_run():
     fields[0] = 0.3
     fields[1] = seed_bump(grid.cell_centers[0], 1e-3)
     cfg = SolverConfig(dt=0.005, t_end=200.0, record_dt=1.0)
-    traj = run(SimState(0.0, fields, TruncationParam(1e-9)), cfg, problem)
+    traj = run(SimState(0.0, fields, 1e-9), cfg, problem)
     TRAJECTORIES["desk_epi"] = traj
     return traj, params
 
@@ -109,7 +108,7 @@ def reversible_run():
         system, diffusion_matrix_samples(coeff), 4, samples_per_radius=2000
     )
     cfg = SolverConfig(dt=0.01, t_end=40.0, record_dt=0.2)
-    traj = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
+    traj = run(SimState(0.0, fields, 1e-6), cfg, problem)
     TRAJECTORIES["reversible"] = traj
     return traj, system, weights, bound_constant
 
@@ -121,7 +120,7 @@ def test_criterion_1_multinomial_reduction():
         m = int(rng.integers(1, 6))
         p = int(rng.integers(1, 9))
         u = rng.uniform(0.0, 5.0, size=m)
-        spec = EnergySpec(p, WeightVector.ones(m))
+        spec = EnergySpec(p, np.ones(m))
         expected = np.sum(u) ** p
         assert energy_density(u, spec) == pytest.approx(expected, rel=1e-12, abs=1e-300)
     elapsed = time.perf_counter() - started
@@ -136,7 +135,7 @@ def test_criterion_2_time_derivative_identity():
     for _ in range(1000):
         m = int(rng.integers(1, 6))
         p = int(rng.integers(2, 7))
-        spec = EnergySpec(p, WeightVector(tuple(rng.uniform(0.5, 2.0, m))))
+        spec = EnergySpec(p, rng.uniform(0.5, 2.0, m))
         u = rng.uniform(0.2, 2.0, m)
         du = rng.uniform(-1.0, 1.0, m)
         analytic = energy_time_derivative(u, du, spec)
@@ -150,7 +149,7 @@ def test_criterion_2_time_derivative_identity():
         p = int(rng.integers(2, 9))
         u = rng.uniform(0.1, 2.0, m)
         du = rng.uniform(-1.0, 1.0, m)
-        spec = EnergySpec(p, WeightVector.ones(m))
+        spec = EnergySpec(p, np.ones(m))
         expected = p * np.sum(u) ** (p - 1) * np.sum(du)
         assert energy_time_derivative(u, du, spec) == pytest.approx(expected, rel=1e-12)
     elapsed = time.perf_counter() - started
@@ -166,7 +165,7 @@ def test_criterion_3_gradient_identity():
         m = int(rng.integers(1, 5))
         p = int(rng.integers(2, 7))
         n = int(rng.integers(1, 4))
-        spec = EnergySpec(p, WeightVector(tuple(rng.uniform(0.5, 2.0, m))))
+        spec = EnergySpec(p, rng.uniform(0.5, 2.0, m))
         u = rng.uniform(0.2, 2.0, m)
         grads = rng.standard_normal((m, n))
         mats = []
@@ -184,7 +183,7 @@ def test_criterion_3_gradient_identity():
 def test_criterion_4_positive_definiteness_gate():
     started = time.perf_counter()
     for t in (0.5, 0.99, 1.01, 2.0):
-        block = assemble_coupling_matrix([np.eye(2), np.eye(2)], WeightVector((t, t)))
+        block = assemble_coupling_matrix([np.eye(2), np.eye(2)], (t, t))
         lam = min_eigenvalue(block)
         assert lam == pytest.approx(t**2 - 1.0, abs=1e-10)
         assert (lam > 0) == (t > 1.0)
@@ -246,7 +245,7 @@ def test_criterion_7_discrete_mass_budget():
     problem = Problem(grid, inert, coeff, boundary)
     rng = np.random.default_rng(104)
     fields = rng.uniform(0.0, 2.0, size=(1, 128))
-    traj = run(SimState(0.0, fields, TruncationParam(1e-6)),
+    traj = run(SimState(0.0, fields, 1e-6),
                SolverConfig(dt=0.01, t_end=1.0), problem)
     TRAJECTORIES["inert_transport"] = traj
     mass = traj.step_masses[:, 0]
@@ -259,7 +258,7 @@ def test_criterion_7_discrete_mass_budget():
     problem2 = Problem(grid, system, coeff2,
                        BoundarySpec.uniform(2, 1, NoFluxWithDrift()))
     fields2 = rng.uniform(0.2, 1.5, size=(2, 128))
-    traj2 = run(SimState(0.0, fields2, TruncationParam(1e-4)),
+    traj2 = run(SimState(0.0, fields2, 1e-4),
                 SolverConfig(dt=0.01, t_end=1.0), problem2)
     TRAJECTORIES["reversible_budget"] = traj2
     weighted = traj2.step_masses @ system.mass_weights
@@ -351,7 +350,7 @@ def test_criterion_12_manufactured_convergence():
         h = 1.0 / n
         t_end = 0.1
         cfg = SolverConfig(dt=0.25 * h * h, t_end=t_end, record_dt=t_end)
-        traj = run(SimState(0.0, np.sin(np.pi * x)[None, :], TruncationParam(1.0)),
+        traj = run(SimState(0.0, np.sin(np.pi * x)[None, :], 1.0),
                    cfg, problem)
         TRAJECTORIES[f"heat_{n}"] = traj
         exact = np.exp(-np.pi**2 * t_end) * np.sin(np.pi * x)

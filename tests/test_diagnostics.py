@@ -12,7 +12,7 @@ from rdasim.diagnostics import (
     norm_series,
     windowed_sup,
 )
-from rdasim.energy import EnergySpec, WeightVector
+from rdasim.energy import EnergySpec
 from rdasim.grid import (
     BoundarySpec,
     CoefficientField,
@@ -23,7 +23,6 @@ from rdasim.grid import (
 )
 from rdasim.integrator import Problem, SimState, SolverConfig, run
 from rdasim.reactions import (
-    TruncationParam,
     builtin_linear_decay,
     builtin_reversible_reaction,
     system_from_expressions,
@@ -40,7 +39,7 @@ def run_problem(system, fields, t_end=1.0, dt=0.01, diffusion=0.1, n=24,
     coeff = CoefficientField.constant(grid, [diffusion] * system.m)
     boundary = BoundarySpec.uniform(system.m, 1, bc or NoFluxWithDrift())
     problem = Problem(grid, system, coeff, boundary)
-    state = SimState(0.0, fields, TruncationParam(eps))
+    state = SimState(0.0, fields, eps)
     cfg = SolverConfig(dt=dt, t_end=t_end, record_dt=record_dt)
     return run(state, cfg, problem), problem
 
@@ -151,7 +150,7 @@ class TestEnergyTrace:
     def test_zero_trajectory(self):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [8])
         traj = snapshot_trajectory(grid, [0.0, 1.0], [np.zeros((2, 8))] * 2)
-        values = energy_trace(traj, [EnergySpec(4, WeightVector.ones(2))])
+        values = energy_trace(traj, [EnergySpec(4, np.ones(2))])
         assert values.shape == (1, 2)
         assert np.all(values == 0.0)
 
@@ -160,7 +159,7 @@ class TestEnergyTrace:
         grid = StructuredGrid.uniform([(0.0, 1.0)], [16])
         states = [rng.uniform(0, 2, size=(3, 16)) for _ in range(4)]
         traj = snapshot_trajectory(grid, [0.0, 0.3, 0.6, 1.0], states)
-        values = energy_trace(traj, [EnergySpec(1, WeightVector.ones(3))])
+        values = energy_trace(traj, [EnergySpec(1, np.ones(3))])
         for k, state in enumerate(states):
             l1 = sum(discrete_norm(state[i], grid, 1) for i in range(3))
             assert values[0, k] == pytest.approx(l1, rel=1e-13)
@@ -170,7 +169,7 @@ class TestEnergyTrace:
         rng = np.random.default_rng(2)
         fields = rng.uniform(0.5, 1.5, size=(2, 24))
         traj, _ = run_problem(system, fields, t_end=2.0, record_dt=0.1)
-        specs = [EnergySpec(3, WeightVector.ones(2))]
+        specs = [EnergySpec(3, np.ones(2))]
         values = energy_trace(traj, specs)
         assert np.all(np.diff(values[0]) < 0)
         (record,) = _energy_records(traj, specs, tmp_path / "energy.csv", {})
@@ -184,7 +183,7 @@ class TestEnergyTrace:
         )
         fields = np.ones((1, 24))
         traj, _ = run_problem(growth, fields, t_end=2.0, record_dt=0.1)
-        specs = [EnergySpec(2, WeightVector.ones(1))]
+        specs = [EnergySpec(2, np.ones(1))]
         (record,) = _energy_records(traj, specs, tmp_path / "energy.csv", {})
         assert not record["bounded_no_growth"]
         assert record["sup_value"] == energy_trace(traj, specs)[0, -1]

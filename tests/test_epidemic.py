@@ -19,7 +19,7 @@ from rdasim.epidemic import (
 )
 from rdasim.grid import NoFluxWithDrift, StructuredGrid, discrete_norm
 from rdasim.integrator import Problem, SimState, SolverConfig, run
-from rdasim.reactions import TruncationParam, check_quasi_positivity
+from rdasim.reactions import check_quasi_positivity
 
 
 def desk_params(grid=None, shedding=0.25, drift=0.05):
@@ -59,7 +59,7 @@ def desk_run(t_end=5.0, dt=0.01, shedding=0.25, susceptible=0.3,
     coeff = build_epi_coefficients(params)
     problem = Problem(params.grid, system, coeff, boundary)
     initial = desk_initial(params.grid, susceptible, seed_amplitude)
-    state = SimState(0.0, initial, TruncationParam(eps))
+    state = SimState(0.0, initial, eps)
     cfg = SolverConfig(dt=dt, t_end=t_end, record_dt=record_dt or t_end / 20)
     return run(state, cfg, problem), params, system
 
@@ -278,7 +278,7 @@ class TestConservation:
             coeff = build_epi_coefficients(params)
             problem = Problem(params.grid, system, coeff, boundary)
             initial = desk_initial(params.grid, 0.3, 1e-2)
-            traj = run(SimState(0.0, initial, TruncationParam(1e-9)),
+            traj = run(SimState(0.0, initial, 1e-9),
                        SolverConfig(dt=0.01, t_end=2.0, record_dt=0.5), problem)
             host = traj.step_masses[:, :3].sum(axis=1)
             drifts.append(abs(host[-1] - host[0]))
@@ -310,7 +310,7 @@ class TestAsymptotics:
         fields = np.zeros((4, 64))
         fields[0] = 0.3
         fields[3] = bump(params.grid, amplitude=1.0)
-        traj = run(SimState(0.0, fields, TruncationParam(1e-9)),
+        traj = run(SimState(0.0, fields, 1e-9),
                    SolverConfig(dt=0.005, t_end=4.0, record_dt=1.0), problem)
         b_mass = traj.step_masses[:, 3]
         expected = b_mass[0] * np.exp(-params.pathogen_decay * traj.step_times)

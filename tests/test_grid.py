@@ -119,12 +119,6 @@ class TestCoefficientField:
         assert coeff.at_time(0.5)[0][0, 0, 0] == 3.0
         assert coeff.switch_times() == [0.5]
 
-    def test_bounds(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [3])
-        coeff = CoefficientField.constant(grid, [2.0, 0.5], [0.3, -0.7])
-        assert coeff.ellipticity_bound() == 0.5
-        assert coeff.drift_bound() == 0.7
-
 
 class TestFaceDiffusivity:
     def test_homogeneous_limit(self):

@@ -44,7 +44,6 @@ from rdasim.integrator import (
 )
 from rdasim.reactions import (
     ReactionSystem,
-    TruncationParam,
     builtin_linear_decay,
     builtin_reversible_reaction,
     system_from_expressions,
@@ -312,12 +311,12 @@ class TestStep:
         problem = make_problem(system, n=24, diffusion=0.3, drift=0.4)
         rng = np.random.default_rng(3)
         fields = rng.uniform(0.0, 2.0, size=(2, 24))
-        state = SimState(0.0, fields, TruncationParam(1e-3))
+        state = SimState(0.0, fields, 1e-3)
         cfg = SolverConfig(dt=0.05, t_end=1.0)
         ops = TransportOperators(problem, 0.0)
         vol = problem.grid.cell_volumes
         before = fields @ vol
-        new_state, report = step(state, cfg, ops, system)
+        new_state, report = step(state, cfg, ops)
         after = new_state.fields @ vol
         assert np.allclose(before, after, atol=1e-10)
         assert report.halvings == 0
@@ -326,12 +325,12 @@ class TestStep:
     def test_dirichlet_diffusion_decays_to_zero(self):
         system = zero_reactions(1)
         problem = make_problem(system, n=16, diffusion=50.0, bc=Dirichlet())
-        state = SimState(0.0, np.ones((1, 16)), TruncationParam(1e-3))
+        state = SimState(0.0, np.ones((1, 16)), 1e-3)
         cfg = SolverConfig(dt=0.1, t_end=1.0)
         ops = TransportOperators(problem, 0.0)
         sups = [1.0]
         for _ in range(10):
-            state, _ = step(state, cfg, ops, system)
+            state, _ = step(state, cfg, ops)
             sups.append(float(np.max(state.fields)))
         assert all(b <= a + 1e-14 for a, b in zip(sups, sups[1:]))
         assert sups[-1] < 1e-6
@@ -343,10 +342,10 @@ class TestStep:
             intermediate_order=1.0, growth_order=1.0, growth_constant=30.0,
         )
         problem = make_problem(sink, n=8, diffusion=0.01)
-        state = SimState(0.0, np.full((1, 8), 0.5), TruncationParam(1e-6))
+        state = SimState(0.0, np.full((1, 8), 0.5), 1e-6)
         cfg = SolverConfig(dt=1.0, t_end=2.0)
         ops = TransportOperators(problem, 0.0)
-        new_state, report = step(state, cfg, ops, sink)
+        new_state, report = step(state, cfg, ops)
         assert report.halvings > 0
         assert new_state.fields.min() >= -cfg.positivity_tol
         assert report.dt < 1.0
@@ -357,11 +356,11 @@ class TestStep:
             intermediate_order=1.0, growth_order=1.0, growth_constant=30.0,
         )
         problem = make_problem(sink, n=4, diffusion=0.01)
-        state = SimState(0.0, np.full((1, 4), 0.5), TruncationParam(1e-6))
+        state = SimState(0.0, np.full((1, 4), 0.5), 1e-6)
         cfg = SolverConfig(dt=1.0, t_end=2.0, max_halvings=0)
         ops = TransportOperators(problem, 0.0)
         with pytest.raises(PositivityError):
-            step(state, cfg, ops, sink)
+            step(state, cfg, ops)
 
     def test_state_floor_holds_under_a_looser_tolerance(self):
         # a constant sink of 1e-8 takes a zero state to -1e-8 in one step of 1:
@@ -372,20 +371,20 @@ class TestStep:
             intermediate_order=1.0, growth_order=1.0, growth_constant=1.0,
         )
         problem = make_problem(sink, n=4, diffusion=0.1)
-        state = SimState(0.0, np.zeros((1, 4)), TruncationParam(1e-6))
+        state = SimState(0.0, np.zeros((1, 4)), 1e-6)
         cfg = SolverConfig(dt=1.0, t_end=2.0, positivity_tol=1e-6)
         with pytest.raises(PositivityError, match="below -1e-12"):
-            step(state, cfg, TransportOperators(problem, 0.0), sink)
+            step(state, cfg, TransportOperators(problem, 0.0))
 
     def test_accepted_state_is_not_validated_again(self, monkeypatch):
         # step has tested the new minimum; SimState's own check would repeat it
         system = builtin_reversible_reaction()
         problem = make_problem(system, n=8, diffusion=0.1)
-        state = SimState(0.0, np.ones((2, 8)), TruncationParam(1e-3))
+        state = SimState(0.0, np.ones((2, 8)), 1e-3)
         validated = []
         monkeypatch.setattr(SimState, "__post_init__", lambda self: validated.append(self))
         new_state, report = step(state, SolverConfig(dt=0.1, t_end=1.0),
-                                 TransportOperators(problem, 0.0), system)
+                                 TransportOperators(problem, 0.0))
         assert validated == []
         assert isinstance(new_state, SimState)
         assert new_state.t == 0.1 and new_state.eps is state.eps
@@ -424,8 +423,8 @@ class TestStep:
         cfg = SolverConfig(dt=10.0 ** data.draw(st.floats(-3.0, 0.0)), t_end=2.0,
                            max_halvings=data.draw(st.integers(0, 20)))
         try:
-            new_state, report = step(SimState(0.0, fields, TruncationParam(eps)), cfg,
-                                     TransportOperators(problem, 0.0), system)
+            new_state, report = step(SimState(0.0, fields, eps), cfg,
+                                     TransportOperators(problem, 0.0))
         except PositivityError:
             return
         assert new_state.fields.min() >= -cfg.positivity_tol
@@ -437,7 +436,7 @@ class TestRun:
     def test_zero_initial_zero_reactions_stays_zero(self):
         system = builtin_reversible_reaction()
         problem = make_problem(system, n=16, diffusion=0.2)
-        state = SimState(0.0, np.zeros((2, 16)), TruncationParam(1e-3))
+        state = SimState(0.0, np.zeros((2, 16)), 1e-3)
         traj = run(state, SolverConfig(dt=0.05, t_end=0.5), problem)
         assert all(np.all(s == 0.0) for s in traj.states)
 
@@ -446,7 +445,7 @@ class TestRun:
         problem = make_problem(system, n=32, diffusion=0.05)
         rng = np.random.default_rng(4)
         fields = rng.uniform(0.2, 1.5, size=(2, 32))
-        state = SimState(0.0, fields, TruncationParam(1e-4))
+        state = SimState(0.0, fields, 1e-4)
         traj = run(state, SolverConfig(dt=0.01, t_end=1.0), problem)
         total = traj.step_masses.sum(axis=1)
         assert np.max(np.abs(total - total[0])) < 1e-10
@@ -456,7 +455,7 @@ class TestRun:
         problem = make_problem(system, n=32, diffusion=0.05)
         rng = np.random.default_rng(5)
         fields = rng.uniform(0.0, 2.0, size=(2, 32))
-        state = SimState(0.0, fields, TruncationParam(1e-4))
+        state = SimState(0.0, fields, 1e-4)
         traj = run(state, SolverConfig(dt=0.02, t_end=2.0), problem)
         assert traj.step_minima.min() >= -1e-12
 
@@ -468,7 +467,7 @@ class TestRun:
             intermediate_order=1.0, growth_order=1.0, growth_constant=30.0,
         )
         problem = make_problem(sink, n=8, diffusion=0.01)
-        state = SimState(0.0, np.full((1, 8), 0.5), TruncationParam(1e-6))
+        state = SimState(0.0, np.full((1, 8), 0.5), 1e-6)
         traj = run(state, SolverConfig(dt=1.0, t_end=2.0, record_dt=None), problem)
         assert traj.step_halvings.sum() > 0
         # 4 preallocated rows: the initial one, 2 steps of dt = 1 and 1 epoch
@@ -481,19 +480,18 @@ class TestRun:
         assert np.array_equal(traj.step_minima, states.min(axis=(1, 2)))
         np.testing.assert_allclose(traj.step_times[1:] - traj.step_times[:-1],
                                    traj.step_dts, rtol=1e-12)
-        assert traj.reaction_integrals.shape == (traj.step_times.size, 1)
         assert np.issubdtype(traj.step_halvings.dtype, np.integer)
 
     def test_snapshot_cadence(self):
         system = zero_reactions(1)
         problem = make_problem(system, n=8, diffusion=0.1)
-        state = SimState(0.0, np.ones((1, 8)), TruncationParam(1.0))
+        state = SimState(0.0, np.ones((1, 8)), 1.0)
         traj = run(state, SolverConfig(dt=0.01, t_end=1.0, record_dt=0.25), problem)
         assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-9)
 
     def test_t_end_off_the_cadence_is_recorded(self):
         problem = make_problem(zero_reactions(1), n=8, diffusion=0.1)
-        state = SimState(0.0, np.ones((1, 8)), TruncationParam(1.0))
+        state = SimState(0.0, np.ones((1, 8)), 1.0)
         traj = run(state, SolverConfig(dt=0.01, t_end=1.0, record_dt=0.3), problem)
         assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-9)
 
@@ -507,7 +505,7 @@ class TestRun:
             "grid = StructuredGrid.uniform([(0.0, 1.0)], [8])",
             "problem = Problem(grid, builtin_linear_decay(1), CoefficientField.constant(grid, [0.1]),",
             "                  BoundarySpec.uniform(1, 1, NoFluxWithDrift()))",
-            "state = SimState(0.0, np.ones((1, 8)), TruncationParam(1.0))",
+            "state = SimState(0.0, np.ones((1, 8)), 1.0)",
             "traj = run(state, SolverConfig(dt=0.01, t_end=0.05, record_dt=1e-20), problem)",
             "print(np.array_equal(traj.times, traj.step_times))",
         ])
@@ -520,7 +518,7 @@ class TestRun:
     def test_record_dt_overflowing_the_count_records_every_step(self):
         # 0.01 / 5e-324 overflows to inf, so the passed-point count cannot grow
         problem = make_problem(builtin_linear_decay(1), n=8, diffusion=0.1)
-        state = SimState(0.0, np.ones((1, 8)), TruncationParam(1.0))
+        state = SimState(0.0, np.ones((1, 8)), 1.0)
         traj = run(state, SolverConfig(dt=0.01, t_end=0.05, record_dt=5e-324), problem)
         assert traj.step_times.size == 6
         assert np.array_equal(traj.times, traj.step_times)
@@ -541,7 +539,7 @@ class TestRun:
         system = zero_reactions(1)
         problem = Problem(grid, system, coeff, BoundarySpec.uniform(1, 1, NoFluxWithDrift()))
         bump = np.exp(-100 * (grid.cell_centers[0] - 0.5) ** 2)[None, :]
-        state = SimState(0.0, bump, TruncationParam(1.0))
+        state = SimState(0.0, bump, 1.0)
         traj = run(state, SolverConfig(dt=0.05, t_end=1.0, record_dt=0.25), problem)
         var = [float(np.var(s)) for s in traj.states]
         mid = int(np.argmin(np.abs(traj.times - 0.5)))
@@ -562,7 +560,7 @@ class TestRun:
             h = 1.0 / n
             t_end = 0.1
             cfg = SolverConfig(dt=0.25 * h * h, t_end=t_end, record_dt=t_end)
-            traj = run(SimState(0.0, u0, TruncationParam(1.0)), cfg, problem)
+            traj = run(SimState(0.0, u0, 1.0), cfg, problem)
             exact = np.exp(-np.pi**2 * t_end) * np.sin(np.pi * x)
             errors.append(discrete_norm(traj.states[-1][0] - exact, grid, 2))
         orders = [np.log2(errors[k] / errors[k + 1]) for k in range(2)]
@@ -573,7 +571,7 @@ class TestRun:
         problem = make_problem(system, n=8, diffusion=0.2, drift=0.3, dim=2)
         rng = np.random.default_rng(6)
         fields = rng.uniform(0.5, 1.5, size=(1, 64))
-        state = SimState(0.0, fields, TruncationParam(1.0))
+        state = SimState(0.0, fields, 1.0)
         traj = run(state, SolverConfig(dt=0.05, t_end=0.5), problem)
         total = traj.step_masses.sum(axis=1)
         assert np.max(np.abs(total - total[0])) < 1e-12
@@ -596,7 +594,7 @@ class TestRun:
         problem = Problem(grid, system, coeff, BoundarySpec.uniform(2, 2, NoFluxWithDrift()))
         fields = draw(0.0, 2.0, (2, grid.ncells))
         cfg = SolverConfig(dt=10.0 ** data.draw(st.floats(-3.0, -1.0)), t_end=0.1)
-        traj = run(SimState(0.0, fields, TruncationParam(1.0)), cfg, problem)
+        traj = run(SimState(0.0, fields, 1.0), cfg, problem)
         _, residual = mass_budget(traj, system)
         assert np.max(np.abs(residual)) <= 1e-12
 
@@ -611,7 +609,7 @@ class TestRun:
         fields = np.random.default_rng(9).uniform(0.5, 1.5, size=(1, problem.grid.ncells))
         factored = count_sparse_lu(monkeypatch)
         cfg = SolverConfig(dt=0.5, t_end=1.0, record_dt=0.25)
-        traj = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
+        traj = run(SimState(0.0, fields, 1e-6), cfg, problem)
         assert traj.step_halvings[:11].min() == 4
         assert len(factored) == 5
 
@@ -630,7 +628,7 @@ class TestRun:
                           BoundarySpec.uniform(2, 2, NoFluxWithDrift()))
         factored = count_sparse_lu(monkeypatch)
         fields = rng.uniform(0.5, 1.5, size=(2, grid.ncells))
-        traj = run(SimState(0.0, fields, TruncationParam(1e-6)),
+        traj = run(SimState(0.0, fields, 1e-6),
                    SolverConfig(dt=0.05, t_end=1.0), problem)
         assert traj.step_halvings.sum() == 0
         assert factored == [(60, 60), (60, 60)]
@@ -653,7 +651,7 @@ class TestRun:
         problem = Problem(grid, system, coeff, BoundarySpec.uniform(2, 1, NoFluxWithDrift()))
         fields = np.stack([np.where(grid.cell_centers[0] < 0.5, 1.5, 1.0), np.full(32, 0.7)])
         cfg = SolverConfig(dt=0.01, t_end=40.0, record_dt=0.2)
-        traj = run(SimState(0.0, fields, TruncationParam(1e-6)), cfg, problem)
+        traj = run(SimState(0.0, fields, 1e-6), cfg, problem)
         assert calls == [(64, 64)]
         assert np.all(traj.step_dts == cfg.dt)
         assert abs(traj.step_times[-1] - cfg.t_end) <= 1e-12 * cfg.t_end
@@ -695,7 +693,7 @@ def shipped_ladder(name, t_end=None):
         cfg["solver"]["t_end"] = t_end
     grid, system, coeff, boundary, initial, _, _ = cli._assemble(cfg, REPO / "configs")
     eps = cfg.get("diagnostics", {}).get("epsilon_study", [1e-2, 1e-3, 1e-4])
-    members = [SimState(0.0, initial, TruncationParam(e)) for e in eps]
+    members = [SimState(0.0, initial, e) for e in eps]
     return Problem(grid, system, coeff, boundary), members, build_solver_config(cfg)
 
 
@@ -707,7 +705,7 @@ def stiff_ladder(record_dt):
     )
     problem = make_problem(sink, n=64, diffusion=0.1, bc=Dirichlet())
     fields = np.exp(-50.0 * (problem.grid.cell_centers[0] - 0.5) ** 2)[None, :]
-    members = [SimState(0.0, fields, TruncationParam(e)) for e in (1.0, 1e-4)]
+    members = [SimState(0.0, fields, e) for e in (1.0, 1e-4)]
     return problem, members, SolverConfig(dt=0.01, t_end=1.0, record_dt=record_dt)
 
 
@@ -751,7 +749,7 @@ class TestEpsilonLadder:
         problem = Problem(grid, builtin_reversible_reaction(), coeff,
                           BoundarySpec.uniform(2, 2, NoFluxWithDrift()))
         fields = rng.uniform(0.5, 1.5, size=(2, grid.ncells))
-        members = [SimState(0.0, fields, TruncationParam(e)) for e in (1e-1, 1e-2, 1e-3)]
+        members = [SimState(0.0, fields, e) for e in (1e-1, 1e-2, 1e-3)]
         cfg = SolverConfig(dt=0.05, t_end=1.0, record_dt=0.2)
         factored = count_sparse_lu(monkeypatch)
         times, states = integrator._march_ladder(members, cfg, problem)
@@ -766,7 +764,7 @@ class TestEpsilonLadder:
         system = system_from_expressions(["x*u2 - u1", "u1 - x*u2"], mass_weights=[1.0, 1.0])
         problem = make_problem(system, n=16, diffusion=0.05, drift=0.2)
         fields = np.random.default_rng(15).uniform(0.5, 1.5, size=(2, 16))
-        members = [SimState(0.0, fields, TruncationParam(e)) for e in (1.0, 1e-1, 1e-2)]
+        members = [SimState(0.0, fields, e) for e in (1.0, 1e-1, 1e-2)]
         cfg = SolverConfig(dt=0.01, t_end=0.5, record_dt=0.1)
         times, states = integrator._march_ladder(members, cfg, problem)
         for member, member_states in zip(members, states):
@@ -851,19 +849,19 @@ class TestCheckpoints:
                   | st.floats(min_value=0.0, allow_infinity=False))
         fields = data.draw(arrays(np.float64, (m, ncells), elements=values))
         grid = StructuredGrid.uniform([(0.0, 1.0)], [ncells])
-        state = SimState(t, fields, TruncationParam(eps))
+        state = SimState(t, fields, eps)
         path = tmp_path_factory.mktemp("ck") / "state.ck"
         dump_state(state, grid, path)
         back = load_state(path, grid)
         assert np.float64(back.t).tobytes() == np.float64(t).tobytes()
-        assert np.float64(back.eps.epsilon).tobytes() == np.float64(eps).tobytes()
+        assert np.float64(back.eps).tobytes() == np.float64(eps).tobytes()
         assert back.fields.shape == (m, ncells)
         assert back.fields.tobytes() == fields.tobytes()
 
     def test_grid_mismatch_rejected(self, tmp_path):
         grid = StructuredGrid.uniform([(0.0, 1.0)], [12])
         other = StructuredGrid.uniform([(0.0, 1.0)], [13])
-        state = SimState(0.0, np.zeros((1, 12)), TruncationParam(1.0))
+        state = SimState(0.0, np.zeros((1, 12)), 1.0)
         path = tmp_path / "state.ck"
         dump_state(state, grid, path)
         with pytest.raises(ValueError, match="different grid"):
@@ -873,8 +871,17 @@ class TestCheckpoints:
 class TestSimState:
     def test_negative_state_rejected(self):
         with pytest.raises(PositivityError):
-            SimState(0.0, np.array([[1.0, -1e-6]]), TruncationParam(1.0))
+            SimState(0.0, np.array([[1.0, -1e-6]]), 1.0)
 
     def test_tiny_negative_tolerated(self):
-        state = SimState(0.0, np.array([[1.0, -1e-13]]), TruncationParam(1.0))
+        state = SimState(0.0, np.array([[1.0, -1e-13]]), 1.0)
         assert state.fields.min() == -1e-13
+
+    @pytest.mark.parametrize("eps", [0, -1.0, np.array([1e-3, 0.0, 1e-2])])
+    def test_non_positive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            SimState(0.0, np.ones((1, 3)), eps)
+
+    def test_int_eps_stored_as_float(self):
+        state = SimState(0.0, np.ones((1, 3)), 1)
+        assert type(state.eps) is float and state.eps == 1.0

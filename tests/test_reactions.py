@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rdasim.integrator import SimState
 from rdasim.reactions import (
     ExpressionError,
     ReactionSystem,
-    TruncationParam,
     builtin_linear_decay,
     builtin_reversible_reaction,
     check_intermediate_sum,
@@ -34,7 +34,7 @@ class TestTruncate:
 
     def test_hand_computed(self):
         # denominator 1 + 0.25 * (2 + 2) = 2
-        out = truncate(np.array([2.0, -2.0]), TruncationParam(0.25))
+        out = truncate(np.array([2.0, -2.0]), 0.25)
         assert np.allclose(out, [1.0, -1.0])
 
     def test_bound_random_draws(self):
@@ -76,8 +76,8 @@ class TestTruncate:
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError):
             truncate(np.ones(2), 0.0)
-        with pytest.raises(ValueError):
-            TruncationParam(-1.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            SimState(0.0, np.ones((2, 1)), -1.0)
 
     def test_quasi_positivity_preserved(self):
         # on a face u_i = 0, a non-negative component stays non-negative
