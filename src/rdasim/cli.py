@@ -26,13 +26,12 @@ from .config import (
     build_system,
     canonical_echo,
     config_hash,
-    diffusion_matrix_samples,
     load_config,
 )
-from .energy import (
+from .energy import (  # min_eigenvalue: bench/tracing.py wraps it under this name
     EnergySpec,
     WeightSearchError,
-    assemble_coupling_matrix,
+    certify_weights,
     min_eigenvalue,
     select_weights,
 )
@@ -46,7 +45,7 @@ from .integrator import (
     load_state,
     run,
 )
-from .grid import StructuredGrid
+from .grid import StructuredGrid, face_diffusivities
 from .output import (
     write_csv,
     write_energy_csv,
@@ -116,19 +115,24 @@ def _energy_entries(cfg, m: int) -> list:
     return entries
 
 
+def _certified_energy(entry, system, faces, seed: int) -> tuple:
+    """One diagnostics.energy entry's spec and certificate record; 'auto' runs the search."""
+    p, weights = entry["p"], entry.get("weights", "auto")
+    record = {"p": p}
+    if weights == "auto":
+        weights, record["bound_constant"] = select_weights(system, faces, p, seed=seed)
+    spec = EnergySpec(p, weights)
+    record.update(certify_weights(faces, spec.weights), weights=spec.weights.tolist())
+    return spec, record
+
+
 def _resolve_energy_specs(cfg, system, coeff, seed: int):
-    """Energy specs from the diagnostics block; 'auto' runs the weight search."""
-    specs = []
-    searches = []
-    for entry in _energy_entries(cfg, system.m):
-        p = entry["p"]
-        weights = entry.get("weights", "auto")
-        if weights == "auto":
-            weights, k_est = select_weights(system, diffusion_matrix_samples(coeff), p,
-                                            seed=seed)
-            searches.append({"p": p, "weights": weights.tolist(), "bound_constant": k_est})
-        specs.append(EnergySpec(p, weights))
-    return specs, searches
+    """Energy specs from the diagnostics block, and the records of the 'auto' searches."""
+    faces = face_diffusivities(coeff.grid, coeff)
+    resolved = [_certified_energy(entry, system, faces, seed)
+                for entry in _energy_entries(cfg, system.m)]
+    return ([spec for spec, _ in resolved],
+            [record for _, record in resolved if "bound_constant" in record])
 
 
 def _energy_records(traj, specs, csv_path: Path, meta: dict) -> list:
@@ -167,13 +171,8 @@ def cmd_check(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int
         return EXIT_CHECK
     energy_entries = _energy_entries(cfg, system.m) or [{"p": 2}]
 
-    checkers = (
-        check_quasi_positivity,
-        check_mass_control,
-        check_intermediate_sum,
-        check_polynomial_growth,
-    )
-    for checker in checkers:
+    for checker in (check_quasi_positivity, check_mass_control, check_intermediate_sum,
+                    check_polynomial_growth):
         result = checker(system, seed=seed)
         entry = {
             "name": result.check,
@@ -194,27 +193,18 @@ def cmd_check(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int
         _say(quiet, f"{'ok  ' if result.passed else 'FAIL'} {result.check} "
                     f"({result.samples_tested} samples)")
 
-    samples = diffusion_matrix_samples(coeff)
+    faces = face_diffusivities(grid, coeff)
     for entry in energy_entries:
-        p = entry["p"]
+        name = f"dissipativity_p{entry['p']}"
         try:
-            weights, k_est = select_weights(system, samples, p, seed=seed)
-            eigs = [min_eigenvalue(assemble_coupling_matrix(mats, weights))
-                    for mats in samples]
-            report["checks"].append({
-                "name": f"dissipativity_p{p}",
-                "passed": True,
-                "weights": weights.tolist(),
-                "bound_constant": k_est,
-                "min_eigenvalues": eigs,
-            })
-            _say(quiet, f"ok   dissipativity_p{p} (weights {weights.tolist()})")
+            _, record = _certified_energy(entry, system, faces, seed)
         except WeightSearchError as exc:
-            report["checks"].append({
-                "name": f"dissipativity_p{p}", "passed": False, "error": str(exc),
-            })
-            failures.append(f"dissipativity_p{p}")
-            _say(quiet, f"FAIL dissipativity_p{p}: {exc}")
+            record = {"passed": False, "error": str(exc)}
+        report["checks"].append({"name": name, **record})
+        detail = record.get("error") or "weights {weights}, margin {margin:.3g}".format(**record)
+        _say(quiet, f"{'ok  ' if record['passed'] else 'FAIL'} {name} ({detail})")
+        if not record["passed"]:
+            failures.append(name)
 
     report["passed"] = not failures
     write_json(out_dir / "check_report.json", report)

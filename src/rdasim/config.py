@@ -44,12 +44,7 @@ __all__ = [
     "build_initial",
     "build_epi_params",
     "build_solver_config",
-    "diffusion_matrix_samples",
 ]
-
-
-# sampled cells per coefficient epoch in the dissipativity certificate
-_MAX_SAMPLED_CELLS = 6
 
 
 class ConfigError(ValueError):
@@ -482,23 +477,3 @@ def build_solver_config(cfg: dict) -> SolverConfig:
     # only the keys the config sets, so SolverConfig's defaults apply;
     # epsilon is the truncation strength, which the state carries
     return SolverConfig(**{k: v for k, v in cfg["solver"].items() if k != "epsilon"})
-
-
-def diffusion_matrix_samples(coeff: CoefficientField) -> list:
-    """Representative per-species diffusion matrices at sampled cells.
-
-    For every epoch, picks the cells extremizing each species' diffusivity
-    (plus the first cell), at most `_MAX_SAMPLED_CELLS` of them, and
-    returns, per sampled cell, the list of m diagonal matrices used by the
-    positive-definiteness certificate.
-    """
-    samples = []
-    for _, diff, _ in coeff.epochs:
-        cells = {0}
-        for i in range(diff.shape[0]):
-            for axis in range(diff.shape[1]):
-                cells.add(int(np.argmin(diff[i, axis])))
-                cells.add(int(np.argmax(diff[i, axis])))
-        for cell in sorted(cells)[:_MAX_SAMPLED_CELLS]:
-            samples.append([np.diag(diff[i, :, cell]) for i in range(diff.shape[0])])
-    return samples

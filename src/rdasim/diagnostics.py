@@ -126,10 +126,10 @@ def windowed_sup(traj: Trajectory, window: float = DEFAULT_WINDOW,
                  tol: float = DEFAULT_GROWTH_TOL) -> dict:
     """Per-species sup-norm maxima over sliding windows (tau, tau + window].
 
-    Window anchors are the integer multiples of the window length covered
-    by the trajectory.  The no-growth flags compare the last window
-    against the early maximum; they are the uniform-in-time boundedness
-    surrogate.  Raises if the trajectory is shorter than one window.
+    Window anchors are the integer times tau >= floor(t0) with tau + window
+    in (t0, t1]: 0, 1 and 2 for window 2.0 on [0, 4].  The no-growth flags
+    compare the last window against the early maximum, the uniform-in-time
+    boundedness surrogate.  Raises if the trajectory is shorter than one window.
     """
     times, sups = traj._dense_supnorms()
     t0, t1 = float(times[0]), float(times[-1])

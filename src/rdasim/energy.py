@@ -14,8 +14,8 @@ multinomial expansion (sum_i u_i)^p.  The module provides
 * the two exact algebraic identities used to differentiate the energy along
   a PDE trajectory (chain rule and integration-by-parts form),
 * the block matrix whose positive definiteness certifies that the gradient
-  part of the energy evolution is dissipative, its smallest eigenvalue,
-  and a certified doubling search for admissible weights.
+  part of the energy evolution is dissipative on a grid's faces, and a
+  certified doubling search for admissible weights.
 
 All functions are pure; enumeration tables are cached and immutable.
 """
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +43,7 @@ __all__ = [
     "ibp_identity_sides",
     "assemble_coupling_matrix",
     "min_eigenvalue",
+    "certify_weights",
     "select_weights",
 ]
 
@@ -326,44 +326,61 @@ def ibp_identity_sides(u, grad_u, mats, spec: EnergySpec) -> tuple[float, float]
 def assemble_coupling_matrix(diffusion_mats, weights) -> np.ndarray:
     """Assemble the weight-scaled diffusion block matrix for m per-species weights.
 
-    Returns the symmetric (m n, m n) array of m x m blocks of size n x n:
-    diagonal blocks are w_k^2 * sym(D_k); off-diagonal blocks are
-    (sym(D_k) + sym(D_l)) / 2.  Positive definiteness of the result
-    certifies dissipativity of the gradient form for every index order,
-    independently of the particular multi-index.
+    Takes m matrices (n, n) behind any batch axes, (..., m, n, n), and returns
+    the symmetric (..., m n, m n) array of blocks w_k^2 * sym(D_k) on the
+    diagonal and (sym(D_k) + sym(D_l)) / 2 off it.  Its positive definiteness
+    certifies dissipativity of the gradient form for every index order.
     """
-    mats = [np.asarray(d, dtype=float) for d in diffusion_mats]
+    mats = np.asarray(diffusion_mats, dtype=float)
     w = np.asarray(weights, dtype=float)
-    m = len(mats)
+    if mats.ndim < 3 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError("all diffusion matrices must share the same square shape")
+    m, n = mats.shape[-3], mats.shape[-1]
     if w.shape != (m,):
         raise ValueError(f"{m} matrices but weights of shape {w.shape}")
-    n = mats[0].shape[0]
-    if any(d.shape != (n, n) for d in mats):
-        raise ValueError("all diffusion matrices must share the same square shape")
-    sym = [(d + d.T) / 2.0 for d in mats]
-    out = np.zeros((m * n, m * n))
-    for k in range(m):
-        for l in range(m):
-            if k == l:
-                blk = w[k] ** 2 * sym[k]
-            else:
-                blk = (sym[k] + sym[l]) / 2.0
-            out[k * n:(k + 1) * n, l * n:(l + 1) * n] = blk
-    return (out + out.T) / 2.0
+    sym = (mats + np.swapaxes(mats, -1, -2)) / 2.0
+    blocks = (sym[..., :, None, :, :] + sym[..., None, :, :, :]) / 2.0
+    diag = np.arange(m)
+    blocks[..., diag, diag, :, :] = w[:, None, None] ** 2 * sym
+    return np.swapaxes(blocks, -3, -2).reshape(*mats.shape[:-3], m * n, m * n)
 
 
-def min_eigenvalue(mat) -> float:
+def min_eigenvalue(mat):
     """Smallest eigenvalue of a symmetric matrix (LAPACK symmetric solver).
 
-    Raises ValueError for a non-square or non-symmetric input.
+    A stack of shape (..., n, n) gives an array of shape (...), one value
+    per matrix.  Raises ValueError for a non-square or non-symmetric input.
     """
     a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = np.linalg.norm(a) or 1.0
-    if np.linalg.norm(a - a.T) > 1e-12 * scale:
+    asym = np.linalg.norm(a - np.swapaxes(a, -1, -2), axis=(-2, -1))
+    if np.any(asym > 1e-12 * np.linalg.norm(a, axis=(-2, -1))):
         raise ValueError("matrix is not symmetric")
-    return float(np.linalg.eigvalsh(a)[0])
+    lowest = np.linalg.eigvalsh(a)[..., 0]
+    return float(lowest) if a.ndim == 2 else lowest
+
+
+def certify_weights(faces, weights) -> dict:
+    """Decide whether the weights make the diffusion part of every energy dissipative.
+
+    Under the two-point flux that part sums, over the interior faces, quadratic
+    forms in `assemble_coupling_matrix` M_f of each column of `faces`
+    (`grid.face_diffusivities`; Eymard, Gallouet and Herbin, 2000), and the
+    walls only remove energy from u >= 0.  Reports the decision, the smallest
+    lambda_min(M_f) / ||M_f||_F and its column (inf and None without faces).
+    """
+    faces = np.asarray(faces, dtype=float)
+    if faces.shape[1] == 0:
+        return {"passed": True, "margin": np.inf, "face_column": None}
+    mats = assemble_coupling_matrix(faces.T[:, :, None, None], weights)
+    margins = min_eigenvalue(mats) / np.linalg.norm(mats, axis=(1, 2))
+    worst = int(np.argmin(margins))
+    # eigvalsh errs by at most p(m) * eps * ||M|| (Weyl), and forming or scaling M
+    # moves it by a few eps * ||M||: a margin above 1e-12 is positive definite in
+    # exact arithmetic, and a singular M (two equal rows) fails
+    return {"passed": bool(margins[worst] > 1e-12), "margin": float(margins[worst]),
+            "face_column": faces[:, worst].tolist()}
 
 
 def _max_weighted_ratio(fvals, denom, weights: np.ndarray, p: int) -> float:
@@ -377,7 +394,7 @@ def _max_weighted_ratio(fvals, denom, weights: np.ndarray, p: int) -> float:
 
 def select_weights(
     system,
-    diffusion_samples: Sequence[Sequence[np.ndarray]],
+    faces: np.ndarray,
     p: int,
     samples_per_radius: int = 2000,
     max_doublings: int = 60,
@@ -388,8 +405,8 @@ def select_weights(
     Starting from all-ones weights and doubling entries in a backward sweep
     (last species first), the search stops when
 
-    (a) the coupling block matrix is positive definite at every sampled
-        diffusion coefficient, and
+    (a) `certify_weights` passes on the (m, K) face diffusivity columns
+        `faces` (`grid.face_diffusivities`), and
     (b) the sampled maximum of the weighted reaction combination over all
         indices of order p-1, divided by 1 + sum_i u_i^r, stops growing
         (`sampling.plateau`) when the sample radius doubles.
@@ -409,25 +426,18 @@ def select_weights(
         u, _, _, value = report.violations[0]
         raise WeightSearchError(f"non-finite reaction {value} at u={u.tolist()}")
 
-    def pd_ok(warr: np.ndarray) -> bool:
-        return not any(min_eigenvalue(assemble_coupling_matrix(mats, warr)) <= 0.0
-                       for mats in diffusion_samples)
-
-    def ratio_status(warr: np.ndarray) -> tuple[bool, float]:
-        ks = [_max_weighted_ratio(fvals, denom, warr, p) for fvals, denom in ladder]
-        return plateau(ks), ks[-1]
-
     weights = np.ones(m)
     doublings = 0
     while True:
-        pd_good = pd_ok(weights)
-        ratio_good, k_est = ratio_status(weights)
+        pd_good = certify_weights(faces, weights)["passed"]
+        ks = [_max_weighted_ratio(fvals, denom, weights, p) for fvals, denom in ladder]
+        ratio_good, k_est = plateau(ks), ks[-1]
         if pd_good and ratio_good:
             return weights, k_est
         if doublings >= max_doublings:
             failed = []
             if not pd_good:
-                failed.append("positive definiteness at sampled coefficients")
+                failed.append("positive definiteness on the faces")
             if not ratio_good:
                 failed.append(
                     f"ratio plateau (last ratio {k_est:.6g} still moving under radius doubling)"

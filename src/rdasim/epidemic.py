@@ -49,6 +49,9 @@ SPECIES = ("susceptible", "infected", "recovered", "pathogen")
 # share of the dense series, from its end, that the infected-mass tail fit uses
 _TAIL_FIT_FRACTION = 0.5
 
+# final fraction of its peak mass at or below which a compartment has decayed
+DECAY_THRESHOLD = 0.01
+
 
 class AssumptionViolation(RuntimeError):
     """A structural assumption of the scenario fails; carries the report."""
@@ -120,7 +123,7 @@ class EpiParams:
         raise ValueError(f"drift must be scalar, per-axis, or (dim, ncells); got {arr.shape}")
 
 
-def validate_params(params: EpiParams, tol: float = 0.0) -> list:
+def validate_params(params: EpiParams) -> list:
     """Check the scenario assumptions cellwise; raise on any violation.
 
     Checked: a positive lower bound for every diffusivity, finiteness of
@@ -151,7 +154,7 @@ def validate_params(params: EpiParams, tol: float = 0.0) -> list:
     bad = np.nonzero(~(params.shedding >= 0.0))[0]
     if bad.size:
         flag("shedding-bound", "shedding must be non-negative", bad)
-    over = np.nonzero(params.shedding > params.mortality + tol)[0]
+    over = np.nonzero(params.shedding > params.mortality)[0]
     if over.size:
         flag("shedding-bound",
              f"shedding exceeds the mortality rate {params.mortality} "
@@ -309,10 +312,10 @@ class EpiReport:
     s_fluctuation: np.ndarray         # ||s - mean(s)||_L2 snapshots
     s_inf: SInfinityEstimate
     final_fractions: dict             # species name -> final L1 / max L1
-    decayed: dict                     # species name -> final fraction <= threshold
+    decayed: dict                     # species name -> final fraction <= DECAY_THRESHOLD
 
 
-def decay_report(traj, params: EpiParams, threshold: float = 0.01) -> EpiReport:
+def decay_report(traj, params: EpiParams) -> EpiReport:
     """Decay diagnostics for the infected, recovered and pathogen compartments.
 
     The final fractions come from the dense step masses (the fields are
@@ -333,5 +336,5 @@ def decay_report(traj, params: EpiParams, threshold: float = 0.01) -> EpiReport:
         s_fluctuation=s_fluct,
         s_inf=s_infinity(traj, params),
         final_fractions=final_fractions,
-        decayed={name: frac <= threshold for name, frac in final_fractions.items()},
+        decayed={name: frac <= DECAY_THRESHOLD for name, frac in final_fractions.items()},
     )

@@ -39,6 +39,7 @@ __all__ = [
     "NoFluxWithDrift",
     "BoundarySpec",
     "face_diffusivity",
+    "face_diffusivities",
     "assemble_transport",
     "discrete_norm",
 ]
@@ -287,6 +288,25 @@ def _face_table(grid: StructuredGrid):
         walls[side] = (axis, *layer(axis, slice(0, 1) if lo else slice(-1, None)),
                        -1.0 if lo else 1.0)
     return interior, walls
+
+
+def face_diffusivities(grid: StructuredGrid, coeff: CoefficientField) -> np.ndarray:
+    """Distinct columns of `face_diffusivity` over every interior face, axis and epoch.
+
+    Returns an (m, K) array, in the order of first faces.  A transmissibility
+    is its face's column times a factor shared by all species (area over
+    centre distance), so the dissipativity certificate needs only these.
+    """
+    interior, _ = _face_table(grid)
+    def distinct(columns):
+        # one void scalar per face compares its m floats as raw bytes
+        rows = np.ascontiguousarray(columns.T).view(np.dtype((np.void, 8 * coeff.m))).ravel()
+        return columns[:, np.sort(np.unique(rows, return_index=True)[1])]
+    # per axis and epoch first: one pass over all faces raised hetero2d's peak RSS by 0.6 MB
+    return distinct(np.concatenate([
+        distinct(face_diffusivity(diff[:, axis, left], diff[:, axis, right], h_left, h_right))
+        for _, diff, _ in coeff.epochs
+        for axis, (left, right, _, h_left, h_right) in enumerate(interior)], axis=1))
 
 
 def assemble_transport(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,

@@ -286,14 +286,14 @@ def check_polynomial_growth(system: ReactionSystem,
                             seed: int = DEFAULT_SEED) -> SampleReport:
     """Radius-doubling plateau check for the polynomial upper bound on F.
 
-    Estimates max_i max_u F_i / (1 + sum_k u_k^l) per radius; divergence is
-    a ratio that keeps growing when the radius doubles.
+    Estimates max_i max_u F_i / (1 + sum_k u_k^l) per radius; it fails when
+    that keeps growing as the radius doubles, or ends above growth_constant.
     """
     report = SampleReport(check="polynomial_growth", samples_tested=0)
     ratios, witness = _ratio_ladder(system, lambda f: f, system.growth_order,
                                     samples_per_radius, seed, report)
     per_radius = ratios.max(axis=1).tolist()
-    if not plateau(per_radius):
+    if not plateau(per_radius) or per_radius[-1] > system.growth_constant:
         report.add_violation(*witness(int(np.argmax(ratios[-1]))))
     report.estimated_constant = per_radius[-1]
     report.details = {"per_radius_ratios": per_radius, "radii": list(DEFAULT_RADII)}

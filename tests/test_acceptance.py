@@ -12,7 +12,6 @@ import time
 import numpy as np
 import pytest
 
-from rdasim.config import diffusion_matrix_samples
 from rdasim.diagnostics import energy_trace, mass_budget, no_growth, windowed_sup
 from rdasim.energy import (
     EnergySpec,
@@ -39,6 +38,7 @@ from rdasim.grid import (
     StructuredGrid,
     assemble_transport,
     discrete_norm,
+    face_diffusivities,
 )
 from rdasim.integrator import (
     Problem,
@@ -105,7 +105,7 @@ def reversible_run():
     fields = np.vstack([1.0 + 0.5 * np.cos(2 * np.pi * x),
                         0.7 + 0.3 * np.sin(2 * np.pi * x)])
     weights, bound_constant = select_weights(
-        system, diffusion_matrix_samples(coeff), 4, samples_per_radius=2000
+        system, face_diffusivities(grid, coeff), 4, samples_per_radius=2000
     )
     cfg = SolverConfig(dt=0.01, t_end=40.0, record_dt=0.2)
     traj = run(SimState(0.0, fields, 1e-6), cfg, problem)

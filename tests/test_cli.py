@@ -214,23 +214,64 @@ class TestConfigValidation:
             load_config(path)
 
 
+def reversible_config(out_dir, diffusion, weights, cells=32):
+    cfg = heat_config(out_dir, cells=cells)
+    cfg["system"] = {"builtin": "reversible", "initial": [1.0, 0.5]}
+    cfg["coefficients"] = {"diffusion": diffusion}
+    cfg["bc"] = {"all": "noflux"}
+    cfg["diagnostics"]["energy"] = [{"p": 2, "weights": weights}]
+    return cfg
+
+
 class TestCheckCommand:
     def test_builtin_reversible_passes(self, tmp_path):
         out = tmp_path / "out"
-        cfg = heat_config(out)
-        cfg["system"] = {"builtin": "reversible",
-                         "initial": [1.0, 0.5]}
-        cfg["coefficients"] = {"diffusion": [0.1, 0.1]}
-        cfg["bc"] = {"all": "noflux"}
         # one weight per species: the heat config's single weight fails with exit 2
-        cfg["diagnostics"]["energy"] = [{"p": 2, "weights": [1.0, 1.0]}]
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, reversible_config(out, [0.1, 0.1], [1.0, 2.0]))
         assert main(["check", "--config", str(path), "--quiet"]) == 0
         report = json.loads((out / "check_report.json").read_text())
         assert report["passed"]
         names = {c["name"] for c in report["checks"]}
         assert {"quasi_positivity", "mass_control", "intermediate_sum",
                 "polynomial_growth"} <= names
+
+    @pytest.mark.parametrize("diffusion, margin", [([0.1, 0.1], 0.0), ([1.0, 0.01], -0.164)],
+                             ids=["singular", "indefinite"])
+    def test_explicit_weights_are_certified(self, tmp_path, capsys, diffusion, margin):
+        # check certifies the weights run uses: (1, 1) with equal diffusivities
+        # gives a singular block matrix, with [1.0, 0.01] an eigenvalue of -0.202
+        out = tmp_path / "out"
+        path = write_config(tmp_path, reversible_config(out, diffusion, [1.0, 1.0], cells=8))
+        assert main(["check", "--config", str(path)]) == 3
+        assert "FAIL dissipativity_p2 (weights [1.0, 1.0], margin" in capsys.readouterr().out
+        report = json.loads((out / "check_report.json").read_text())
+        entry = next(c for c in report["checks"] if c["name"] == "dissipativity_p2")
+        assert not entry["passed"] and entry["weights"] == [1.0, 1.0]
+        assert entry["margin"] == pytest.approx(margin, abs=1e-3)
+        assert entry["face_column"] == pytest.approx(diffusion)
+
+    def test_shipped_epidemic_certifies_its_searched_weights(self, tmp_path):
+        # four equal diffusivities: (1, 1, 2, 2) is singular, so the search goes on
+        out = tmp_path / "out"
+        assert main(["check", "--config", str(REPO / "configs" / "epidemic.json"),
+                     "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "check_report.json").read_text())
+        entry = next(c for c in report["checks"] if c["name"] == "dissipativity_p2")
+        assert entry["passed"] and entry["weights"] == [1.0, 2.0, 2.0, 2.0]
+        assert entry["bound_constant"] == pytest.approx(4.419, rel=1e-3)
+        assert entry["margin"] > 1e-12
+
+    @pytest.mark.parametrize("declared, code", [(0.5, 3), (1.0, 0)])
+    def test_declared_growth_constant_is_checked(self, tmp_path, declared, code):
+        # (1 - u1) / (1 + u1) has supremum 1, at u1 = 0
+        out = tmp_path / "out"
+        cfg = heat_config(out)
+        cfg["system"].update(expressions=["1 - u1"], mass_constants=[0.0, 1.0],
+                             growth_constant=declared)
+        assert main(["check", "--config", str(write_config(tmp_path, cfg)), "--quiet"]) == code
+        report = json.loads((out / "check_report.json").read_text())
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        assert failed == (["polynomial_growth"] if code else [])
 
     def test_shedding_violation_exits_3_and_names_assumption(self, tmp_path, capsys):
         out = tmp_path / "out"

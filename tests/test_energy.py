@@ -22,6 +22,7 @@ from rdasim.energy import (
     _max_weighted_ratio,
     _poly_weights,
     assemble_coupling_matrix,
+    certify_weights,
     count_multi_indices,
     energy_density,
     energy_functional,
@@ -30,7 +31,7 @@ from rdasim.energy import (
     min_eigenvalue,
     select_weights,
 )
-from rdasim.grid import StructuredGrid
+from rdasim.grid import CoefficientField, StructuredGrid, face_diffusivities
 from rdasim.reactions import builtin_reversible_reaction, system_from_expressions
 from rdasim.sampling import DEFAULT_RADII
 
@@ -427,16 +428,52 @@ class TestCouplingMatrixAndEigen:
 
     def test_random_symmetric_vs_bisection_oracle(self):
         rng = np.random.default_rng(12)
+        stack = []
         for _ in range(20):
             a = rng.standard_normal((6, 6))
             sym = (a + a.T) / 2
             assert min_eigenvalue(sym) == pytest.approx(
                 smallest_eig_bisection(sym), abs=1e-8
             )
+            stack.append(sym)
+        # a stack gives one value per matrix, equal to the single-matrix results
+        assert min_eigenvalue(np.stack(stack)).tolist() == [min_eigenvalue(a) for a in stack]
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             min_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestCertifyWeights:
+    def test_four_cell_counterexample(self):
+        # cells 0 and 1 hold every species' extreme diffusivity, yet the face
+        # between cells 2 and 3 pairs d1 = 1 with d2 = 0.01: weights (1, 2)
+        # leave its block matrix with eigenvalue -0.177, and the faces need (2, 4)
+        grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
+        coeff = CoefficientField(grid, [[[1.0, 0.01, 1.0, 1.0]], [[1.0, 0.01, 0.01, 0.01]]])
+        faces = face_diffusivities(grid, coeff)
+        report = certify_weights(faces, [1.0, 2.0])
+        assert not report["passed"] and report["margin"] < 0
+        assert report["face_column"] == [1.0, 0.01]
+        block = assemble_coupling_matrix([[[[1.0]], [[0.01]]]], [1.0, 2.0])
+        assert min_eigenvalue(block)[0] == pytest.approx(-0.177, abs=1e-3)
+        weights, _ = select_weights(builtin_reversible_reaction(), faces, p=2)
+        assert weights.tolist() == [2.0, 4.0]
+
+    def test_singular_block_fails(self):
+        # equal diffusivities and weights (1, 1, 2, 2): the block matrix has two
+        # equal rows, and its computed eigenvalue is rounding of either sign
+        faces = np.array([[0.1, 0.01, 0.1 / 5.5]] * 4)
+        assert not certify_weights(faces, [1.0, 1.0, 2.0, 2.0])["passed"]
+        assert certify_weights(faces, [1.0, 2.0, 2.0, 2.0])["passed"]
+
+    def test_margin_is_relative_and_grids_without_faces_pass(self):
+        # the margin of a column does not change when all species' values scale
+        faces = np.array([[1.0], [0.01]])
+        assert certify_weights(faces, [1.0, 3.0])["margin"] == pytest.approx(
+            certify_weights(1e6 * faces, [1.0, 3.0])["margin"], rel=1e-12)
+        assert certify_weights(np.ones((2, 0)), [1.0, 1.0]) == {
+            "passed": True, "margin": np.inf, "face_column": None}
 
 
 class TestSelectWeights:
@@ -446,26 +483,26 @@ class TestSelectWeights:
             ["1 + u1"], mass_weights=[1.0], mass_constants=(1.0, 1.0),
             intermediate_order=1.0, growth_order=1.0, growth_constant=2.0,
         )
-        weights, k_est = select_weights(one_species, [[np.eye(1)]], p=3,
+        weights, k_est = select_weights(one_species, np.ones((1, 1)), p=3,
                                         samples_per_radius=500)
         assert weights.tolist() == [1.0]
         assert np.isfinite(k_est)
 
     def test_reversible_system_order_four(self):
         system = builtin_reversible_reaction()
-        samples = [[np.eye(1), np.eye(1)]]
-        weights, k_est = select_weights(system, samples, p=4, samples_per_radius=1000)
+        faces = np.ones((2, 1))
+        weights, k_est = select_weights(system, faces, p=4, samples_per_radius=1000)
         assert np.all(weights >= 1.0)
         assert np.isfinite(k_est)
-        block = assemble_coupling_matrix(samples[0], weights)
-        assert min_eigenvalue(block) > 0
+        block = assemble_coupling_matrix(faces.T[:, :, None, None], weights)
+        assert min_eigenvalue(block)[0] > 0
 
     def test_pd_doubling_needed(self):
         # identical unit diffusivities need weights above one
         system = builtin_reversible_reaction()
-        samples = [[np.eye(2), np.eye(2)]]
-        weights, _ = select_weights(system, samples, p=2, samples_per_radius=500)
-        assert min_eigenvalue(assemble_coupling_matrix(samples[0], weights)) > 0
+        faces = np.ones((2, 1))
+        weights, _ = select_weights(system, faces, p=2, samples_per_radius=500)
+        assert certify_weights(faces, weights)["passed"]
         assert weights.max() > 1.0
 
     def test_blocked_ratio_matches_one_product(self):
@@ -490,7 +527,7 @@ class TestSelectWeights:
             intermediate_order=2.0, growth_order=3.0, growth_constant=1.0,
         )
         with pytest.raises(WeightSearchError, match="ratio plateau"):
-            select_weights(cubic, [[np.eye(1)]], p=2, samples_per_radius=500,
+            select_weights(cubic, np.ones((1, 1)), p=2, samples_per_radius=500,
                            max_doublings=12)
 
     def test_reaction_sampled_once_per_radius(self):
@@ -503,8 +540,7 @@ class TestSelectWeights:
             return system.evaluate(x, t, u)
 
         counted = dataclasses.replace(system, evaluate=counting)
-        samples = [[np.eye(2), np.eye(2)]]
-        weights, _ = select_weights(counted, samples, p=2, samples_per_radius=500)
+        weights, _ = select_weights(counted, np.ones((2, 1)), p=2, samples_per_radius=500)
         assert weights.max() > 1.0
         assert len(calls) == len(DEFAULT_RADII)
 
@@ -514,5 +550,5 @@ class TestSelectWeights:
         )
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(WeightSearchError, match=r"non-finite reaction nan at u=\["):
-            select_weights(nan_everywhere, [[np.eye(1), np.eye(1)]], p=2,
+            select_weights(nan_everywhere, np.ones((2, 1)), p=2,
                            samples_per_radius=100)

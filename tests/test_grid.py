@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdasim.energy import EnergySpec, certify_weights, energy_time_derivative
 from rdasim.grid import (
     BoundarySpec,
     CoefficientField,
@@ -14,6 +15,7 @@ from rdasim.grid import (
     StructuredGrid,
     assemble_transport,
     discrete_norm,
+    face_diffusivities,
     face_diffusivity,
 )
 
@@ -306,6 +308,76 @@ class TestTransportAssembly:
             assert (a.indptr[i * n:(i + 1) * n + 1] - start).tobytes() == single.indptr.tobytes()
             assert (a.indices[start:end] - i * n).tobytes() == single.indices.tobytes()
             assert a.data[start:end].tobytes() == single.data.tobytes()
+
+
+class TestFaceDiffusivities:
+    @settings(max_examples=60, deadline=None)
+    @given(random_problems(max_species=3), st.booleans())
+    def test_distinct_columns_of_every_face(self, problem, switch):
+        # oracle: face_diffusivity of each adjacent cell pair, face by face,
+        # over both epochs when the coefficients switch
+        grid, coeff, _ = problem
+        diff, drift = coeff.at_time(0.0)
+        if switch:
+            coeff = CoefficientField(grid, diff, drift, schedule=[(0.5, diff[:, :, ::-1], drift)])
+        expected = set()
+        for _, d, _ in coeff.epochs:
+            for axis in range(grid.dim):
+                for cell in range(grid.ncells):
+                    index = list(np.unravel_index(cell, grid.shape))
+                    if index[axis] + 1 < grid.shape[axis]:
+                        h = grid.widths[axis][index[axis]:index[axis] + 2]
+                        index[axis] += 1
+                        right = np.ravel_multi_index(index, grid.shape)
+                        expected.add(tuple(face_diffusivity(d[:, axis, cell], d[:, axis, right],
+                                                            h[0], h[1])))
+        faces = face_diffusivities(grid, coeff)
+        assert faces.shape == (coeff.m, len(expected))
+        assert set(map(tuple, faces.T)) == expected
+
+    def test_constant_coefficients_give_one_column(self):
+        # powers of two keep every harmonic mean exact
+        grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 1.0)], [4, 2])
+        coeff = CoefficientField.constant(grid, [0.25, 0.5])
+        assert face_diffusivities(grid, coeff).tolist() == [[0.25], [0.5]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_problems(max_species=3), st.integers(1, 4), st.data())
+    def test_certified_weights_dissipate_every_energy(self, problem, p, data):
+        # with weights the face certificate passes, the diffusion part of the
+        # energy's time derivative, sum of vol * dH(u) . (-A u), is at most
+        # rounding at any non-negative state: the faces contribute quadratic
+        # forms in their certified block matrices, the walls remove mass
+        grid, coeff, boundary = problem
+        m, n = coeff.m, grid.ncells
+        faces = face_diffusivities(grid, coeff)
+        weights = floats_array(data.draw, m, 0.25, 4.0)
+        while not certify_weights(faces, weights)["passed"]:
+            weights = 2.0 * weights
+
+        def rate_and_scale(a, u, p):
+            # the same sum with |A| bounds every term, and so the rounding of the sum
+            spec = EnergySpec(p, weights)
+            return [grid.cell_volumes @ energy_time_derivative(u, (op @ u.ravel()).reshape(m, n),
+                                                               spec)
+                    for op in (-a, abs(a))]
+
+        a = assemble_transport(grid, diffusion_only(grid, coeff), boundary)
+        rate, scale = rate_and_scale(a, floats_array(data.draw, m * n, 0.0, 3.0).reshape(m, n), p)
+        assert rate <= 1e-12 * scale
+        # at p = 2 the rate is the quadratic form -u . (J^T x diag(vol)) A u, J the
+        # constant Jacobian of dH; its steepest ascent direction, shifted per
+        # species to be non-negative, probes the faces hardest, and total-flux-zero
+        # walls leave the rate unchanged by the shift
+        a = assemble_transport(grid, diffusion_only(grid, coeff),
+                               BoundarySpec.uniform(m, grid.dim, NoFluxWithDrift()))
+        eye = np.eye(m)
+        jac = np.array([[energy_time_derivative(eye[l], eye[k], EnergySpec(2, weights))
+                         for l in range(m)] for k in range(m)])
+        form = -np.kron(jac.T, np.diag(grid.cell_volumes)) @ a.toarray()
+        v = np.linalg.eigh(form + form.T)[1][:, -1].reshape(m, n)
+        rate, scale = rate_and_scale(a, v - v.min(axis=1, keepdims=True), 2)
+        assert rate <= 1e-12 * scale
 
 
 class TestDiscreteNorm:
