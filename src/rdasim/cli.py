@@ -30,6 +30,7 @@ from .config import (
 )
 from .energy import (  # min_eigenvalue: bench/tracing.py wraps it under this name
     EnergySpec,
+    IndexBudgetError,
     WeightSearchError,
     certify_weights,
     min_eigenvalue,
@@ -116,12 +117,18 @@ def _energy_entries(cfg, m: int) -> list:
 
 
 def _certified_energy(entry, system, faces, seed: int) -> tuple:
-    """One diagnostics.energy entry's spec and certificate record; 'auto' runs the search."""
+    """One diagnostics.energy entry's spec and certificate record; 'auto' runs the search.
+
+    An order whose multi-indices exceed the enumeration cap is a ConfigError.
+    """
     p, weights = entry["p"], entry.get("weights", "auto")
     record = {"p": p}
-    if weights == "auto":
-        weights, record["bound_constant"] = select_weights(system, faces, p, seed=seed)
-    spec = EnergySpec(p, weights)
+    try:
+        if weights == "auto":
+            weights, record["bound_constant"] = select_weights(system, faces, p, seed=seed)
+        spec = EnergySpec(p, weights)
+    except IndexBudgetError as exc:
+        raise ConfigError(f"diagnostics.energy entry with p={p}: {exc}") from None
     record.update(certify_weights(faces, spec.weights), weights=spec.weights.tolist())
     return spec, record
 

@@ -413,12 +413,15 @@ def select_weights(
 
     F is sampled once, by the checkers' sweep (`reactions._sweep`).  Returns
     the weights and the stabilized ratio (the empirical bound constant at the
-    largest radius).  Raises WeightSearchError at a sample where F is inf or
-    NaN, and after `max_doublings` doublings, naming the failing condition.
+    largest radius).  Raises IndexBudgetError before any sampling when the
+    energy of order p could not be enumerated (as `EnergySpec`), WeightSearchError
+    at a sample where F is inf or NaN, and after `max_doublings` doublings,
+    naming the failing condition.
     """
     m = system.m
     if p < 1:
         raise ValueError(f"order must be >= 1, got p={p}")
+    _check_index_budget(m, p)
     report = SampleReport(check="weight_search", samples_tested=0)
     ladder = [(fvals, 1.0 + np.sum(u ** system.intermediate_order, axis=0))
               for u, _, fvals in _sweep(system, orthant_samples, samples_per_radius, seed, report)]

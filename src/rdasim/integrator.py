@@ -256,8 +256,16 @@ class TransportOperators:
         return self._system(dt).solve(rhs.reshape(unknowns, -1)).reshape(rhs.shape)
 
 
+def _reaction_points(grid: StructuredGrid, fields: np.ndarray) -> np.ndarray:
+    """The positions of the columns of a solo or batch state: its cells' centres."""
+    members = fields.shape[1] // grid.ncells
+    centers = grid.cell_centers
+    return centers.repeat(members, axis=1) if members > 1 else centers
+
+
 def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
-         max_dt: float | None = None) -> tuple[SimState, StepReport]:
+         max_dt: float | None = None,
+         centers: np.ndarray | None = None) -> tuple[SimState, StepReport]:
     """Advance one accepted IMEX step, halving dt until positivity holds.
 
     The reaction is the one of the problem the operators were assembled
@@ -265,12 +273,12 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
     cell c in column c * L + l, takes the same step: the reaction is
     evaluated at the cell centres repeated L times, truncated with each
     column's eps, and the L right-hand sides are solved together.
+    `centers` are those positions, `_reaction_points` of the state, which
+    a caller taking many steps builds once.
     """
     grid, system = operators.problem.grid, operators.problem.system
-    members = state.fields.shape[1] // grid.ncells
-    centers = grid.cell_centers
-    if members > 1:
-        centers = centers.repeat(members, axis=1)
+    if centers is None:
+        centers = _reaction_points(grid, state.fields)
     raw = np.asarray(system.evaluate(centers, state.t, state.fields), dtype=float)
     if not np.isfinite(raw).all():
         species, cell = np.argwhere(~np.isfinite(raw))[0]
@@ -330,6 +338,7 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
     eps_round = 1e-12 * max(1.0, abs(t_end))
     switches = [s for s in problem.coefficients.switch_times() if state.t < s < t_end]
     t0, passed = state.t, 0.0
+    centers = _reaction_points(problem.grid, state.fields)
     operators = TransportOperators(problem, state.t)
     for epoch, boundary in enumerate(sorted(set(switches + [t_end]))):
         if epoch:
@@ -342,7 +351,8 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
             # rounding error short of dt: that remainder reuses the cached dt
             room = boundary - state.t
             state, report = step(state, cfg, operators,
-                                 max_dt=None if room >= cfg.dt - eps_round else room)
+                                 max_dt=None if room >= cfg.dt - eps_round else room,
+                                 centers=centers)
             recorded = cfg.record_dt is None or state.t >= t_end - eps_round
             if cfg.record_dt is not None:
                 count = (state.t - t0 + eps_round) // cfg.record_dt

@@ -1,5 +1,7 @@
 """Config validation, command dispatch, serialization, determinism."""
 
+import copy
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,11 +11,14 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdasim.cli import load_trajectory, main
 from rdasim.config import (
     CONFIG_SCHEMA,
     ConfigError,
+    _conforms,
     canonical_echo,
     config_hash,
     load_config,
@@ -212,6 +217,179 @@ class TestConfigValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="valid JSON"):
             load_config(path)
+
+
+def schema_nodes(schema):
+    """Every subschema of `schema`, itself included."""
+    yield schema
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    for sub in subs + ([schema["items"]] if "items" in schema else []):
+        yield from schema_nodes(sub)
+
+
+def instance_paths(node, prefix=()):
+    """The path to every value in a JSON document, the root's () first."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from instance_paths(child, prefix + (key,))
+
+
+SCHEMA_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+SCHEMA_KEYS = sorted({key for node in schema_nodes(CONFIG_SCHEMA)
+                      for key in node.get("properties", {})} | {"bogus"})
+# the values at and next to the schema's bounds, and strings it names or not
+JSON_SCALARS = (st.sampled_from([None, True, False, 0, 1, 2, -1, 0.0, 1.0, 2.0, 0.5, -0.5,
+                                 2000000, float("nan"), float("inf")])
+                | st.floats()
+                | st.sampled_from(["auto", "dirichlet", "noflux", "robin", "reversible", ""])
+                | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(SCHEMA_KEYS), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def value_at(document, path):
+    for part in path:
+        document = document[part]
+    return document
+
+
+# a value at, next to or across each bound and type the schema draws
+EDGE_VALUES = [None, True, False, 0, 1, -1, 0.0, 1.0, 1.5, -0.5, float("nan"),
+               "", "auto", "noflux", [], {}]
+
+
+def single_edits(cfg):
+    """Every config one edit away from `cfg`.
+
+    Each value is set to each of EDGE_VALUES and deleted; each object gains
+    an unknown key, and each non-empty array repeats its last item.
+    """
+    for path in list(instance_paths(cfg))[1:]:
+        *head, key = path
+        for value in EDGE_VALUES:
+            edited = copy.deepcopy(cfg)
+            value_at(edited, head)[key] = value
+            yield edited
+        edited = copy.deepcopy(cfg)
+        del value_at(edited, head)[key]
+        yield edited
+        edited = copy.deepcopy(cfg)
+        node = value_at(edited, path)
+        if isinstance(node, dict):
+            node["bogus"] = 1
+            yield edited
+        elif isinstance(node, list) and node:
+            node.append(node[-1])
+            yield edited
+
+
+@st.composite
+def mutated_configs(draw, bases):
+    """A base config with one to three values replaced, keys deleted or keys added.
+
+    A new value is random JSON or a copy of any value in the bases, which
+    often fits where it lands, so valid and invalid results both occur.
+    """
+    pool = [value_at(cfg, path) for cfg in bases for path in instance_paths(cfg)]
+    values = JSON_VALUES | st.sampled_from(pool).map(copy.deepcopy)
+    cfg = copy.deepcopy(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        *head, key = draw(st.sampled_from(list(instance_paths(cfg))[1:]))
+        parent = value_at(cfg, head)
+        action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "add" and isinstance(parent[key], dict):
+            parent[key][draw(st.sampled_from(SCHEMA_KEYS))] = draw(values)
+        elif action == "add" and isinstance(parent[key], list):
+            parent[key].append(draw(values))
+        else:
+            parent[key] = draw(values)
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def base_configs(tmp_path_factory):
+    """The three shipped configs and the config of the hetero2d benchmark at seed 461."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    hetero2d = workloads.generate_hetero2d(461, tmp_path_factory.mktemp("hetero2d"))
+    paths = [REPO / "configs" / f"{name}.json" for name in ("epidemic", "reversible", "heat")]
+    return [json.loads(path.read_text()) for path in paths + [hetero2d]]
+
+
+class TestSchemaWalker:
+    """`_conforms` accepts a config if and only if jsonschema does."""
+
+    def test_walks_every_keyword_the_schema_uses(self):
+        walked = {"type", "enum", "const", "required", "properties", "additionalProperties",
+                  "items", "minItems", "maxItems", "minimum", "exclusiveMinimum", "oneOf"}
+        nodes = list(schema_nodes(CONFIG_SCHEMA))
+        assert set().union(*nodes) <= walked
+        assert all(node["additionalProperties"] is False
+                   for node in nodes if "additionalProperties" in node)
+        # the walker compares enum members and consts with ==, exact for strings only
+        assert all(isinstance(member, str) for node in nodes
+                   for member in node.get("enum", []) + [node.get("const", "")])
+
+    def test_shipped_configs_conform(self, base_configs):
+        assert all(_conforms(cfg, CONFIG_SCHEMA) for cfg in base_configs)
+
+    def test_agrees_with_jsonschema_one_edit_from_a_shipped_config(self, base_configs):
+        verdicts = {True: 0, False: 0}
+        for cfg in (edited for base in base_configs for edited in single_edits(base)):
+            verdict = _conforms(cfg, CONFIG_SCHEMA)
+            assert verdict == SCHEMA_VALIDATOR.is_valid(cfg), cfg
+            verdicts[verdict] += 1
+        assert min(verdicts.values()) > 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_jsonschema_on_mutated_configs(self, base_configs, data):
+        cfg = data.draw(mutated_configs(base_configs))
+        assert _conforms(cfg, CONFIG_SCHEMA) == SCHEMA_VALIDATOR.is_valid(cfg)
+
+    @pytest.mark.parametrize("path, value, valid", [
+        # under draft 2020-12 a float with no fractional part is an integer
+        (("diagnostics", "energy", 0, "p"), 1.0, True),
+        (("diagnostics", "energy", 0, "p"), 1.5, False),
+        (("seed",), 3.0, True),
+        # a bool is neither a number nor an integer
+        (("diagnostics", "energy", 0, "p"), True, False),
+        (("solver", "dt"), True, False),
+        (("grid", "cells", 0), True, False),
+        (("seed",), False, False),
+        # const and enum members match only a value of the same JSON type
+        (("diagnostics", "energy", 0, "weights"), "auto", True),
+        (("diagnostics", "energy", 0, "weights"), 1, False),
+        (("diagnostics", "energy", 0, "weights"), True, False),
+        (("bc", "all"), 1, False),
+        (("bc", "all"), True, False),
+        # minimum constrains numbers only, and a NaN passes it
+        (("solver", "record_dt"), None, True),
+        (("solver", "dt"), float("nan"), True),
+        (("solver", "dt"), 0, False),
+    ])
+    def test_draft_2020_12_traps(self, tmp_path, path, value, valid):
+        cfg = heat_config(tmp_path / "out")
+        *head, key = path
+        value_at(cfg, head)[key] = value
+        assert SCHEMA_VALIDATOR.is_valid(cfg) == valid
+        assert _conforms(cfg, CONFIG_SCHEMA) == valid
+
+    @pytest.mark.parametrize("value, valid", [(1, False), (1.5, True), ("1", False)])
+    def test_one_of_needs_exactly_one_branch(self, value, valid):
+        # CONFIG_SCHEMA's branches are disjoint, so this schema overlaps them
+        schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
+        assert jsonschema.validators.validator_for(schema)(schema).is_valid(value) == valid
+        assert _conforms(value, schema) == valid
 
 
 def reversible_config(out_dir, diffusion, weights, cells=32):
@@ -523,6 +701,25 @@ class TestEnergyWeightLength:
         assert sorted(out.rglob("*")) == before
 
 
+class TestEnergyOrderBudget:
+    """An energy order too large to enumerate is a config error, with exit 2."""
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], "auto"], ids=["explicit", "auto"])
+    @pytest.mark.parametrize("command", ["check", "run", "energy-report"])
+    def test_exits_2_naming_the_order(self, tmp_path, capsys, reversible_out, command, weights):
+        cfg = json.loads(REVERSIBLE.read_text())
+        cfg["diagnostics"]["energy"] = [{"p": 2000000, "weights": weights}]
+        path = write_config(tmp_path, cfg)
+        out = reversible_out if command == "energy-report" else tmp_path / "out"
+        before = sorted(out.rglob("*")) if out.exists() else []
+        assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: diagnostics.energy entry with p=2000000: "
+                              "enumeration of 2000001 multi-indices")
+        assert "Traceback" not in err
+        assert sorted(out.rglob("*")) == before
+
+
 class TestEnergyReportCommand:
     def test_recompute_after_run(self, tmp_path):
         out = tmp_path / "out"
@@ -692,34 +889,51 @@ class TestVtkOrdering:
         assert data.tolist() == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
 
 
-def scipy_modules_after(*argvs):
-    """The scipy modules a fresh interpreter holds after each stage.
+def modules_after(package, *argvs, exit_code=0):
+    """The modules of one top-level package a fresh interpreter holds after each stage.
 
     The stages are `import rdasim`, `import rdasim.cli`, then `main(argv)`
-    for each argv (each must exit 0); one sorted list of names per stage.
+    for each argv (each must return `exit_code`); one sorted list of names
+    per stage.
     """
     script = "\n".join([
         "import json, sys",
+        "package, code, argvs = json.loads(sys.argv[1])",
         "def loaded():",
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == package)",
         "import rdasim",
         "stages = [loaded()]",
         "import rdasim.cli",
         "stages.append(loaded())",
-        "for argv in json.loads(sys.argv[1]):",
-        "    assert rdasim.cli.main(argv) == 0, argv",
+        "for argv in argvs:",
+        "    assert rdasim.cli.main(argv) == code, argv",
         "    stages.append(loaded())",
         "print(json.dumps(stages))",
     ])
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+    done = subprocess.run([sys.executable, "-c", script,
+                           json.dumps([package, exit_code, argvs])],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
 class TestImportContract:
-    """scipy is loaded only by the commands that assemble or solve."""
+    """scipy is loaded only by the commands that assemble or solve, and
+    jsonschema only to explain an invalid config."""
+
+    def test_valid_config_loads_no_jsonschema(self, tmp_path):
+        argvs = [[command, "--config", str(REVERSIBLE), "--out", str(tmp_path), "--quiet"]
+                 for command in ("check", "run", "energy-report", "epsilon-study")]
+        assert modules_after("jsonschema", *argvs) == [[]] * (2 + len(argvs))
+
+    def test_invalid_config_loads_jsonschema_and_exits_2(self, tmp_path):
+        cfg = json.loads(REVERSIBLE.read_text())
+        cfg["grid"]["bogus"] = 1
+        argv = ["check", "--config", str(write_config(tmp_path, cfg)), "--quiet"]
+        *imports, after = modules_after("jsonschema", argv, exit_code=2)
+        assert imports == [[], []]
+        assert "jsonschema" in after
 
     def test_check_and_energy_report_load_no_scipy(self, tmp_path, reversible_out):
         argvs = [["check", "--config", str(REPO / "configs" / f"{name}.json"),
@@ -727,12 +941,12 @@ class TestImportContract:
                  for name in ("epidemic", "reversible", "heat")]
         argvs.append(["energy-report", "--config", str(REVERSIBLE),
                       "--out", str(reversible_out), "--quiet"])
-        stages = scipy_modules_after(*argvs)
+        stages = modules_after("scipy", *argvs)
         assert stages == [[]] * (2 + len(argvs))
 
     def test_1d_run_loads_no_sparse_linalg(self, tmp_path):
         path = write_config(tmp_path, heat_config(tmp_path / "out", cells=8, t_end=0.01))
-        *_, after_run = scipy_modules_after(["run", "--config", str(path), "--quiet"])
+        *_, after_run = modules_after("scipy", ["run", "--config", str(path), "--quiet"])
         assert "scipy.sparse" in after_run
         assert "scipy.sparse.linalg" not in after_run
 
@@ -740,5 +954,5 @@ class TestImportContract:
         cfg = heat_config(tmp_path / "out", t_end=0.002)
         cfg["grid"] = {"cells": [6, 6], "extents": [[0.0, 1.0], [0.0, 1.0]]}
         path = write_config(tmp_path, cfg)
-        *_, after_run = scipy_modules_after(["run", "--config", str(path), "--quiet"])
+        *_, after_run = modules_after("scipy", ["run", "--config", str(path), "--quiet"])
         assert "scipy.sparse.linalg" in after_run

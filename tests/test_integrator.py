@@ -724,6 +724,19 @@ class TestEpsilonLadder:
             assert traj.times.tobytes() == times.tobytes()
             assert traj.states.tobytes() == member_states.tobytes()
 
+    def test_batch_repeats_the_cell_centres_once_per_march(self):
+        seen = []
+        system = builtin_reversible_reaction()
+        evaluate = system.evaluate
+        system.evaluate = lambda x, t, u: seen.append(x) or evaluate(x, t, u)
+        problem = make_problem(system, n=8)
+        fields = np.random.default_rng(16).uniform(0.5, 1.5, size=(2, 8))
+        members = [SimState(0.0, fields, e) for e in (1e-1, 1e-2)]
+        integrator._march_ladder(members, SolverConfig(dt=0.1, t_end=0.5), problem)
+        assert len(seen) == 5
+        assert all(x is seen[0] for x in seen)
+        assert np.array_equal(seen[0], problem.grid.cell_centers.repeat(2, axis=1))
+
     def test_uniform_rate_epidemic_ladder_never_locates(self, monkeypatch):
         # the batch evaluates at the cell centres repeated per member;
         # uniform rates need no cell lookup for them
