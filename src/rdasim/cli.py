@@ -315,6 +315,9 @@ def load_trajectory(traj_dir: Path):
     """Rebuild a snapshot-only trajectory from a checkpoint index.
 
     The index times must equal the times stored in the checkpoint headers.
+    A checkpoint that `load_state` rejects (cut short, a non-finite value or
+    one below -STATE_TOL) makes the trajectory corrupt: a ConfigError
+    naming the file.
     """
     index_path = Path(traj_dir) / "trajectory.json"
     if not index_path.exists():

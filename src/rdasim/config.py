@@ -190,7 +190,6 @@ CONFIG_SCHEMA = {
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "t_end": {"type": "number", "exclusiveMinimum": 0},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "positivity_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_halvings": {"type": "integer", "minimum": 0},
                 # null records every step
                 "record_dt": {"type": ["number", "null"], "exclusiveMinimum": 0},

@@ -230,7 +230,6 @@ def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
         growth_order=2.0,
         growth_constant=2.0 * rate_scale,
         sample_positions=grid.cell_centers,
-        name="host-pathogen",
     )
     boundary = BoundarySpec.uniform(4, grid.dim, NoFluxWithDrift())
     return system, boundary

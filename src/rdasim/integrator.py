@@ -7,9 +7,10 @@ state:
 
     (I/dt + A_i) u_i_new = u_i_old / dt + truncate(F(u_old), eps)_i.
 
-If any cell of the solution dips below the positivity tolerance the step
-is retried with a halved dt; states are never clamped, and every solve is
-direct, so the discrete mass budget is exact up to rounding.
+If any cell of the solution dips below -STATE_TOL, the rounding floor
+every state respects, the step is retried with a halved dt; states are
+never clamped, and every solve is direct, so the discrete mass budget is
+exact up to rounding.
 
 All species' transport operators form one block-diagonal matrix A,
 assembled once per coefficient epoch.  The system I/dt + A is factorized
@@ -30,9 +31,10 @@ The epsilon ladder takes the same steps on a batch: its members differ
 only in eps, so they are one state whose columns hold the members side by
 side, cell by cell, with one eps per column.  One operator assembly per
 epoch and one factorization per dt serve them all, and each time step is
-one `step` call in the epoch loop `run` uses (`_march`).  If any member
-would halve dt, or its reaction is not finite, the ladder falls back to
-one `run` per member, so its numbers always equal those of solo runs.
+one `step` call in the epoch loop `run` uses (`_march`).  A step that
+any member would halve is halved for the whole batch, so the members
+share one time grid; each member's numbers equal a solo replay of the
+batch's step sizes, and a solo `run` when no member halves.
 
 scipy is imported where a scipy object is built -- the assembled operator
 and the LU factors -- and not in `_march`, `step`, `TransportOperators.solve`
@@ -128,15 +130,12 @@ class SimState:
 class SolverConfig:
     dt: float
     t_end: float
-    positivity_tol: float = 1e-12
     max_halvings: int = 20
     record_dt: float | None = None  # None records every accepted step
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end <= 0:
             raise ValueError("dt and t_end must be positive")
-        if self.positivity_tol <= 0:
-            raise ValueError("positivity_tol must be positive")
         if self.record_dt is not None and not self.record_dt > 0:
             raise ValueError(f"record_dt must be positive or None, got {self.record_dt}")
 
@@ -266,13 +265,15 @@ def _reaction_points(grid: StructuredGrid, fields: np.ndarray) -> np.ndarray:
 def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
          max_dt: float | None = None,
          centers: np.ndarray | None = None) -> tuple[SimState, StepReport]:
-    """Advance one accepted IMEX step, halving dt until positivity holds.
+    """Advance one accepted IMEX step, halving dt until no value is below -STATE_TOL.
 
     The reaction is the one of the problem the operators were assembled
     for.  A batch state of L members, (m, ncells * L) with member l of
     cell c in column c * L + l, takes the same step: the reaction is
     evaluated at the cell centres repeated L times, truncated with each
-    column's eps, and the L right-hand sides are solved together.
+    column's eps, and the L right-hand sides are solved together, so a
+    halving halves dt for every member.  A non-finite reaction raises
+    NonFiniteError naming the species, the cell and the member's eps.
     `centers` are those positions, `_reaction_points` of the state, which
     a caller taking many steps builds once.
     """
@@ -281,10 +282,13 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
         centers = _reaction_points(grid, state.fields)
     raw = np.asarray(system.evaluate(centers, state.t, state.fields), dtype=float)
     if not np.isfinite(raw).all():
-        species, cell = np.argwhere(~np.isfinite(raw))[0]
+        species, column = np.argwhere(~np.isfinite(raw))[0]
+        # batch column c * L + l is member l at cell c, with that member's eps
+        cell = column // (raw.shape[1] // grid.ncells)
+        eps = float(np.broadcast_to(state.eps, raw.shape[1])[column])
         raise NonFiniteError(
-            f"non-finite reaction {raw[species, cell]} for species {species + 1} "
-            f"in cell {cell} at t={state.t:.6g}"
+            f"non-finite reaction {raw[species, column]} for species {species + 1} "
+            f"in cell {cell} at t={state.t:.6g} with eps={eps!r}"
         )
     reaction = truncate(raw, state.eps)
     dt = cfg.dt if max_dt is None else min(cfg.dt, max_dt)
@@ -293,7 +297,7 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
         rhs = state.fields / dt + reaction
         new_fields = operators.solve(dt, rhs)
         low = float(new_fields.min())
-        if low >= -cfg.positivity_tol:
+        if low >= -STATE_TOL:
             break
         halvings += 1
         if halvings > cfg.max_halvings:
@@ -302,8 +306,6 @@ def step(state: SimState, cfg: SolverConfig, operators: TransportOperators,
                 f"(min value {low:.3e} at t={state.t:.6g})"
             )
         dt /= 2.0
-    if low < -STATE_TOL:
-        raise PositivityError(f"state has component {low} below -{STATE_TOL}")
     # `low` is the accepted state's minimum, so __post_init__'s checks would repeat it
     new_state = object.__new__(SimState)
     new_state.t, new_state.fields, new_state.eps = state.t + dt, new_fields, state.eps
@@ -420,16 +422,18 @@ def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
 
 
 def _march_ladder(members: list[SimState], cfg: SolverConfig,
-                  problem: Problem) -> tuple[np.ndarray, np.ndarray] | None:
+                  problem: Problem) -> tuple[np.ndarray, np.ndarray]:
     """March ladder members that differ only in eps as one batch, recording snapshots.
 
     The L members are one batch state (m, ncells * L), with member l of
     cell c in column c * L + l and its eps tiled over the cells, which
-    `_march` steps like a solo state.  Each member's values go through
-    the operations a solo `run` applies, so the snapshots equal solo runs
-    bit for bit.  Returns the snapshot times and the contiguous
-    (L, ntimes, m, ncells) snapshots, or None once a step halves dt or
-    raises SolverError.
+    `_march` steps like a solo state: a step that would leave any member
+    below -STATE_TOL halves dt for the whole batch, so every member takes
+    the same steps and records the same snapshot times.  Each member's
+    values go through the operations a solo `step` applies, so its
+    snapshots equal a solo replay of the batch's step sizes bit for bit,
+    and a solo `run` whenever no member halves.  Returns the snapshot
+    times and the contiguous (L, ntimes, m, ncells) snapshots.
     """
     first = members[0]
     _check_initial(first, cfg, problem)
@@ -437,34 +441,12 @@ def _march_ladder(members: list[SimState], cfg: SolverConfig,
     fields = np.stack([member.fields for member in members], axis=2).reshape(m, n * L)
     batch = SimState(first.t, fields, np.tile([member.eps for member in members], n))
     snap_times, snapshots = [first.t], [fields]
-    try:
-        for state, report, recorded in _march(batch, cfg, problem):
-            if report.halvings:
-                return None
-            if recorded:
-                snap_times.append(state.t)
-                snapshots.append(state.fields)
-    except SolverError:
-        return None
+    for state, _, recorded in _march(batch, cfg, problem):
+        if recorded:
+            snap_times.append(state.t)
+            snapshots.append(state.fields)
     states = np.stack(snapshots).reshape(-1, m, n, L).transpose(3, 0, 1, 2)
     return np.asarray(snap_times), np.ascontiguousarray(states)
-
-
-def _check_snapshot_times(eps_a: float, times_a: np.ndarray,
-                          eps_b: float, times_b: np.ndarray) -> None:
-    """Raise SolverError naming the first snapshot where two members' times differ."""
-    shared = min(times_a.size, times_b.size)
-    close = np.isclose(times_a[:shared], times_b[:shared])
-    if times_a.size == times_b.size and close.all():
-        return
-    k = int(np.argmin(close)) if not close.all() else shared
-
-    def at(times):
-        return f"t={float(times[k])!r}" if k < times.size else "no snapshot"
-
-    raise SolverError(f"the eps={eps_a!r} and eps={eps_b!r} runs recorded different snapshot "
-                      f"times: snapshot {k} is at {at(times_a)} and {at(times_b)}, since "
-                      f"their steps halved dt differently")
 
 
 def epsilon_refinement_study(problem: Problem, initial_fields: np.ndarray,
@@ -474,11 +456,9 @@ def epsilon_refinement_study(problem: Problem, initial_fields: np.ndarray,
     The members share the grid, the operators, dt and the step count, so
     they march as one batch state (`_march_ladder`): one operator assembly
     per epoch, one factorization per dt and one `step` per time step serve
-    the whole ladder.  If any member would need a dt halving, or its
-    reaction is not finite, the batch is discarded and each member is
-    integrated by its own `run`, so every reported number is what solo
-    runs give.  Members whose runs record different snapshot times raise
-    SolverError.
+    the whole ladder.  A halving halves dt for every member, so the members
+    share one time grid and differ only in eps; with no halving each
+    member's snapshots are those of its solo `run`.
 
     Reports the pairwise space-time L2 distances between consecutive
     trajectories (time-trapezoid of the spatial L2 distance squared over
@@ -490,15 +470,7 @@ def epsilon_refinement_study(problem: Problem, initial_fields: np.ndarray,
         raise ValueError("need at least two truncation strengths")
     members = [SimState(0.0, np.array(initial_fields, dtype=float), eps)
                for eps in eps_values]
-    batch = _march_ladder(members, cfg, problem)
-    if batch is None:
-        trajectories = [run(member, cfg, problem) for member in members]
-        times = trajectories[0].times
-        for eps, traj in zip(eps_values[1:], trajectories[1:]):
-            _check_snapshot_times(eps_values[0], times, eps, traj.times)
-        states = [traj.states for traj in trajectories]
-    else:
-        times, states = batch
+    times, states = _march_ladder(members, cfg, problem)
     vol = problem.grid.cell_volumes
     distances = [
         float(np.sqrt(np.trapezoid(((a - b) ** 2 @ vol).sum(axis=1), times)))
@@ -540,7 +512,11 @@ def dump_state(state: SimState, grid: StructuredGrid, path) -> None:
 
 
 def load_state(path, grid: StructuredGrid) -> SimState:
-    """Restore a state from a checkpoint record, verifying the grid hash and the size."""
+    """Restore a state from a checkpoint record, verifying the grid hash, size and values.
+
+    A non-finite value, one below -STATE_TOL, or a non-positive eps raises
+    ValueError naming the file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_CHECKPOINT_HEADER.size)
         if len(raw) != _CHECKPOINT_HEADER.size:
@@ -559,4 +535,9 @@ def load_state(path, grid: StructuredGrid) -> SimState:
             raise ValueError(f"checkpoint {path} holds {actual} data bytes, expected "
                              f"{expected} for {m} species x {ncells} cells")
         data = np.frombuffer(fh.read(expected), dtype="<f8").reshape(m, ncells)
-    return SimState(t, data.copy(), eps)
+    if not np.isfinite(data).all():
+        raise ValueError(f"checkpoint {path} holds a non-finite value")
+    try:
+        return SimState(t, data.copy(), eps)
+    except (ValueError, PositivityError) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from None

@@ -89,7 +89,6 @@ class ReactionSystem:
     growth_order: float
     growth_constant: float
     sample_positions: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self):
         if self.m < 1:
@@ -323,7 +322,6 @@ def builtin_reversible_reaction() -> ReactionSystem:
         intermediate_order=2.0,
         growth_order=2.0,
         growth_constant=1.0,
-        name="reversible",
     )
 
 
@@ -342,7 +340,6 @@ def builtin_linear_decay(m: int = 2, rate: float = 1.0) -> ReactionSystem:
         intermediate_order=1.0,
         growth_order=1.0,
         growth_constant=max(rate, 1.0),
-        name="linear_decay",
     )
 
 
@@ -439,8 +436,7 @@ def system_from_expressions(expressions: Sequence[str], mass_weights,
                             intermediate_order: float = 1.0,
                             growth_order: float = 1.0,
                             growth_constant: float = 1.0,
-                            sample_positions=None,
-                            name: str = "expressions") -> ReactionSystem:
+                            sample_positions=None) -> ReactionSystem:
     """Build a reaction system from one expression per species."""
     m = len(expressions)
     compiled = [compile_expression(e, m) for e in expressions]
@@ -463,5 +459,4 @@ def system_from_expressions(expressions: Sequence[str], mass_weights,
         growth_order=growth_order,
         growth_constant=growth_constant,
         sample_positions=sample_positions,
-        name=name,
     )

@@ -168,9 +168,11 @@ class TestConfigValidation:
         assert str(got.value) == f"invalid config at {path}: {expected.value.message}"
 
     @pytest.mark.parametrize("command", ["check", "run"])
-    @pytest.mark.parametrize("key, value", [("linear_tol", 1e-10), ("max_linear_iter", 500)])
+    @pytest.mark.parametrize("key, value", [("linear_tol", 1e-10), ("max_linear_iter", 500),
+                                            ("positivity_tol", 1e-6)])
     def test_removed_solver_key_exits_2(self, tmp_path, capsys, command, key, value):
-        # every transport solve is direct: the iterative solver's keys are unknown
+        # every transport solve is direct: the iterative solver's keys are unknown;
+        # a step halves below the fixed -1e-12 floor, so there is no positivity_tol
         cfg = heat_config(tmp_path / "out")
         cfg["solver"][key] = value
         path = write_config(tmp_path, cfg)
@@ -797,6 +799,26 @@ class TestEnergyReportCommand:
         assert expected in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("offset, value, expected", [
+        (40 + 8 * 3, float("nan"), "state_000005.ck holds a non-finite value"),
+        (40 + 8 * 3, -1.0, "state_000005.ck: state has component -1.0 below -1e-12"),
+        (32, 0.0, "state_000005.ck: epsilon must be positive"),  # the header's eps
+    ])
+    def test_corrupt_checkpoint_value_exits_2(self, tmp_path, capsys, offset, value, expected):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, heat_config(out, cells=8, t_end=0.01))
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+        checkpoint = out / "trajectory" / "state_000005.ck"
+        raw = bytearray(checkpoint.read_bytes())
+        raw[offset:offset + 8] = np.float64(value).astype("<f8").tobytes()
+        checkpoint.write_bytes(bytes(raw))
+        assert main(["energy-report", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: corrupt trajectory at ")
+        assert expected in err
+        assert "Traceback" not in err
+        assert not (out / "energy_report.json").exists()
+
     @pytest.mark.parametrize("edit, expected", [
         (lambda times: times[:-1], "must align"),
         (lambda times: times[:1] * len(times), "strictly increasing"),
@@ -839,8 +861,9 @@ class TestEpsilonStudyCommand:
         assert report["monotone_shrinking"]
 
 
-    def test_mismatched_snapshot_grids_exit_4(self, tmp_path, capsys):
-        # against the stiff sink, eps = 1 and eps = 1e-4 halve dt in different steps
+    def test_halving_ladder_shares_one_snapshot_grid(self, tmp_path, capsys):
+        # against the stiff sink, solo eps = 1 and eps = 1e-4 runs halve dt in
+        # different steps; the batch halves for both, so they share one grid
         out = tmp_path / "out"
         cfg = json.loads((REPO / "configs" / "heat.json").read_text())
         cfg["system"]["expressions"] = ["0 - 1000*u1"]
@@ -848,12 +871,11 @@ class TestEpsilonStudyCommand:
         cfg["diagnostics"]["epsilon_study"] = [1.0, 1e-4]
         cfg["output"]["dir"] = str(out)
         path = write_config(tmp_path, cfg)
-        assert main(["epsilon-study", "--config", str(path), "--quiet"]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("solver failure: the eps=1.0 and eps=0.0001 runs recorded "
-                              "different snapshot times: snapshot 2 is at t=0.2006")
-        assert "Traceback" not in err
-        assert not (out / "epsilon_study.json").exists()
+        assert main(["epsilon-study", "--config", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((out / "epsilon_study.json").read_text())
+        assert report["epsilons"] == [1.0, 1e-4]
+        assert len(report["pair_distances"]) == 1
 
 
 class TestGrowthFixtureFlag:

@@ -34,7 +34,6 @@ from rdasim.integrator import (
     Problem,
     SimState,
     SolverConfig,
-    SolverError,
     TransportOperators,
     dump_state,
     epsilon_refinement_study,
@@ -43,6 +42,7 @@ from rdasim.integrator import (
     step,
 )
 from rdasim.reactions import (
+    STATE_TOL,
     ReactionSystem,
     builtin_linear_decay,
     builtin_reversible_reaction,
@@ -347,7 +347,7 @@ class TestStep:
         ops = TransportOperators(problem, 0.0)
         new_state, report = step(state, cfg, ops)
         assert report.halvings > 0
-        assert new_state.fields.min() >= -cfg.positivity_tol
+        assert new_state.fields.min() >= -STATE_TOL
         assert report.dt < 1.0
 
     def test_halving_cap_raises(self):
@@ -361,20 +361,6 @@ class TestStep:
         ops = TransportOperators(problem, 0.0)
         with pytest.raises(PositivityError):
             step(state, cfg, ops)
-
-    def test_state_floor_holds_under_a_looser_tolerance(self):
-        # a constant sink of 1e-8 takes a zero state to -1e-8 in one step of 1:
-        # inside positivity_tol = 1e-6, so no halving, but below the -1e-12 floor
-        sink = ReactionSystem(
-            m=1, evaluate=lambda x, t, u: np.full(np.shape(u), -1e-8),
-            mass_weights=np.ones(1), mass_constants=(0.0, 0.0), sum_matrix=np.eye(1),
-            intermediate_order=1.0, growth_order=1.0, growth_constant=1.0,
-        )
-        problem = make_problem(sink, n=4, diffusion=0.1)
-        state = SimState(0.0, np.zeros((1, 4)), 1e-6)
-        cfg = SolverConfig(dt=1.0, t_end=2.0, positivity_tol=1e-6)
-        with pytest.raises(PositivityError, match="below -1e-12"):
-            step(state, cfg, TransportOperators(problem, 0.0))
 
     def test_accepted_state_is_not_validated_again(self, monkeypatch):
         # step has tested the new minimum; SimState's own check would repeat it
@@ -427,7 +413,7 @@ class TestStep:
                                      TransportOperators(problem, 0.0))
         except PositivityError:
             return
-        assert new_state.fields.min() >= -cfg.positivity_tol
+        assert new_state.fields.min() >= -STATE_TOL
         assert report.min_value == new_state.fields.min()
         assert report.dt == cfg.dt / 2**report.halvings
 
@@ -698,7 +684,7 @@ def shipped_ladder(name, t_end=None):
 
 
 def stiff_ladder(record_dt):
-    """A sink against which eps = 1 and eps = 1e-4 halve dt in different steps."""
+    """A sink against which solo eps = 1 and eps = 1e-4 runs halve dt in different steps."""
     sink = system_from_expressions(
         ["0 - 1000*u1"], mass_weights=[1.0], mass_constants=(0.0, 0.0),
         intermediate_order=1.0, growth_order=1.0, growth_constant=1000.0,
@@ -821,26 +807,47 @@ class TestEpsilonLadder:
         m, ncells = members[0].fields.shape
         assert shapes == [(m, ncells * len(members))] * round(cfg.t_end / cfg.dt)
 
-    def test_halving_member_raises_like_member_runs(self):
+    def test_halving_ladder_equals_solo_replays_of_its_steps(self):
+        # alone, eps = 1 and eps = 1e-4 would halve dt in different steps; the
+        # batch halves for both, so each member replays the batch's step sizes
         problem, members, cfg = stiff_ladder(record_dt=0.1)
-        assert integrator._march_ladder(members, cfg, problem) is None
-        a, b = (run(member, cfg, problem) for member in members)
-        k = int(np.argmin(np.isclose(a.times, b.times)))
-        assert k > 0 and not np.isclose(a.times[k], b.times[k])
-        with pytest.raises(SolverError) as raised:
-            epsilon_refinement_study(problem, members[0].fields, [1.0, 1e-4], cfg)
-        assert str(raised.value).startswith(
-            f"the eps=1.0 and eps=0.0001 runs recorded different snapshot times: "
-            f"snapshot {k} is at t={float(a.times[k])!r} and t={float(b.times[k])!r}")
+        (m, n), L = members[0].fields.shape, len(members)
+        batch = SimState(0.0, np.stack([b.fields for b in members], axis=2).reshape(m, n * L),
+                         np.tile([b.eps for b in members], n))
+        steps = [(report, recorded)
+                 for _, report, recorded in integrator._march(batch, cfg, problem)]
+        assert sum(report.halvings for report, _ in steps) > 0
+        times, states = integrator._march_ladder(members, cfg, problem)
+        assert times.size == 11
+        operators = TransportOperators(problem, 0.0)
+        for member, member_states in zip(members, states):
+            state, snap_times, snapshots = member, [member.t], [member.fields]
+            for report, recorded in steps:
+                state, solo = step(state, cfg, operators, max_dt=report.dt)
+                assert solo.dt == report.dt and solo.halvings == 0
+                if recorded:
+                    snap_times.append(state.t)
+                    snapshots.append(state.fields)
+            assert np.asarray(snap_times).tobytes() == times.tobytes()
+            assert np.stack(snapshots).tobytes() == member_states.tobytes()
 
-    def test_halving_member_falls_back_to_member_runs(self):
-        # with one snapshot at t_end the halving member's grid still matches
-        problem, members, cfg = stiff_ladder(record_dt=1.0)
-        report = epsilon_refinement_study(problem, members[0].fields, [1.0, 1e-4], cfg)
-        a, b = (run(member, cfg, problem) for member in members)
-        vol = problem.grid.cell_volumes
-        expected = np.sqrt(np.trapezoid(((a.states - b.states) ** 2 @ vol).sum(axis=1), a.times))
-        assert report["pair_distances"] == [float(expected)]
+    def test_later_member_overflow_names_its_cell_and_eps(self):
+        # eps = 1 caps the reaction at 1, eps = 1e-6 lets the bump in cell 5 run
+        # away: only the second member overflows, as in its solo run
+        problem = make_problem(system_from_expressions(
+            ["u1^2*exp(u1)"], mass_weights=[1.0], mass_constants=(0.0, 0.0),
+        ), n=8, diffusion=1e-3)
+        fields = np.zeros((1, 8))
+        fields[0, 5] = 5.0
+        cfg = SolverConfig(dt=0.01, t_end=0.1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError) as solo:
+                run(SimState(0.0, fields, 1e-6), cfg, problem)
+            with pytest.raises(NonFiniteError) as batch:
+                epsilon_refinement_study(problem, fields, [1.0, 1e-6], cfg)
+        assert str(batch.value) == str(solo.value)
+        assert " in cell 5 at t=" in str(batch.value)
+        assert str(batch.value).endswith(" with eps=1e-06")
 
     def test_non_finite_member_raises_like_its_run(self):
         problem = make_problem(system_from_expressions(
