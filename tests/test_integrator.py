@@ -831,6 +831,20 @@ class TestEpsilonLadder:
             assert np.asarray(snap_times).tobytes() == times.tobytes()
             assert np.stack(snapshots).tobytes() == member_states.tobytes()
 
+    def test_halving_member_raises_like_member_runs(self):
+        # alone, eps = 100 needs no more than 3 halvings and eps = 1e-4 does: the
+        # batch raises the eps = 1e-4 run's error, though its other member would pass
+        problem, members, _ = stiff_ladder(record_dt=0.1)
+        cfg = SolverConfig(dt=0.01, t_end=1.0, record_dt=0.1, max_halvings=3)
+        fields = members[0].fields
+        run(SimState(0.0, fields, 100.0), cfg, problem)
+        with pytest.raises(PositivityError) as solo:
+            run(SimState(0.0, fields, 1e-4), cfg, problem)
+        with pytest.raises(PositivityError) as batch:
+            epsilon_refinement_study(problem, fields, [100.0, 1e-4], cfg)
+        assert str(batch.value) == str(solo.value)
+        assert str(batch.value).startswith("positivity not restored after 3 halvings")
+
     def test_later_member_overflow_names_its_cell_and_eps(self):
         # eps = 1 caps the reaction at 1, eps = 1e-6 lets the bump in cell 5 run
         # away: only the second member overflows, as in its solo run
