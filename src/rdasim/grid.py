@@ -8,19 +8,22 @@ conditions: homogeneous Dirichlet (ghost mirror value 0), Robin
 (diffusive flux proportional to the trace), and total-flux-zero walls
 that also cancel the advective face term.
 
-`assemble_transport` builds every species' diffusion plus advection
+`_transport_entries` lists every species' diffusion plus advection
 operator from one face walk in any dimension: `_face_table` slices the
 flat-index array and the width meshes along each axis into the interior
 faces and the wall faces of each side.  Each face's diffusion and upwind
 coefficients are summed into one flux pair, and the wall terms are
-added to the diagonal; all species go into one block-diagonal sparse
-matrix in one COO-to-CSR pass.
+added to the diagonal; the entries of all species are COO triplets of
+one block-diagonal matrix, as plain numpy arrays.  `assemble_transport`
+sums them into a CSR matrix in one COO-to-CSR pass.
 
 Operators act pointwise (rows are divided by cell volume), so on uniform
 grids the pure-diffusion operator is symmetric; on non-uniform grids it
 is volume-similar to a symmetric matrix.  Only `assemble_transport`
-imports scipy here: `check` and `energy-report` never assemble an
-operator, so they never pay scipy's import time.
+imports scipy here, and only a 2D run calls it: a 1D run sums the
+entries into the three bands of its tridiagonal system itself, and
+`check` and `energy-report` never assemble an operator, so none of them
+loads scipy.sparse.
 """
 
 from __future__ import annotations
@@ -323,17 +326,28 @@ def assemble_transport(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
     alpha * area / volume to the diagonal; both admit outflow against a
     zero exterior state.  Total-flux-zero walls drop both face terms, so
     the volume-weighted column sums vanish (discrete conservation).  Each
-    block is a weakly diagonally dominant M-matrix.
+    block is a weakly diagonally dominant M-matrix.  One COO-to-CSR
+    conversion sums the entries of `_transport_entries`.
+    """
+    import scipy.sparse as sp
+
+    rows, cols, vals = _transport_entries(grid, coeff, bc, t)
+    size = coeff.m * grid.ncells
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def _transport_entries(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
+                       t: float):
+    """The COO entries of `assemble_transport`'s matrix, as numpy arrays (rows, cols, vals).
 
     Each face's diffusion and upwind coefficients are summed into one flux
     a*u_left + b*u_right, which leaves the left cell and enters the right
     one.  Species by species, the entries fill preallocated COO arrays:
     per axis the left-left, left-right, right-left and right-right
     couplings of every face, then the diffusion and then the advection
-    wall terms of each side.  One COO-to-CSR conversion sums them.
+    wall terms of each side.  Entries at one position sum to the matrix
+    entry, added in this order.
     """
-    import scipy.sparse as sp
-
     diff, drift = coeff.at_time(t)
     interior, walls = _face_table(grid)
     m, n, vol = coeff.m, grid.ncells, grid.cell_volumes
@@ -374,7 +388,7 @@ def assemble_transport(grid: StructuredGrid, coeff: CoefficientField, bc: Bounda
             put(cells, cells, np.maximum(sign * b[axis, cells], 0.0) * area / vol[cells])
         rows[start:k] += i * n
         cols[start:k] += i * n
-    return sp.coo_matrix((vals[:k], (rows[:k], cols[:k])), shape=(m * n, m * n)).tocsr()
+    return rows[:k], cols[:k], vals[:k]
 
 
 def discrete_norm(fld, grid: StructuredGrid, p):

@@ -17,8 +17,9 @@ assembled once per coefficient epoch.  The system I/dt + A is factorized
 once per dt in each epoch, whose last step takes the full dt when the
 remainder is within rounding of it.  On 1D grids the two-point flux makes
 each species' system tridiagonal, so the block-diagonal stack of them is
-one tridiagonal matrix: LAPACK's tridiagonal LU (dgttrf) factorizes it,
-and dgttrs solves every step at that dt.  On 2D grids SuperLU factorizes
+one tridiagonal matrix, kept as its three bands summed straight from the
+assembled entries: LAPACK's tridiagonal LU (dgttrf) factorizes it, and
+dgttrs solves every step at that dt.  On 2D grids SuperLU factorizes
 it (scipy's `splu`, minimum-degree ordering), and each step is one pair
 of triangular solves.  A non-finite reaction stops the step with
 NonFiniteError.  `run` writes the reduced summaries of each accepted step
@@ -36,11 +37,12 @@ any member would halve is halved for the whole batch, so the members
 share one time grid; each member's numbers equal a solo replay of the
 batch's step sizes, and a solo `run` when no member halves.
 
-scipy is imported where a scipy object is built -- the assembled operator
+scipy is imported where a scipy object is built -- the 2D CSR operator
 and the LU factors -- and not in `_march`, `step`, `TransportOperators.solve`
 or `TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
 never build an operator, so they never pay scipy's import time, and a 1D
-run never loads scipy.sparse.linalg.
+`run` or `epsilon-study` loads `scipy.linalg` for LAPACK at its first
+factorization and nothing from scipy.sparse.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .grid import (
     BoundarySpec,
     CoefficientField,
     StructuredGrid,
+    _transport_entries,
     assemble_transport,
 )
 from .reactions import STATE_TOL, ReactionSystem, truncate
@@ -166,27 +169,19 @@ class Problem:
 class TridiagonalLU:
     """LU factors of a tridiagonal matrix from LAPACK dgttrf, solved by dgttrs.
 
-    A nonzero entry off the three diagonals, or a zero pivot, raises
-    LinearSolveError.  scipy's wrappers reject fewer than three unknowns,
-    so a smaller matrix is padded with identity rows.
+    Takes the sub-, main and super-diagonals, of sizes n - 1, n and n - 1.
+    A zero pivot raises LinearSolveError.  scipy's wrappers reject fewer
+    than three unknowns, so a smaller matrix is padded with identity rows.
     """
 
-    def __init__(self, a):
-        import scipy.sparse as sp
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
         from scipy.linalg.lapack import dgttrf, dgttrs
 
-        a = sp.coo_matrix(a)
-        far = (np.abs(a.row - a.col) > 1) & (a.data != 0.0)
-        if far.any():
-            row, col = a.row[far][0], a.col[far][0]
-            raise LinearSolveError(f"entry ({row}, {col}) of a {a.shape[0]}-row system "
-                                   f"lies off its three diagonals")
-        self.n = a.shape[0]
+        self.n = diag.size
         self.pad = max(0, 3 - self.n)
         zeros, ones = np.zeros(self.pad), np.ones(self.pad)
-        *self.factors, info = dgttrf(np.append(a.diagonal(-1), zeros),
-                                     np.append(a.diagonal(), ones),
-                                     np.append(a.diagonal(1), zeros))
+        *self.factors, info = dgttrf(np.append(lower, zeros), np.append(diag, ones),
+                                     np.append(upper, zeros))
         if info != 0:
             raise LinearSolveError(f"tridiagonal LU of a {self.n}-row system failed: "
                                    f"dgttrf info {info} (positive: a zero pivot)")
@@ -202,32 +197,62 @@ class TridiagonalLU:
         return x[:self.n]
 
 
+def _tridiagonal_bands(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                       size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sub-, main and super-diagonals of the size-row matrix with these COO entries.
+
+    Band b = col - row + 1 of position min(row, col) is bin b * size + min(row, col)
+    of one `np.bincount`, which adds each bin's entries in entry order, as
+    scipy's COO-to-CSR conversion sums duplicates.  A nonzero entry off the
+    three diagonals raises LinearSolveError.
+    """
+    offset = cols - rows
+    near = np.abs(offset) <= 1
+    stray = np.flatnonzero(~near & (vals != 0.0))
+    if stray.size:
+        k = stray[0]
+        raise LinearSolveError(f"entry ({rows[k]}, {cols[k]}) of a {size}-row system "
+                               f"lies off its three diagonals")
+    bins = (offset[near] + 1) * size + np.minimum(rows, cols)[near]
+    bands = np.bincount(bins, vals[near], minlength=3 * size).reshape(3, size)
+    return bands[0, :-1], bands[1], bands[2, :-1]
+
+
 class TransportOperators:
     """The assembled transport operator of every species for one coefficient epoch.
 
-    `matrix` is the block-diagonal operator A of all species, one
-    `assemble_transport` build.  The system I/dt + A is factorized the
-    first time a dt is solved and cached per dt value, so every step is a
-    direct solve.  In 1D the system is tridiagonal and its factors are a
-    TridiagonalLU; in 2D they are SuperLU's.  At 128^2 cells the 2D L + U
-    hold 664k nonzeros per species (about 7 MB resident): a factorization
-    takes 30-50 ms and a solve about 1.5 ms.  A singular system raises
+    A is the block-diagonal operator of all species, summed from one
+    `_transport_entries` walk.  In 1D every block is tridiagonal, so A is
+    kept as its three bands, `bands` (no scipy.sparse matrix is built), and
+    the system I/dt + A is a TridiagonalLU of the bands with 1/dt added to
+    the diagonal.  In 2D A is `matrix`, the CSR `assemble_transport`
+    builds, and the system's factors are SuperLU's.  Each system is
+    factorized the first time its dt is solved and cached per dt value, so
+    every step is a direct solve.  At 128^2 cells the 2D L + U hold 664k
+    nonzeros per species (about 7 MB resident): a factorization takes
+    30-50 ms and a solve about 1.5 ms.  A singular system raises
     LinearSolveError.
     """
 
     def __init__(self, problem: Problem, t: float):
         self.problem = problem
-        self.matrix = assemble_transport(problem.grid, problem.coefficients, problem.boundary, t)
+        grid, coeff = problem.grid, problem.coefficients
+        if grid.dim == 1:
+            entries = _transport_entries(grid, coeff, problem.boundary, t)
+            self.bands = _tridiagonal_bands(*entries, coeff.m * grid.ncells)
+        else:
+            self.matrix = assemble_transport(grid, coeff, problem.boundary, t)
         self._systems: dict[float, object] = {}
 
     def _system(self, dt: float):
         cached = self._systems.get(dt)
         if cached is None:
-            block = self.matrix.tocsc()
-            block.setdiag(block.diagonal() + 1.0 / dt)
             if self.problem.grid.dim == 1:
-                cached = TridiagonalLU(block)
+                lower, diag, upper = self.bands
+                cached = TridiagonalLU(lower, diag + 1.0 / dt, upper)
             else:
+                block = self.matrix.tocsc()
+                block.setdiag(block.diagonal() + 1.0 / dt)
                 from scipy.sparse.linalg import splu
 
                 try:

@@ -966,11 +966,12 @@ class TestImportContract:
         stages = modules_after("scipy", *argvs)
         assert stages == [[]] * (2 + len(argvs))
 
-    def test_1d_run_loads_no_sparse_linalg(self, tmp_path):
+    def test_1d_run_and_ladder_load_no_sparse(self, tmp_path):
         path = write_config(tmp_path, heat_config(tmp_path / "out", cells=8, t_end=0.01))
-        *_, after_run = modules_after("scipy", ["run", "--config", str(path), "--quiet"])
-        assert "scipy.sparse" in after_run
-        assert "scipy.sparse.linalg" not in after_run
+        for command in ("run", "epsilon-study"):
+            *_, after = modules_after("scipy", [command, "--config", str(path), "--quiet"])
+            assert "scipy.linalg" in after
+            assert [name for name in after if name.startswith("scipy.sparse")] == []
 
     def test_2d_run_loads_sparse_linalg(self, tmp_path):
         cfg = heat_config(tmp_path / "out", t_end=0.002)

@@ -24,6 +24,7 @@ from rdasim.grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
+    assemble_transport,
     discrete_norm,
 )
 from rdasim.diagnostics import mass_budget
@@ -134,8 +135,10 @@ class TestLinearSolve:
 
 
 def dense_transport_oracle(ops, dt, rhs):
-    n = rhs.size
-    return np.linalg.solve(np.eye(n) / dt + ops.matrix.toarray(), rhs.ravel()).reshape(rhs.shape)
+    """Solve with the dense `assemble_transport` matrix of the operators' problem at t = 0."""
+    problem = ops.problem
+    a = assemble_transport(problem.grid, problem.coefficients, problem.boundary).toarray()
+    return np.linalg.solve(np.eye(rhs.size) / dt + a, rhs.ravel()).reshape(rhs.shape)
 
 
 def relative_error(u, ref):
@@ -152,6 +155,19 @@ def count_sparse_lu(monkeypatch):
         return real_splu(a, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return factored
+
+
+def count_tridiagonal_lu(monkeypatch):
+    """Record the shape of every 1D factorization made from here on."""
+    factored = []
+    real_lu = integrator.TridiagonalLU
+
+    def counting_lu(lower, diag, upper):
+        factored.append((diag.size, diag.size))
+        return real_lu(lower, diag, upper)
+
+    monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
     return factored
 
 
@@ -219,6 +235,40 @@ class TestTransportSolve:
             b = np.ascontiguousarray(rhs[:, l::members])
             assert stacked[:, l::members].tobytes() == ops.solve(dt, b).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 3), ncells=st.integers(1, 40))
+    def test_1d_bands_equal_the_assembled_diagonals(self, data, m, ncells):
+        # the bands are summed from the entries without scipy.sparse: bit for
+        # bit the diagonals of the CSR matrix, shifted as the 2D path shifts it
+        def draw(lo, hi, shape):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+        grid = StructuredGrid([draw(0.05, 1.0, (ncells,))])
+        coeff = CoefficientField(grid, draw(1e-3, 10.0, (m, 1, ncells)),
+                                 draw(-2.0, 2.0, (m, 1, ncells)))
+        walls = st.one_of(st.just(Dirichlet()), st.builds(Robin, st.floats(0.0, 5.0)),
+                          st.just(NoFluxWithDrift()))
+        boundary = BoundarySpec(tuple({"x_lo": data.draw(walls), "x_hi": data.draw(walls)}
+                                      for _ in range(m)), 1)
+        dt = 10.0 ** data.draw(st.floats(-3.0, 0.0))
+        factored = []
+        real_lu = integrator.TridiagonalLU
+
+        def recording_lu(lower, diag, upper):
+            factored.append((lower, diag, upper))
+            return real_lu(lower, diag, upper)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "TridiagonalLU", recording_lu)
+            ops = TransportOperators(Problem(grid, zero_reactions(m), coeff, boundary), 0.0)
+            ops.solve(dt, np.ones((m, ncells)))
+        block = assemble_transport(grid, coeff, boundary).tocsc()
+        block.setdiag(block.diagonal() + 1.0 / dt)
+        [(lower, diag, upper)] = factored
+        assert np.array_equal(lower, block.diagonal(-1))
+        assert np.array_equal(diag, block.diagonal())
+        assert np.array_equal(upper, block.diagonal(1))
+
     def test_2d_multi_column_solve_equals_member_solves(self):
         grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 2.0)], [9, 7])
         rng = np.random.default_rng(13)
@@ -238,14 +288,7 @@ class TestTransportSolve:
             assert stacked[:, l::3].tobytes() == ops.solve(0.05, b).tobytes()
 
     def test_one_factorization_per_dt(self, monkeypatch):
-        calls = []
-        real_lu = integrator.TridiagonalLU
-
-        def counting_lu(a):
-            calls.append(a.shape)
-            return real_lu(a)
-
-        monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
+        calls = count_tridiagonal_lu(monkeypatch)
         problem = make_problem(builtin_reversible_reaction(), n=16, diffusion=0.2, drift=0.3)
         ops = TransportOperators(problem, 0.0)
         rhs = np.ones((2, 16))
@@ -269,19 +312,26 @@ class TestTransportSolve:
         assert u.shape == (1, cells)
         assert relative_error(u, dense_transport_oracle(ops, 0.1, rhs)) <= 1e-14
 
-    def test_1d_rejects_entries_off_the_three_diagonals(self):
+    def test_1d_rejects_entries_off_the_three_diagonals(self, monkeypatch):
+        real_entries = integrator._transport_entries
+
+        def stray_entry(*args):
+            # species 1's cells 2 and 5 are rows and columns 10 and 13
+            rows, cols, vals = real_entries(*args)
+            return np.append(rows, 10), np.append(cols, 13), np.append(vals, 1e-3)
+
+        monkeypatch.setattr(integrator, "_transport_entries", stray_entry)
         problem = make_problem(builtin_reversible_reaction(), n=8)
-        ops = TransportOperators(problem, 0.0)
-        # species 1's cells 2 and 5 are rows and columns 10 and 13
-        ops.matrix = ops.matrix + sp.csr_matrix(([1e-3], ([10], [13])), shape=(16, 16))
         with pytest.raises(LinearSolveError, match=r"entry \(10, 13\) of a 16-row system"):
-            ops.solve(0.1, np.ones((2, 8)))
+            TransportOperators(problem, 0.0)
 
     def test_1d_singular_system_raises(self):
-        # A = -I/dt cancels the shifted identity: every pivot is zero
+        # A = -I/dt on species 0 cancels the shifted identity: every pivot is zero
         problem = make_problem(builtin_reversible_reaction(), n=8)
         ops = TransportOperators(problem, 0.0)
-        ops.matrix = sp.block_diag([-sp.identity(8) / 0.1, ops.matrix[8:, 8:]], format="csr")
+        lower, diag, upper = (band.copy() for band in ops.bands)
+        lower[:8], diag[:8], upper[:8] = 0.0, -1.0 / 0.1, 0.0
+        ops.bands = lower, diag, upper
         with pytest.raises(LinearSolveError, match="dgttrf info 1 "):
             ops.solve(0.1, np.ones((2, 8)))
 
@@ -622,14 +672,7 @@ class TestRun:
     def test_one_factorization_per_run(self, monkeypatch):
         # the problem of configs/reversible.json: after 3999 steps of 0.01, t
         # lies past 39.99 by rounding, so the remainder falls short of dt
-        calls = []
-        real_lu = integrator.TridiagonalLU
-
-        def counting_lu(a):
-            calls.append(a.shape)
-            return real_lu(a)
-
-        monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
+        calls = count_tridiagonal_lu(monkeypatch)
         system = builtin_reversible_reaction()
         grid = StructuredGrid.uniform([(0.0, 1.0)], [32])
         jump = np.where(grid.cell_centers[0] < 0.5, 0.1, 0.01)
@@ -772,19 +815,15 @@ class TestEpsilonLadder:
             assert traj.states.tobytes() == member_states.tobytes()
 
     def test_shipped_ladder_assembles_and_factorizes_once(self, monkeypatch):
-        factored, assembled = [], []
-        real_lu, real_assemble = integrator.TridiagonalLU, integrator.assemble_transport
+        assembled = []
+        real_entries = integrator._transport_entries
 
-        def counting_lu(a):
-            factored.append(a.shape)
-            return real_lu(a)
-
-        def counting_assemble(grid, coefficients, boundary, t):
+        def counting_entries(grid, coefficients, boundary, t):
             assembled.append(t)
-            return real_assemble(grid, coefficients, boundary, t)
+            return real_entries(grid, coefficients, boundary, t)
 
-        monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
-        monkeypatch.setattr(integrator, "assemble_transport", counting_assemble)
+        factored = count_tridiagonal_lu(monkeypatch)
+        monkeypatch.setattr(integrator, "_transport_entries", counting_entries)
         problem, members, cfg = shipped_ladder("reversible")
         report = epsilon_refinement_study(problem, members[0].fields,
                                           [m.eps for m in members], cfg)
