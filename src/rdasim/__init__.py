@@ -59,6 +59,7 @@ from .diagnostics import (
 from .epidemic import (
     EpiParams,
     EpiReport,
+    EpiSteps,
     build_epi_coefficients,
     build_epi_system,
     conservation_residual,

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,12 @@ def cmd_check(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int
 
 
 def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
+    """Integrate, streaming the step series and folding its budgets a block at a time.
+
+    `series_steps.csv` and, for the epidemic, `epi_conservation.csv` are
+    written from each block of step rows `run` hands over, and renamed
+    into place once the run has finished: a failed run leaves neither.
+    """
     grid, system, coeff, boundary, initial, params, names = _assemble(cfg, base_dir)
     if initial is None:
         raise ConfigError("an initial state is required to run (system.initial)")
@@ -233,41 +240,44 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
     # a failing weight search stops the command before the integration
     specs, searches = _resolve_energy_specs(cfg, system, coeff, seed)
 
+    epi_steps = None
+    if params is not None:
+        # the initial row, one per step of dt and one per clipped epoch end
+        epochs = len(coeff.switch_times()) + 1
+        expected = int(np.ceil(solver_cfg.t_end / solver_cfg.dt)) + epochs + 1
+        epi_steps = epidemic.EpiSteps(params, expected)
+    budget_carry, budget_max_abs = None, 0.0
+
+    def on_steps(rows):
+        nonlocal budget_carry, budget_max_abs
+        write_steps(rows)
+        times, masses = rows[:, 0], np.ascontiguousarray(rows[:, 1:1 + system.m])
+        residual, budget_carry = diagnostics.mass_budget(times, masses, system,
+                                                         grid.domain_volume, budget_carry)
+        budget_max_abs = np.maximum(budget_max_abs, np.max(np.abs(residual)))
+        if epi_steps is not None:
+            write_host(np.column_stack([times, epi_steps.add(times, masses)]))
+
     started = time.perf_counter()
-    traj = run(SimState(0.0, initial, eps), solver_cfg, problem)
+    with ExitStack() as streams:
+        write_steps = streams.enter_context(
+            write_step_series_csv(out_dir / "series_steps.csv", names, meta))
+        if epi_steps is not None:
+            write_host = streams.enter_context(output.csv_stream(
+                out_dir / "epi_conservation.csv", ["time", "residual"], meta))
+        traj = run(SimState(0.0, initial, eps), solver_cfg, problem, on_steps=on_steps)
     elapsed = time.perf_counter() - started
     _say(quiet, f"integrated to t={traj.times[-1]:.6g} "
-                f"({traj.step_times.size - 1} steps, {elapsed:.2f}s)")
+                f"({traj.steps} steps, {elapsed:.2f}s)")
 
-    write_step_series_csv(out_dir / "series_steps.csv", traj, names, meta)
-    p_list = cfg.get("diagnostics", {}).get("p_list", [1.0, 2.0])
-    series = diagnostics.norm_series(traj, p_list)
-    write_norm_series_csv(out_dir / "series_norms.csv", series, names, meta)
-
-    summary = {
-        "config_sha256": meta["config_sha256"],
-        "seed": seed,
-        "config_echo": canonical_echo(cfg),
-        "final_time": float(traj.times[-1]),
-        "steps": int(traj.step_times.size - 1),
-        "min_value": float(traj.step_minima.min()),
-        "halvings_total": int(traj.step_halvings.sum()),
-    }
-
-    bt, budget = diagnostics.mass_budget(traj, system)
-    summary["mass_budget_max_abs"] = float(np.max(np.abs(budget)))
-
-    if specs:
-        summary["energy"] = _energy_records(traj, specs, out_dir / "series_energy.csv", meta)
-        if searches:
-            summary["weight_searches"] = searches
-
-    if params is not None:
-        epi_report = epidemic.decay_report(traj, params)
+    if epi_steps is not None:
+        # before the snapshot diagnostics, which then reuse the memory that
+        # the tail fit over the step columns frees
+        epi_report = epidemic.decay_report(traj, epi_steps)
         write_json(out_dir / "epi_report.json", {
             "config_sha256": meta["config_sha256"],
             "seed": seed,
-            "conservation_max_abs": float(np.max(np.abs(epi_report.conservation_residual))),
+            "conservation_max_abs": epi_report.conservation_max_abs,
             "final_fractions": epi_report.final_fractions,
             "decayed": epi_report.decayed,
             "s_fluctuation_final": float(epi_report.s_fluctuation[-1]),
@@ -278,10 +288,26 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
                 "fit_ok": epi_report.s_inf.fit_ok,
             },
         })
-        # by the module attribute, which bench/tracing.py wraps
-        output.write_csv(out_dir / "epi_conservation.csv", ["time", "residual"],
-                         np.column_stack([epi_report.conservation_times,
-                                          epi_report.conservation_residual]), meta)
+
+    p_list = cfg.get("diagnostics", {}).get("p_list", [1.0, 2.0])
+    series = diagnostics.norm_series(traj, p_list)
+    write_norm_series_csv(out_dir / "series_norms.csv", series, names, meta)
+
+    summary = {
+        "config_sha256": meta["config_sha256"],
+        "seed": seed,
+        "config_echo": canonical_echo(cfg),
+        "final_time": float(traj.times[-1]),
+        "steps": traj.steps,
+        "min_value": traj.min_value,
+        "halvings_total": traj.halvings_total,
+        "mass_budget_max_abs": float(budget_max_abs),
+    }
+
+    if specs:
+        summary["energy"] = _energy_records(traj, specs, out_dir / "series_energy.csv", meta)
+        if searches:
+            summary["weight_searches"] = searches
 
     if cfg["output"].get("checkpoints", True):
         traj_dir = out_dir / "trajectory"

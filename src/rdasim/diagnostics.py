@@ -1,10 +1,12 @@
 """Post-processing of trajectories into norm series, energy traces and budgets.
 
-A trajectory carries two granularities: full field snapshots at the
-recording cadence, and dense per-step reduced summaries (per-species
-masses and sup-norms, the global minimum, dt and the halvings).  Time
-integrals in budgets use trapezoidal accumulation over whichever series
-is used.
+A trajectory holds the field snapshots at the recording cadence and the
+run's totals.  The per-step reduced summaries (per-species masses and
+sup-norms, the global minimum, dt and the halvings) are rows that
+`integrator.run` hands to its caller a block at a time; the budgets read
+them as plain arrays, one block after another, and `windowed_sup` reads
+a time column and a sup-norm table.  Time integrals in budgets use
+trapezoidal accumulation over whichever series is passed.
 
 An energy trace is the plain (nspecs, ntimes) array of each energy
 functional at each snapshot.  Whether a series is non-growing is a trend
@@ -36,25 +38,22 @@ DEFAULT_GROWTH_TOL = 0.05
 
 @dataclass
 class Trajectory:
-    """Recorded simulation history: snapshots plus dense step summaries.
+    """Recorded simulation history: snapshots plus the run's totals.
 
     The snapshots are one (ntimes, m, ncells) float array, so every
     per-snapshot diagnostic is a reduction over its trailing axes; a list
-    of (m, ncells) arrays is stacked on construction.  Reloaded
-    trajectories may carry only the snapshot series; the step arrays are
-    then None, and the mass and sup-norm diagnostics fall back to values
-    computed from the snapshots.
+    of (m, ncells) arrays is stacked on construction.  `steps`,
+    `min_value` (over every accepted step and the initial state) and
+    `halvings_total` are the totals of the run that recorded it; a
+    trajectory reloaded from checkpoints has none.
     """
 
     grid: StructuredGrid
     times: np.ndarray          # snapshot times, strictly increasing
     states: np.ndarray         # (ntimes, m, ncells) snapshot fields
-    step_times: np.ndarray | None = None
-    step_masses: np.ndarray | None = None        # (nsteps + 1, m)
-    step_supnorms: np.ndarray | None = None      # (nsteps + 1, m)
-    step_minima: np.ndarray | None = None
-    step_dts: np.ndarray | None = None
-    step_halvings: np.ndarray | None = None
+    steps: int | None = None
+    min_value: float | None = None
+    halvings_total: int | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -65,25 +64,10 @@ class Trajectory:
                              f"with {self.times.size} times on {self.grid.ncells} cells")
         if self.times.size and np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
-        if self.step_times is not None:
-            self.step_times = np.asarray(self.step_times, dtype=float)
-            if np.any(np.diff(self.step_times) <= 0):
-                raise ValueError("step times must be strictly increasing")
 
     @property
     def m(self) -> int:
         return self.states.shape[1]
-
-    def _dense_series(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-step (times, masses); falls back to snapshot-derived masses."""
-        if self.step_times is not None and self.step_masses is not None:
-            return self.step_times, self.step_masses
-        return self.times, self.states @ self.grid.cell_volumes
-
-    def _dense_supnorms(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.step_times is not None and self.step_supnorms is not None:
-            return self.step_times, self.step_supnorms
-        return self.times, np.abs(self.states).max(axis=2)
 
 
 def norm_series(traj: Trajectory, p_list) -> dict:
@@ -122,16 +106,19 @@ def energy_trace(traj: Trajectory, specs) -> np.ndarray:
     return values
 
 
-def windowed_sup(traj: Trajectory, window: float = DEFAULT_WINDOW,
+def windowed_sup(times: np.ndarray, supnorms: np.ndarray, window: float = DEFAULT_WINDOW,
                  tol: float = DEFAULT_GROWTH_TOL) -> dict:
     """Per-species sup-norm maxima over sliding windows (tau, tau + window].
 
+    `times` (n,) are strictly increasing and `supnorms` (n, m) holds each
+    species' sup-norm at those times: the step rows of a run, or a
+    trajectory's snapshots reduced by `np.abs(states).max(axis=2)`.
     Window anchors are the integer times tau >= floor(t0) with tau + window
     in (t0, t1]: 0, 1 and 2 for window 2.0 on [0, 4].  The no-growth flags
     compare the last window against the early maximum, the uniform-in-time
-    boundedness surrogate.  Raises if the trajectory is shorter than one window.
+    boundedness surrogate.  Raises if the series is shorter than one window.
     """
-    times, sups = traj._dense_supnorms()
+    times, sups = np.asarray(times, dtype=float), np.asarray(supnorms, dtype=float)
     t0, t1 = float(times[0]), float(times[-1])
     if t1 - t0 < window:
         raise ValueError(f"trajectory of length {t1 - t0} is shorter than one window {window}")
@@ -152,25 +139,55 @@ def windowed_sup(traj: Trajectory, window: float = DEFAULT_WINDOW,
             "window": window, "tol": tol}
 
 
-def mass_budget(traj: Trajectory, system) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of the weighted-mass budget against its linear bound.
+def _budget_block(times, masses, carry, level, rate):
+    """One block of a budget: its levels, the initial level and the running integral.
+
+    `level` and `rate` map a (n, m) masses table to one value per row.  A
+    block after the first is computed after the previous block's last row,
+    which `carry` holds as (t, masses, initial level, integral), so that
+    its first trapezoid pair straddles the boundary.  The integral is one
+    np.cumsum seeded with the carried value, which adds in row order, so
+    any split into blocks gives the bits of one block (adding the carry to
+    an unseeded cumsum afterwards would not).  The first block's seed is
+    -0.0, the additive identity, which keeps a first increment of -0.0 as
+    it is.  Returns the block's levels, the initial level, the block's
+    integrals and the carry for the next block.
+    """
+    if carry is None:
+        first, seed = 0, -0.0
+    else:
+        first, (t_prev, m_prev, level0, seed) = 1, carry
+        times = np.concatenate([[t_prev], times])
+        masses = np.concatenate([m_prev[None, :], masses])
+    # a one-row matrix product sums in another order than the rows of a taller one
+    levels = level(masses if len(masses) > 1 else np.concatenate([masses, masses]))
+    if carry is None:
+        level0 = levels[0]
+    f = rate(masses)
+    integral = np.cumsum(np.concatenate([[seed], 0.5 * np.diff(times) * (f[1:] + f[:-1])]))
+    return (levels[first:len(masses)], level0, integral[first:],
+            (times[-1], masses[-1].copy(), level0, integral[-1]))
+
+
+def mass_budget(times: np.ndarray, masses: np.ndarray, system, domain_volume: float,
+                carry=None) -> tuple[np.ndarray, tuple]:
+    """Residual of the weighted-mass budget against its linear bound, a block at a time.
 
     residual(t) = sum_i c_i m_i(t) - sum_i c_i m_i(0)
                   - int_0^t (K1 sum_i m_i + K2 |Omega|) ds
 
     with m_i the species masses and the time integral accumulated by
-    trapezoid over the dense step series.  Under exact mass dissipation
-    (K1 = K2 = 0) and conservative walls the residual stays at the level
-    of accumulated rounding, since every transport solve is direct; under
-    outflow walls it is non-positive.
+    trapezoid.  `times` (n,) and `masses` (n, m) are consecutive rows of a
+    run's step series (or a trajectory's snapshot times and masses); a
+    later block passes the `carry` the previous call returned, and any
+    split gives the bits of one call.  Returns (residual, carry).  Under
+    exact mass dissipation (K1 = K2 = 0) and conservative walls the
+    residual stays at the level of accumulated rounding, since every
+    transport solve is direct; under outflow walls it is non-positive.
     """
-    times, masses = traj._dense_series()
     c = np.asarray(system.mass_weights, dtype=float)
     k1, k2 = system.mass_constants
-    weighted = masses @ c
-    total = masses.sum(axis=1)
-    integrand = k1 * total + k2 * traj.grid.domain_volume
-    dt = np.diff(times)
-    accum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]))])
-    residual = weighted - weighted[0] - accum
-    return times.copy(), residual
+    weighted, weighted0, accum, carry = _budget_block(
+        times, masses, carry, lambda ms: ms @ c,
+        lambda ms: k1 * ms.sum(axis=1) + k2 * domain_volume)
+    return weighted - weighted0 - accum, carry

@@ -19,6 +19,9 @@ summing the three host equations gives the exact budget
 and when the shedding rate never exceeds the mortality rate the infected,
 recovered and pathogen masses decay while the susceptible field settles at
 the limit  initial host mass - mortality * cumulative infected mass.
+
+The budget and the decay diagnostics read a run's step rows, which
+`EpiSteps` folds one block at a time as `integrator.run` hands them over.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import _budget_block
 from .grid import BoundarySpec, CoefficientField, NoFluxWithDrift, StructuredGrid, discrete_norm
 from .reactions import ReactionSystem
 
@@ -34,6 +38,7 @@ __all__ = [
     "SPECIES",
     "EpiParams",
     "EpiReport",
+    "EpiSteps",
     "SInfinityEstimate",
     "AssumptionViolation",
     "validate_params",
@@ -46,8 +51,11 @@ __all__ = [
 
 SPECIES = ("susceptible", "infected", "recovered", "pathogen")
 
-# share of the dense series, from its end, that the infected-mass tail fit uses
+# share of the step series, from its end, that the infected-mass tail fit uses
 _TAIL_FIT_FRACTION = 0.5
+
+# the most step rows EpiSteps allocates room for before the first step
+_RESERVED_ROWS = 1 << 20
 
 # final fraction of its peak mass at or below which a compartment has decayed
 DECAY_THRESHOLD = 0.01
@@ -245,19 +253,22 @@ def build_epi_coefficients(params: EpiParams) -> CoefficientField:
     return CoefficientField(grid, diffusion, drift)
 
 
-def conservation_residual(traj, params: EpiParams) -> tuple[np.ndarray, np.ndarray]:
-    """Residual of the exact host budget along the dense step series.
+def conservation_residual(times: np.ndarray, masses: np.ndarray, params: EpiParams,
+                          carry=None) -> tuple[np.ndarray, tuple]:
+    """Residual of the exact host budget along rows of the step series, a block at a time.
 
     residual(t) = host_mass(t) + mortality * trapz(infected_mass, 0..t)
                   - host_mass(0);
     host mass sums the susceptible, infected and recovered compartments.
+    `times` (n,) and `masses` (n, 4) are consecutive step rows; as in
+    `diagnostics.mass_budget`, a later block continues from the `carry` the
+    previous call returned, and any split gives the bits of one call.
+    Returns (residual, carry).
     """
-    times, masses = traj._dense_series()
-    host = masses[:, :3].sum(axis=1)
-    infected = masses[:, 1]
-    dt = np.diff(times)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * dt * (infected[1:] + infected[:-1]))])
-    return times.copy(), host + params.mortality * cum - host[0]
+    host, host0, cum, carry = _budget_block(times, masses, carry,
+                                            lambda ms: ms[:, :3].sum(axis=1),
+                                            lambda ms: ms[:, 1])
+    return host + params.mortality * cum - host0, carry
 
 
 @dataclass
@@ -270,70 +281,119 @@ class SInfinityEstimate:
     fit_ok: bool
 
 
-def s_infinity(traj, params: EpiParams) -> SInfinityEstimate:
+def s_infinity(times: np.ndarray, infected: np.ndarray, host0: float,
+               params: EpiParams) -> SInfinityEstimate:
     """Estimate the limiting susceptible mass and bound the horizon truncation.
 
-    estimate = initial host mass - mortality * trapz(infected mass over the
-    run).  The tail beyond the horizon is bounded by fitting an exponential
-    to the late infected-mass series (its last `_TAIL_FIT_FRACTION`):
-    tail <= mortality * infected_mass(T) * fitted decay time.  A failed fit
-    (non-decaying or too-short tail) is reported through fit_ok - the
-    estimate itself is still returned.
+    `times` and `infected` are the step series' time and infected-mass
+    columns, and `host0` the initial host mass.  estimate = host0 -
+    mortality * trapz(infected mass over the run).  The tail beyond the
+    horizon is bounded by fitting an exponential to the late infected-mass
+    series (its last `_TAIL_FIT_FRACTION`): tail <= mortality *
+    infected_mass(T) * fitted decay time.  A failed fit (non-decaying or
+    too-short tail) is reported through fit_ok - the estimate itself is
+    still returned.
     """
-    times, masses = traj._dense_series()
-    host0 = float(masses[0, :3].sum())
-    infected = masses[:, 1]
-    total_infected = float(np.trapezoid(infected, times))
-    estimate = host0 - params.mortality * total_infected
-
+    # the tail fit first: the trapezoid's smaller temporaries then reuse the
+    # memory that the fit's larger ones free
     start = int(len(times) * (1.0 - _TAIL_FIT_FRACTION))
     tail_t = times[start:]
     tail_i = infected[start:]
     good = tail_i > 0
+    if not good.all():
+        # the common all-positive tail is fitted without copies of its columns
+        tail_t, tail_i = tail_t[good], tail_i[good]
     fit_ok = False
     decay_time = float("inf")
-    if good.sum() >= 3:
-        coeffs = np.polyfit(tail_t[good], np.log(tail_i[good]), 1)
+    if tail_i.size >= 3:
+        coeffs = np.polyfit(tail_t, np.log(tail_i), 1)
         if coeffs[0] < 0:
             decay_time = float(-1.0 / coeffs[0])
             fit_ok = True
     tail_bound = params.mortality * float(infected[-1]) * decay_time
+
+    total_infected = float(np.trapezoid(infected, times))
+    estimate = host0 - params.mortality * total_infected
     return SInfinityEstimate(estimate=float(estimate), tail_bound=float(tail_bound),
                              decay_time=decay_time, fit_ok=fit_ok)
 
 
+class EpiSteps:
+    """What `decay_report` reads of a run's step series, folded one block at a time.
+
+    `add(times, masses)` takes the next consecutive rows of the series,
+    times (n,) and masses (n, 4), and returns their host-budget residual
+    (`conservation_residual`).  It keeps the residual's largest magnitude,
+    the initial host mass, each compartment's peak and last mass, and the
+    time and infected-mass columns whole, 16 bytes a step: `s_infinity`
+    integrates them with np.trapezoid, whose pairwise sum no running sum
+    reproduces bit for bit, and fits their last half.  Room for
+    `expected_rows` rows of the columns (at most `_RESERVED_ROWS`) is
+    allocated up front, so they are not copied unless the run outgrows it,
+    as when dt is halved; each time it does, the room doubles.
+    """
+
+    def __init__(self, params: EpiParams, expected_rows: int = 0):
+        self.params = params
+        self.conservation_max_abs = 0.0
+        self.host0 = self.peaks = self.final = self._carry = None
+        # time and infected mass, one column per step row
+        self._columns = np.empty((2, min(expected_rows, _RESERVED_ROWS)))
+        self._rows = 0
+
+    def add(self, times: np.ndarray, masses: np.ndarray) -> np.ndarray:
+        residual, self._carry = conservation_residual(times, masses, self.params, self._carry)
+        self.conservation_max_abs = np.maximum(self.conservation_max_abs,
+                                               np.max(np.abs(residual)))
+        peaks = masses.max(axis=0)
+        if self.host0 is None:
+            self.host0, self.peaks = float(masses[0, :3].sum()), peaks
+        else:
+            self.peaks = np.maximum(self.peaks, peaks)
+        self.final = masses[-1].copy()
+        n, k = self._rows, len(times)
+        if n + k > self._columns.shape[1]:
+            grown = np.empty((2, 2 * (n + k)))
+            grown[:, :n] = self._columns[:, :n]
+            self._columns = grown
+        self._columns[0, n:n + k] = times
+        self._columns[1, n:n + k] = masses[:, 1]
+        self._rows = n + k
+        return residual
+
+    def s_infinity(self) -> SInfinityEstimate:
+        times, infected = self._columns[:, :self._rows]
+        return s_infinity(times, infected, self.host0, self.params)
+
+
 @dataclass
 class EpiReport:
-    """Series and flags of one scenario run; the snapshot times stay on the trajectory."""
+    """Budget, flags and estimates of one scenario run."""
 
-    conservation_times: np.ndarray
-    conservation_residual: np.ndarray
+    conservation_max_abs: float       # largest host-budget residual over the steps
     s_fluctuation: np.ndarray         # ||s - mean(s)||_L2 snapshots
     s_inf: SInfinityEstimate
     final_fractions: dict             # species name -> final L1 / max L1
     decayed: dict                     # species name -> final fraction <= DECAY_THRESHOLD
 
 
-def decay_report(traj, params: EpiParams) -> EpiReport:
+def decay_report(traj, steps: EpiSteps) -> EpiReport:
     """Decay diagnostics for the infected, recovered and pathogen compartments.
 
-    The final fractions come from the dense step masses (the fields are
-    non-negative); the susceptible fluctuation around its volume average
-    uses the snapshots.
+    The final fractions and the host budget come from the step series that
+    `steps` folded (the fields are non-negative); the susceptible
+    fluctuation around its volume average uses the trajectory's snapshots.
     """
     grid = traj.grid
-    _, masses = traj._dense_series()
     s = traj.states[:, 0]
     s_fluct = discrete_norm(s - (s @ grid.cell_volumes)[:, None] / grid.domain_volume, grid, 2)
-    ct, cres = conservation_residual(traj, params)
-    peaks = masses[:, 1:].max(axis=0)
-    fractions = np.divide(masses[-1, 1:], peaks, out=np.zeros(peaks.size), where=peaks > 0)
+    peaks = steps.peaks[1:]
+    fractions = np.divide(steps.final[1:], peaks, out=np.zeros(peaks.size), where=peaks > 0)
     final_fractions = dict(zip(SPECIES[1:], fractions.tolist()))
     return EpiReport(
-        conservation_times=ct,
-        conservation_residual=cres,
+        conservation_max_abs=float(steps.conservation_max_abs),
         s_fluctuation=s_fluct,
-        s_inf=s_infinity(traj, params),
+        s_inf=steps.s_infinity(),
         final_fractions=final_fractions,
         decayed={name: frac <= DECAY_THRESHOLD for name, frac in final_fractions.items()},
     )

@@ -23,8 +23,11 @@ dgttrs solves every step at that dt.  On 2D grids SuperLU factorizes
 it (scipy's `splu`, minimum-degree ordering), and each step is one pair
 of triangular solves.  A non-finite reaction stops the step with
 NonFiniteError.  `run` writes the reduced summaries of each accepted step
-(time, masses, sup-norms, minimum, dt, halvings) as one row of a
-preallocated float array rather than as per-step Python objects.
+(time, masses, sup-norms, minimum, dt, halvings) as one row of a fixed
+block of rows, which it hands to the caller's `on_steps` each time the
+block fills, so its memory grows with the snapshots it records, not with
+its steps; it keeps the snapshots and the run's totals (steps, minimum,
+halvings).
 Checkpoints serialize a state as a flat little-endian binary record;
 loading checks its size.
 
@@ -63,6 +66,7 @@ from .grid import (
     _transport_entries,
     assemble_transport,
 )
+from .output import _CSV_CHUNK_ROWS
 from .reactions import STATE_TOL, ReactionSystem, truncate
 
 __all__ = [
@@ -388,61 +392,68 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
             yield state, report, recorded
 
 
-def run(initial: SimState, cfg: SolverConfig, problem: Problem) -> Trajectory:
-    """Integrate to t_end, recording snapshots and per-step reduced summaries.
+def run(initial: SimState, cfg: SolverConfig, problem: Problem,
+        on_steps=None) -> Trajectory:
+    """Integrate to t_end, recording snapshots and streaming per-step reduced summaries.
 
     Epochs and snapshots follow `_march`: operators are reassembled
-    whenever a coefficient schedule switch is crossed.  The per-step
-    series (masses, sup-norms, minima, dt, halvings) are always dense.  Each accepted step is one row of a
-    preallocated float array, sized for (t_end - t0) / dt steps plus one
-    clipped step per epoch and doubled if halvings outgrow it; the
-    Trajectory step arrays are contiguous copies of its columns.
+    whenever a coefficient schedule switch is crossed.  Each accepted step
+    is one row (t | masses | sup-norms | min | dt | halvings) of a block of
+    `_CSV_CHUNK_ROWS` rows, after the initial state's row, whose dt and
+    halvings are 0.  Each time the block fills, and once at the end with
+    the rows left, `on_steps` receives the filled rows as one (n, 2m + 4)
+    array; the block is then overwritten, so a consumer that keeps rows
+    copies them.  The Trajectory holds the snapshots and the totals: the
+    accepted steps, the minimum over the initial state and every step, and
+    the halvings.
     """
     grid = problem.grid
     _check_initial(initial, cfg, problem)
 
     m = problem.system.m
-    # series columns: t | masses | sup-norms | min | dt, halvings
+    # step rows: t | masses | sup-norms | min | dt, halvings
     mass, sup, low, dt_col = 1, 1 + m, 1 + 2 * m, 2 + 2 * m
-    epochs = len(problem.coefficients.switch_times()) + 1
-    capacity = math.ceil((cfg.t_end - initial.t) / cfg.dt) + epochs + 1
-    series = np.zeros((capacity, dt_col + 2))
+    block = np.zeros((_CSV_CHUNK_ROWS, dt_col + 2))
 
     vol = grid.cell_volumes
     snap_times = [initial.t]
     snapshots = [initial.fields.copy()]
-    row = series[0]
+    row = block[0]
     row[0] = initial.t
     row[mass:sup] = initial.fields @ vol
     row[sup:low] = np.abs(initial.fields).max(axis=1)
-    row[low] = initial.fields.min()
-    n = 1
+    row[low] = min_value = float(initial.fields.min())
+    n, steps, halvings = 1, 0, 0
 
     for state, report, recorded in _march(initial, cfg, problem):
-        if n == series.shape[0]:
-            series = np.concatenate([series, np.zeros_like(series)])
-        row = series[n]
+        if n == len(block):
+            if on_steps is not None:
+                on_steps(block)
+            n = 0
+        row = block[n]
         row[0] = state.t
         row[mass:sup] = state.fields @ vol
         row[sup:low] = np.abs(state.fields).max(axis=1)
         row[low] = report.min_value
         row[dt_col:] = report.dt, report.halvings
         n += 1
+        steps += 1
+        halvings += report.halvings
+        # the first of equal minima is kept, so a tie of 0.0 and -0.0 keeps the earlier
+        min_value = min(min_value, report.min_value)
         if recorded:
             snap_times.append(state.t)
             snapshots.append(state.fields.copy())
 
-    series = series[:n]
+    if on_steps is not None:
+        on_steps(block[:n])
     return Trajectory(
         grid=grid,
         times=np.asarray(snap_times),
         states=np.stack(snapshots),
-        step_times=series[:, 0].copy(),
-        step_masses=series[:, mass:sup].copy(),
-        step_supnorms=series[:, sup:low].copy(),
-        step_minima=series[:, low].copy(),
-        step_dts=series[1:, dt_col].copy(),
-        step_halvings=series[1:, dt_col + 1].astype(int),
+        steps=steps,
+        min_value=min_value,
+        halvings_total=halvings,
     )
 
 

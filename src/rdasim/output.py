@@ -6,11 +6,17 @@ floats are written with shortest round-trip repr, and VTK data as exact
 big-endian float64, so reruns with the same seed produce byte-identical
 files.  CSV files double as gnuplot column input (comment lines start
 with '#').
+
+A series with one row per time step is streamed (`csv_stream`): its
+writer takes one block of rows at a time, so the whole series is never
+held, and the file is renamed into place only when the run that feeds it
+has finished, so a failed run leaves no partial series.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +25,7 @@ __all__ = [
     "fmt",
     "write_json",
     "write_csv",
+    "csv_stream",
     "write_step_series_csv",
     "write_norm_series_csv",
     "write_energy_csv",
@@ -27,7 +34,8 @@ __all__ = [
 
 
 # an array's rows are converted to Python floats this many at a time; the
-# lists of a 4,096-row chunk already raised the epidemic run's peak RSS
+# lists of a 4,096-row chunk already raised the epidemic run's peak RSS.
+# `integrator.run` hands its step rows over in blocks of this size.
 _CSV_CHUNK_ROWS = 256
 
 
@@ -60,41 +68,77 @@ def write_json(path, payload: dict) -> None:
     path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n")
 
 
+def _write_head(fh, header: list[str], meta: dict | None) -> None:
+    for key, value in sorted((meta or {}).items()):
+        fh.write(f"# {key}={value}\n")
+    fh.write(",".join(header) + "\n")
+
+
+def _write_table(fh, table) -> None:
+    """Write a 2D numeric array's rows, converted to Python floats a chunk at a time.
+
+    Their repr is the same text as the per-value repr(float(v)).
+    """
+    table = np.asarray(table, dtype=float)
+    for start in range(0, len(table), _CSV_CHUNK_ROWS):
+        for row in table[start:start + _CSV_CHUNK_ROWS].tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
+
+
 def write_csv(path, header: list[str], rows, meta: dict | None = None) -> None:
     """Plain CSV with '#'-prefixed provenance lines before the header.
 
     `rows` is a 2D numeric array, or an iterable of rows whose cells are
     numbers or strings.  Rows are formatted and written one at a time, so a
-    long series is never held as one string.  An array is converted to
-    Python floats a chunk of rows at a time; their repr is the same text
-    as the per-value repr(float(v)).
+    long series is never held as one string.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        for key, value in sorted((meta or {}).items()):
-            fh.write(f"# {key}={value}\n")
-        fh.write(",".join(header) + "\n")
+        _write_head(fh, header, meta)
         if isinstance(rows, np.ndarray):
-            table = np.asarray(rows, dtype=float)
-            for start in range(0, len(table), _CSV_CHUNK_ROWS):
-                for row in table[start:start + _CSV_CHUNK_ROWS].tolist():
-                    fh.write(",".join(map(repr, row)) + "\n")
+            _write_table(fh, rows)
         else:
             for row in rows:
                 fh.write(",".join(v if isinstance(v, str) else repr(float(v))
                                   for v in row) + "\n")
 
 
-def write_step_series_csv(path, traj, species_names=None, meta=None) -> None:
-    """Dense per-step reduced summaries: masses, sup-norms, global minimum."""
-    m = traj.step_masses.shape[1]
-    names = species_names or [f"u{i + 1}" for i in range(m)]
-    header = (["time"] + [f"mass_{n}" for n in names]
-              + [f"sup_{n}" for n in names] + ["min_value"])
-    table = np.column_stack([traj.step_times, traj.step_masses, traj.step_supnorms,
-                             traj.step_minima])
-    write_csv(path, header, table, meta)
+@contextmanager
+def csv_stream(path, header: list[str], meta: dict | None = None):
+    """Write a CSV one block of rows at a time; yields the writer of a block.
+
+    The writer takes a 2D numeric array, and the file holds the same bytes
+    as `write_csv` of the blocks stacked in order.  It is written under the
+    temporary name `<path>.part` and renamed to `path` when the body
+    returns; if the body raises, the temporary file is removed and `path`
+    is left as it was.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".part")
+    try:
+        with open(partial, "w") as fh:
+            _write_head(fh, header, meta)
+            yield lambda table: _write_table(fh, table)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    partial.replace(path)
+
+
+@contextmanager
+def write_step_series_csv(path, species_names: list[str], meta=None):
+    """Stream the per-step reduced summaries: masses, sup-norms, global minimum.
+
+    Yields the writer of a block of `integrator.run`'s step rows
+    (t | masses | sup-norms | min | dt | halvings), of which it writes all
+    but the dt and halvings columns; the file is a `csv_stream`.
+    """
+    header = (["time"] + [f"mass_{n}" for n in species_names]
+              + [f"sup_{n}" for n in species_names] + ["min_value"])
+    with csv_stream(path, header, meta) as write:
+        yield lambda rows: write(rows[:, :len(header)])
 
 
 def write_norm_series_csv(path, series: dict, species_names=None, meta=None) -> None:

@@ -24,11 +24,10 @@ from rdasim.energy import (
 )
 from rdasim.epidemic import (
     EpiParams,
+    EpiSteps,
     build_epi_coefficients,
     build_epi_system,
-    conservation_residual,
     decay_report,
-    s_infinity,
 )
 from rdasim.grid import (
     BoundarySpec,
@@ -48,6 +47,7 @@ from rdasim.integrator import (
     run,
 )
 from rdasim.reactions import builtin_reversible_reaction, truncate
+from steprows import run_with_steps
 
 TRAJECTORIES = {}
 
@@ -88,9 +88,12 @@ def desk_epi_run():
     fields[0] = 0.3
     fields[1] = seed_bump(grid.cell_centers[0], 1e-3)
     cfg = SolverConfig(dt=0.005, t_end=200.0, record_dt=1.0)
-    traj = run(SimState(0.0, fields, 1e-9), cfg, problem)
+    # the step rows are folded as the CLI folds them, a block at a time
+    steps = EpiSteps(params)
+    traj = run(SimState(0.0, fields, 1e-9), cfg, problem,
+               on_steps=lambda rows: steps.add(rows[:, 0], rows[:, 1:5]))
     TRAJECTORIES["desk_epi"] = traj
-    return traj, params
+    return traj, params, steps
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +111,9 @@ def reversible_run():
         system, face_diffusivities(grid, coeff), 4, samples_per_radius=2000
     )
     cfg = SolverConfig(dt=0.01, t_end=40.0, record_dt=0.2)
-    traj = run(SimState(0.0, fields, 1e-6), cfg, problem)
+    traj, steps = run_with_steps(SimState(0.0, fields, 1e-6), cfg, problem)
     TRAJECTORIES["reversible"] = traj
-    return traj, system, weights, bound_constant
+    return traj, system, weights, bound_constant, steps
 
 
 def test_criterion_1_multinomial_reduction():
@@ -245,10 +248,10 @@ def test_criterion_7_discrete_mass_budget():
     problem = Problem(grid, inert, coeff, boundary)
     rng = np.random.default_rng(104)
     fields = rng.uniform(0.0, 2.0, size=(1, 128))
-    traj = run(SimState(0.0, fields, 1e-6),
-               SolverConfig(dt=0.01, t_end=1.0), problem)
+    traj, steps = run_with_steps(SimState(0.0, fields, 1e-6),
+                                 SolverConfig(dt=0.01, t_end=1.0), problem)
     TRAJECTORIES["inert_transport"] = traj
-    mass = traj.step_masses[:, 0]
+    mass = steps.masses[:, 0]
     drift = np.max(np.abs(mass - mass[0]))
     assert drift <= 1e-8
 
@@ -258,13 +261,13 @@ def test_criterion_7_discrete_mass_budget():
     problem2 = Problem(grid, system, coeff2,
                        BoundarySpec.uniform(2, 1, NoFluxWithDrift()))
     fields2 = rng.uniform(0.2, 1.5, size=(2, 128))
-    traj2 = run(SimState(0.0, fields2, 1e-4),
-                SolverConfig(dt=0.01, t_end=1.0), problem2)
+    traj2, steps2 = run_with_steps(SimState(0.0, fields2, 1e-4),
+                                   SolverConfig(dt=0.01, t_end=1.0), problem2)
     TRAJECTORIES["reversible_budget"] = traj2
-    weighted = traj2.step_masses @ system.mass_weights
+    weighted = steps2.masses @ system.mass_weights
     drift2 = np.max(np.abs(weighted - weighted[0]))
     assert drift2 <= 1e-8
-    _, residual = mass_budget(traj2, system)
+    residual, _ = mass_budget(steps2.times, steps2.masses, system, grid.domain_volume)
     assert np.max(np.abs(residual)) <= 1e-8
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -274,12 +277,12 @@ def test_criterion_7_discrete_mass_budget():
 
 def test_criterion_9_energy_boundedness(reversible_run):
     started = time.perf_counter()
-    traj, system, weights, bound_constant = reversible_run
+    traj, system, weights, bound_constant, steps = reversible_run
     assert np.isfinite(bound_constant)
     (values,) = energy_trace(traj, [EnergySpec(4, weights)])
     assert no_growth(values[values.size // 2:])
     sup = float(np.max(values))
-    windows = windowed_sup(traj, window=2.0, tol=0.05)
+    windows = windowed_sup(steps.times, steps.supnorms, window=2.0, tol=0.05)
     assert all(windows["no_growth"])
     elapsed = time.perf_counter() - started
     passed(9, f"sup L4 = {sup:.4g} (L4(0) = {values[0]:.4g}), bounded over its latter "
@@ -288,19 +291,18 @@ def test_criterion_9_energy_boundedness(reversible_run):
 
 def test_criterion_10_desk_epidemic(desk_epi_run):
     started = time.perf_counter()
-    traj, params = desk_epi_run
-    host0 = float(traj.step_masses[0, :3].sum())
+    traj, params, steps = desk_epi_run
+    host0 = steps.host0
 
-    _, residual = conservation_residual(traj, params)
-    res_max = float(np.max(np.abs(residual)))
+    res_max = float(steps.conservation_max_abs)
     assert res_max <= 1e-6 * host0
 
-    report = decay_report(traj, params)
+    report = decay_report(traj, steps)
     for name in ("infected", "recovered", "pathogen"):
         assert report.final_fractions[name] <= 0.01, name
 
-    est = s_infinity(traj, params)
-    s_final = float(traj.step_masses[-1, 0])
+    est = steps.s_infinity()
+    s_final = float(steps.final[0])
     assert abs(s_final - est.estimate) <= 1e-2 * est.estimate
     elapsed = time.perf_counter() - started
     passed(10, f"conservation residual {res_max:.2e} <= 1e-6*mass, final "
@@ -368,8 +370,8 @@ def test_criterion_8_positivity_everywhere(desk_epi_run, reversible_run):
     # additionally hard-fails any state below the tolerance, and there is
     # no clamping path anywhere (halvings are the only remedy)
     assert TRAJECTORIES, "no trajectories collected"
-    worst = min(float(traj.step_minima.min()) for traj in TRAJECTORIES.values())
+    worst = min(traj.min_value for traj in TRAJECTORIES.values())
     assert worst >= -1e-12
-    halvings = {name: int(traj.step_halvings.sum()) for name, traj in TRAJECTORIES.items()}
+    halvings = {name: traj.halvings_total for name, traj in TRAJECTORIES.items()}
     passed(8, f"minimum over {len(TRAJECTORIES)} trajectories and all steps is "
               f"{worst:.2e} >= -1e-12 with no clamping (halvings: {halvings})")

@@ -4,6 +4,7 @@ import copy
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rdasim import integrator, output
 from rdasim.cli import load_trajectory, main
 from rdasim.config import (
     CONFIG_SCHEMA,
@@ -621,6 +623,43 @@ class TestNonFiniteReaction:
         assert "halvings" not in err
         assert "Traceback" not in err
 
+    def test_late_overflow_leaves_no_series(self, tmp_path, capsys):
+        # exp(u1) from u1 = 0 between no-flux walls blows up near t = 1, about
+        # 1,000 steps of dt = 0.001 in: blocks of step rows have been streamed
+        # by then, and the failed run must leave none of them behind
+        out = tmp_path / "out"
+        cfg = heat_config(out, cells=16, t_end=2.0)
+        cfg["system"]["expressions"] = ["exp(u1)"]
+        cfg["system"]["initial"] = ["0"]
+        cfg["bc"] = {"all": "noflux"}
+        path = write_config(tmp_path, cfg)
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", str(path), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert "non-finite reaction inf for species 1 in cell 0" in err
+        failed_at = float(re.search(r" at t=(\S+) ", err).group(1))
+        assert failed_at > output._CSV_CHUNK_ROWS * cfg["solver"]["dt"]
+        assert list(out.iterdir()) == []
+
+    def test_failed_epidemic_run_leaves_no_series(self, tmp_path, monkeypatch):
+        # the 301st step of the epidemic fails, after a block of 256 rows has
+        # gone to both series_steps.csv and epi_conservation.csv
+        taken = []
+
+        def step_then_fail(*args, **kwargs):
+            taken.append(None)
+            if len(taken) > 300:
+                raise integrator.NonFiniteError("injected failure")
+            return original(*args, **kwargs)
+
+        original = integrator.step
+        monkeypatch.setattr(integrator, "step", step_then_fail)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, epi_config(out, t_end=5.0))
+        assert main(["run", "--config", str(path), "--quiet"]) == 4
+        assert len(taken) == 301
+        assert list(out.iterdir()) == []
+
 
     @pytest.mark.parametrize("expressions", [["0*u2/u1", "0*u1"], ["0/(u1-u1)", "0*u2"]],
                              ids=["nan-on-a-face", "nan-everywhere"])
@@ -720,6 +759,34 @@ class TestEnergyOrderBudget:
                               "enumeration of 2000001 multi-indices")
         assert "Traceback" not in err
         assert sorted(out.rglob("*")) == before
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kilobytes on Linux")
+class TestConstantMemory:
+    def test_peak_memory_does_not_grow_with_the_step_count(self, tmp_path):
+        # the shipped epidemic with dt = 0.05 to t = 200 and t = 2000: 4,000 and
+        # 40,000 steps, no halvings and 201 snapshots each.  Each run is a fresh
+        # process with BLAS on one thread, as the benchmark runs it.
+        def peak_mb(t_end):
+            cfg = json.loads((REPO / "configs" / "epidemic.json").read_text())
+            cfg["solver"].update(dt=0.05, t_end=t_end, record_dt=t_end / 200)
+            path = write_config(tmp_path, cfg, f"epidemic_{t_end}.json")
+            script = ("import resource, sys; from rdasim.cli import main; "
+                      "assert main(sys.argv[1:]) == 0; "
+                      "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+            src = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script, "run", "--config", str(path),
+                 "--out", str(tmp_path / f"out_{t_end}"), "--quiet"],
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                         OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"),
+                capture_output=True, text=True, check=True)
+            summary = json.loads((tmp_path / f"out_{t_end}" / "summary.json").read_text())
+            assert (summary["steps"], summary["halvings_total"]) == (round(t_end / 0.05), 0)
+            return int(done.stdout.split()[-1]) / 1024
+
+        short, long = peak_mb(200.0), peak_mb(2000.0)
+        assert abs(long - short) < 2.0, (short, long)
 
 
 class TestEnergyReportCommand:

@@ -21,12 +21,13 @@ from rdasim.grid import (
     StructuredGrid,
     discrete_norm,
 )
-from rdasim.integrator import Problem, SimState, SolverConfig, run
+from rdasim.integrator import Problem, SimState, SolverConfig
 from rdasim.reactions import (
     builtin_linear_decay,
     builtin_reversible_reaction,
     system_from_expressions,
 )
+from steprows import run_with_steps
 
 
 def snapshot_trajectory(grid, times, states):
@@ -35,13 +36,14 @@ def snapshot_trajectory(grid, times, states):
 
 def run_problem(system, fields, t_end=1.0, dt=0.01, diffusion=0.1, n=24,
                 bc=None, record_dt=None, eps=1e-4):
+    """A run on the unit interval: its trajectory and its step rows (`run_with_steps`)."""
     grid = StructuredGrid.uniform([(0.0, 1.0)], [n])
     coeff = CoefficientField.constant(grid, [diffusion] * system.m)
     boundary = BoundarySpec.uniform(system.m, 1, bc or NoFluxWithDrift())
     problem = Problem(grid, system, coeff, boundary)
     state = SimState(0.0, fields, eps)
     cfg = SolverConfig(dt=dt, t_end=t_end, record_dt=record_dt)
-    return run(state, cfg, problem), problem
+    return run_with_steps(state, cfg, problem)
 
 
 class TestTrajectory:
@@ -72,8 +74,8 @@ class TestTrajectory:
 
 
 class TestSnapshotOnlyFallback:
-    """A reloaded trajectory carries no step arrays: the mass and sup-norm
-    diagnostics use the masses and sup-norms of its snapshots."""
+    """A reloaded trajectory carries no step rows: the mass and sup-norm
+    diagnostics take the masses and sup-norms of its snapshots."""
 
     grid = StructuredGrid([np.array([0.25, 0.5, 0.25])])
     times = np.linspace(0.0, 4.0, 9)
@@ -83,18 +85,19 @@ class TestSnapshotOnlyFallback:
         system = system_from_expressions(["0*u1", "0*u2"], mass_weights=[1.0, 2.0],
                                          mass_constants=(0.5, 0.25))
         traj = snapshot_trajectory(self.grid, self.times, self.states)
-        times, residual = mass_budget(traj, system)
+        residual, _ = mass_budget(traj.times, traj.states @ self.grid.cell_volumes, system,
+                                  self.grid.domain_volume)
         masses = np.array([[field @ self.grid.cell_volumes for field in snap]
                            for snap in self.states])
         weighted = masses @ [1.0, 2.0]
         integrand = 0.5 * masses.sum(axis=1) + 0.25 * self.grid.domain_volume
         accum = [np.trapezoid(integrand[:k + 1], self.times[:k + 1]) for k in range(9)]
-        assert np.array_equal(times, self.times)
+        assert residual.shape == self.times.shape
         assert np.allclose(residual, weighted - weighted[0] - accum, rtol=0, atol=1e-13)
 
     def test_windowed_sup(self):
         traj = snapshot_trajectory(self.grid, self.times, self.states)
-        result = windowed_sup(traj, window=2.0)
+        result = windowed_sup(traj.times, np.abs(traj.states).max(axis=2), window=2.0)
         sups = self.states.max(axis=2)
         expected = [sups[(self.times > tau) & (self.times <= tau + 2.0)].max(axis=0)
                     for tau in (0.0, 1.0, 2.0)]
@@ -191,14 +194,8 @@ class TestEnergyTrace:
 
 class TestWindowedSup:
     def test_constant_trajectory(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
         times = np.linspace(0, 10, 101)
-        state = np.ones((1, 4))
-        traj = Trajectory(grid=grid, times=times, states=[state] * 101,
-                          step_times=times,
-                          step_supnorms=np.ones((101, 1)),
-                          step_masses=np.ones((101, 1)))
-        result = windowed_sup(traj)
+        result = windowed_sup(times, np.ones((101, 1)))
         assert np.allclose(result["values"], 1.0)
         assert all(result["no_growth"])
 
@@ -208,32 +205,23 @@ class TestWindowedSup:
             intermediate_order=1.0, growth_order=1.0, growth_constant=1.0,
         )
         fields = np.ones((1, 16))
-        traj, _ = run_problem(growth, fields, t_end=6.0, dt=0.02, n=16)
-        result = windowed_sup(traj)
+        _, steps = run_problem(growth, fields, t_end=6.0, dt=0.02, n=16)
+        result = windowed_sup(steps.times, steps.supnorms)
         assert not result["no_growth"][0]
 
     def test_too_short_raises(self):
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
         times = np.linspace(0, 1, 11)
-        traj = Trajectory(grid=grid, times=times, states=[np.ones((1, 4))] * 11,
-                          step_times=times, step_supnorms=np.ones((11, 1)))
         with pytest.raises(ValueError, match="shorter than one window"):
-            windowed_sup(traj, window=2.0)
+            windowed_sup(times, np.ones((11, 1)), window=2.0)
 
     def test_truncation_monotone(self):
         # dropping late records never increases earlier window values
         rng = np.random.default_rng(4)
-        grid = StructuredGrid.uniform([(0.0, 1.0)], [4])
         times = np.linspace(0, 8, 161)
         sups = rng.uniform(0.5, 1.5, size=(161, 1))
-        traj_full = Trajectory(grid=grid, times=times, states=[np.ones((1, 4))] * 161,
-                               step_times=times, step_supnorms=sups)
         cut = 120
-        traj_cut = Trajectory(grid=grid, times=times[:cut],
-                              states=[np.ones((1, 4))] * cut,
-                              step_times=times[:cut], step_supnorms=sups[:cut])
-        full = windowed_sup(traj_full)
-        part = windowed_sup(traj_cut)
+        full = windowed_sup(times, sups)
+        part = windowed_sup(times[:cut], sups[:cut])
         k = part["values"].shape[1]
         assert np.all(part["values"][:, :k] <= full["values"][:, :k] + 1e-15)
 
@@ -244,23 +232,23 @@ class TestMassBudget:
         system = builtin_linear_decay(m=2, rate=0.0)
         rng = np.random.default_rng(5)
         fields = rng.uniform(0.0, 1.0, size=(2, n))
-        traj, problem = run_problem(system, fields, t_end=1.0, n=n)
-        times, residual = mass_budget(traj, system)
+        traj, steps = run_problem(system, fields, t_end=1.0, n=n)
+        residual, _ = mass_budget(steps.times, steps.masses, system, traj.grid.domain_volume)
         assert np.max(np.abs(residual)) < 1e-8
 
     def test_reversible_budget_tight(self):
         system = builtin_reversible_reaction()
         rng = np.random.default_rng(6)
         fields = rng.uniform(0.2, 1.0, size=(2, 24))
-        traj, _ = run_problem(system, fields, t_end=1.0)
-        _, residual = mass_budget(traj, system)
+        traj, steps = run_problem(system, fields, t_end=1.0)
+        residual, _ = mass_budget(steps.times, steps.masses, system, traj.grid.domain_volume)
         assert np.max(np.abs(residual)) < 1e-8
 
     def test_dirichlet_outflow_nonpositive(self):
         system = builtin_linear_decay(m=1, rate=0.0)
         fields = np.ones((1, 24))
-        traj, _ = run_problem(system, fields, t_end=0.5, bc=Dirichlet())
-        _, residual = mass_budget(traj, system)
+        traj, steps = run_problem(system, fields, t_end=0.5, bc=Dirichlet())
+        residual, _ = mass_budget(steps.times, steps.masses, system, traj.grid.domain_volume)
         assert np.all(residual <= 1e-12)
         assert residual[-1] < -1e-3  # mass genuinely leaves
 
@@ -271,8 +259,8 @@ class TestMassBudget:
             intermediate_order=1.0, growth_order=1.0, growth_constant=2.0,
         )
         fields = np.zeros((1, 24))
-        traj, _ = run_problem(source, fields, t_end=1.0, eps=1e-9)
-        _, residual = mass_budget(traj, source)
+        traj, steps = run_problem(source, fields, t_end=1.0, eps=1e-9)
+        residual, _ = mass_budget(steps.times, steps.masses, source, traj.grid.domain_volume)
         assert np.max(np.abs(residual)) < 1e-6
 
 

@@ -1,5 +1,7 @@
 """Host-pathogen scenario: assumptions, structure, budgets, decay."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from rdasim.diagnostics import mass_budget
 from rdasim.epidemic import (
     AssumptionViolation,
     EpiParams,
+    EpiSteps,
     build_epi_coefficients,
     build_epi_system,
     conservation_residual,
@@ -18,8 +21,9 @@ from rdasim.epidemic import (
     validate_params,
 )
 from rdasim.grid import NoFluxWithDrift, StructuredGrid, discrete_norm
-from rdasim.integrator import Problem, SimState, SolverConfig, run
+from rdasim.integrator import Problem, SimState, SolverConfig
 from rdasim.reactions import check_quasi_positivity
+from steprows import run_with_steps
 
 
 def desk_params(grid=None, shedding=0.25, drift=0.05):
@@ -61,7 +65,20 @@ def desk_run(t_end=5.0, dt=0.01, shedding=0.25, susceptible=0.3,
     initial = desk_initial(params.grid, susceptible, seed_amplitude)
     state = SimState(0.0, initial, eps)
     cfg = SolverConfig(dt=dt, t_end=t_end, record_dt=record_dt or t_end / 20)
-    return run(state, cfg, problem), params, system
+    traj, steps = run_with_steps(state, cfg, problem)
+    return traj, params, steps
+
+
+def fold_steps(steps, params):
+    """`EpiSteps` of a run's step rows, added as one block."""
+    folded = EpiSteps(params)
+    folded.add(steps.times, steps.masses)
+    return folded
+
+
+def s_infinity_of(steps, params):
+    """`s_infinity` of a run's step rows."""
+    return s_infinity(steps.times, steps.masses[:, 1], float(steps.masses[0, :3].sum()), params)
 
 
 class TestValidateParams:
@@ -240,29 +257,30 @@ class TestMatrixFormEvaluator:
 
 class TestConservation:
     def test_no_infection_residual_tiny(self):
-        traj, params, _ = desk_run(t_end=2.0, seed_amplitude=0.0)
-        times, residual = conservation_residual(traj, params)
+        _, params, steps = desk_run(t_end=2.0, seed_amplitude=0.0)
+        residual, _ = conservation_residual(steps.times, steps.masses, params)
         assert np.max(np.abs(residual)) < 1e-10
 
     def test_epidemic_residual_small(self):
-        traj, params, _ = desk_run(t_end=5.0, dt=0.005)
-        _, residual = conservation_residual(traj, params)
-        host0 = float(traj.step_masses[0, :3].sum())
+        _, params, steps = desk_run(t_end=5.0, dt=0.005)
+        residual, _ = conservation_residual(steps.times, steps.masses, params)
+        host0 = float(steps.masses[0, :3].sum())
         assert np.max(np.abs(residual)) < 1e-6 * host0
 
     def test_matches_weighted_budget_specialization(self):
         # the host budget equals the weighted-mass budget with host-only
         # weights plus the mortality integral, computed independently here
-        traj, params, _ = desk_run(t_end=2.0)
-        times, residual = conservation_residual(traj, params)
+        _, params, steps = desk_run(t_end=2.0)
+        residual, _ = conservation_residual(steps.times, steps.masses, params)
 
         class HostWeights:
             mass_weights = np.array([1.0, 1.0, 1.0, 0.0])
             mass_constants = (0.0, 0.0)
 
-        bt, budget = mass_budget(traj, HostWeights())
-        infected = traj.step_masses[:, 1]
-        dt = np.diff(times)
+        budget, _ = mass_budget(steps.times, steps.masses, HostWeights(),
+                                params.grid.domain_volume)
+        infected = steps.masses[:, 1]
+        dt = np.diff(steps.times)
         cum = np.concatenate([[0.0],
                               np.cumsum(0.5 * dt * (infected[1:] + infected[:-1]))])
         assert np.allclose(residual, budget + params.mortality * cum, atol=1e-12)
@@ -278,27 +296,27 @@ class TestConservation:
             coeff = build_epi_coefficients(params)
             problem = Problem(params.grid, system, coeff, boundary)
             initial = desk_initial(params.grid, 0.3, 1e-2)
-            traj = run(SimState(0.0, initial, 1e-9),
-                       SolverConfig(dt=0.01, t_end=2.0, record_dt=0.5), problem)
-            host = traj.step_masses[:, :3].sum(axis=1)
+            _, steps = run_with_steps(SimState(0.0, initial, 1e-9),
+                                      SolverConfig(dt=0.01, t_end=2.0, record_dt=0.5), problem)
+            host = steps.masses[:, :3].sum(axis=1)
             drifts.append(abs(host[-1] - host[0]))
         assert drifts[1] < 0.2 * drifts[0]
 
 
 class TestAsymptotics:
     def test_no_infection_s_stationary(self):
-        traj, params, _ = desk_run(t_end=2.0, seed_amplitude=0.0)
-        est = s_infinity(traj, params)
-        s_mass = traj.step_masses[:, 0]
+        _, params, steps = desk_run(t_end=2.0, seed_amplitude=0.0)
+        est = s_infinity_of(steps, params)
+        s_mass = steps.masses[:, 0]
         assert est.estimate == pytest.approx(s_mass[0], rel=1e-12)
         assert abs(s_mass[-1] - est.estimate) < 1e-10
         assert not est.fit_ok  # nothing decays, nothing to fit
 
     def test_estimate_close_to_final_s(self):
-        traj, params, _ = desk_run(t_end=60.0, dt=0.02)
-        est = s_infinity(traj, params)
+        _, params, steps = desk_run(t_end=60.0, dt=0.02)
+        est = s_infinity_of(steps, params)
         assert est.fit_ok
-        s_final = float(traj.step_masses[-1, 0])
+        s_final = float(steps.masses[-1, 0])
         assert abs(s_final - est.estimate) <= 1e-2 * est.estimate
 
     def test_pathogen_decays_exponentially_without_shedding(self):
@@ -310,16 +328,16 @@ class TestAsymptotics:
         fields = np.zeros((4, 64))
         fields[0] = 0.3
         fields[3] = bump(params.grid, amplitude=1.0)
-        traj = run(SimState(0.0, fields, 1e-9),
-                   SolverConfig(dt=0.005, t_end=4.0, record_dt=1.0), problem)
-        b_mass = traj.step_masses[:, 3]
-        expected = b_mass[0] * np.exp(-params.pathogen_decay * traj.step_times)
-        late = traj.step_times > 0.5
+        _, steps = run_with_steps(SimState(0.0, fields, 1e-9),
+                                  SolverConfig(dt=0.005, t_end=4.0, record_dt=1.0), problem)
+        b_mass = steps.masses[:, 3]
+        expected = b_mass[0] * np.exp(-params.pathogen_decay * steps.times)
+        late = steps.times > 0.5
         assert np.max(np.abs(b_mass[late] / expected[late] - 1.0)) < 0.05
 
     def test_decay_report_epidemic(self):
-        traj, params, _ = desk_run(t_end=90.0, dt=0.02, susceptible=0.2)
-        report = decay_report(traj, params)
+        traj, params, steps = desk_run(t_end=90.0, dt=0.02, susceptible=0.2)
+        report = decay_report(traj, fold_steps(steps, params))
         for name in ("infected", "recovered", "pathogen"):
             assert report.decayed[name], f"{name} did not decay"
             assert report.final_fractions[name] <= 0.01
@@ -328,21 +346,53 @@ class TestAsymptotics:
             series = discrete_norm(traj.states[:, 1:], traj.grid, p)
             assert np.all(series[-1] <= 0.05 * series.max(axis=0) + 1e-12), p
         assert report.s_fluctuation[-1] < 1e-3
-        assert np.max(np.abs(report.conservation_residual)) < 1e-6
+        assert report.conservation_max_abs < 1e-6
 
     def test_zero_infection_report(self):
-        traj, params, _ = desk_run(t_end=3.0, seed_amplitude=0.0)
-        report = decay_report(traj, params)
+        traj, params, steps = desk_run(t_end=3.0, seed_amplitude=0.0)
+        report = decay_report(traj, fold_steps(steps, params))
         # infected and recovered masses stay zero on every step
-        assert np.allclose(traj.step_masses[:, 1:3], 0.0, atol=1e-12)
+        assert np.allclose(steps.masses[:, 1:3], 0.0, atol=1e-12)
         assert all(report.decayed.values())
+
+
+def s_infinity_reference(times, infected, host0, params):
+    """`s_infinity` as one pass over the whole dense series computes it."""
+    total_infected = float(np.trapezoid(infected, times))
+    estimate = host0 - params.mortality * total_infected
+    start = int(len(times) * 0.5)
+    tail_t, tail_i = times[start:], infected[start:]
+    good = tail_i > 0
+    decay_time, fit_ok = float("inf"), False
+    if good.sum() >= 3:
+        coeffs = np.polyfit(tail_t[good], np.log(tail_i[good]), 1)
+        if coeffs[0] < 0:
+            decay_time, fit_ok = float(-1.0 / coeffs[0]), True
+    tail_bound = params.mortality * float(infected[-1]) * decay_time
+    return estimate, tail_bound, decay_time, fit_ok
+
+
+class TestSInfinity:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 60))
+    def test_equals_the_reference_bit_for_bit(self, data, n):
+        # rising times, and infected masses that decay, hold or touch zero
+        steps = data.draw(arrays(np.float64, n, elements=st.floats(1e-3, 1.0)))
+        times = np.cumsum(steps)
+        infected = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1e-300])
+                                    | st.floats(0.0, 1.0)))
+        params = SimpleNamespace(mortality=data.draw(st.floats(0.01, 1.0)))
+        est = s_infinity(times, infected, 0.3, params)
+        # repr tells -0.0 from 0.0 and writes every NaN alike
+        assert repr((est.estimate, est.tail_bound, est.decay_time, est.fit_ok)) == \
+            repr(s_infinity_reference(times, infected, 0.3, params))
 
 
 class TestHorizonConsistency:
     def test_doubling_horizon_moves_estimate_within_tail_bound(self):
-        short, params, _ = desk_run(t_end=60.0, dt=0.02, susceptible=0.2)
-        long, _, _ = desk_run(t_end=120.0, dt=0.02, susceptible=0.2)
-        est_short = s_infinity(short, params)
-        est_long = s_infinity(long, params)
+        _, params, short = desk_run(t_end=60.0, dt=0.02, susceptible=0.2)
+        _, _, long = desk_run(t_end=120.0, dt=0.02, susceptible=0.2)
+        est_short = s_infinity_of(short, params)
+        est_long = s_infinity_of(long, params)
         assert est_short.fit_ok
         assert abs(est_long.estimate - est_short.estimate) <= est_short.tail_bound

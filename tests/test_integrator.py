@@ -42,6 +42,8 @@ from rdasim.integrator import (
     run,
     step,
 )
+from steprows import run_with_steps
+
 from rdasim.reactions import (
     STATE_TOL,
     ReactionSystem,
@@ -482,8 +484,8 @@ class TestRun:
         rng = np.random.default_rng(4)
         fields = rng.uniform(0.2, 1.5, size=(2, 32))
         state = SimState(0.0, fields, 1e-4)
-        traj = run(state, SolverConfig(dt=0.01, t_end=1.0), problem)
-        total = traj.step_masses.sum(axis=1)
+        _, steps = run_with_steps(state, SolverConfig(dt=0.01, t_end=1.0), problem)
+        total = steps.masses.sum(axis=1)
         assert np.max(np.abs(total - total[0])) < 1e-10
 
     def test_positivity_throughout(self):
@@ -492,31 +494,35 @@ class TestRun:
         rng = np.random.default_rng(5)
         fields = rng.uniform(0.0, 2.0, size=(2, 32))
         state = SimState(0.0, fields, 1e-4)
-        traj = run(state, SolverConfig(dt=0.02, t_end=2.0), problem)
-        assert traj.step_minima.min() >= -1e-12
+        traj, steps = run_with_steps(state, SolverConfig(dt=0.02, t_end=2.0), problem)
+        assert steps.minima.min() >= -1e-12
+        assert traj.min_value == steps.minima.min()
 
     def test_step_records_outgrow_their_preallocation(self):
         # the stiff sink halves every step, so the run takes far more steps
-        # than (t_end - t0) / dt and the step records must grow
+        # than (t_end - t0) / dt = 2
         sink = system_from_expressions(
             ["0 - 30*u1"], mass_weights=[1.0], mass_constants=(0.0, 0.0),
             intermediate_order=1.0, growth_order=1.0, growth_constant=30.0,
         )
         problem = make_problem(sink, n=8, diffusion=0.01)
         state = SimState(0.0, np.full((1, 8), 0.5), 1e-6)
-        traj = run(state, SolverConfig(dt=1.0, t_end=2.0, record_dt=None), problem)
-        assert traj.step_halvings.sum() > 0
-        # 4 preallocated rows: the initial one, 2 steps of dt = 1 and 1 epoch
-        assert traj.step_dts.size > 2 * 4
+        traj, steps = run_with_steps(state, SolverConfig(dt=1.0, t_end=2.0, record_dt=None),
+                                     problem)
+        assert steps.halvings.sum() > 0
+        assert traj.halvings_total == steps.halvings.sum()
+        # 4 rows: the initial one, 2 steps of dt = 1 and 1 epoch
+        assert steps.dts.size > 2 * 4
+        assert traj.steps == steps.dts.size
         states = np.asarray(traj.states)
         vol = problem.grid.cell_volumes
-        assert np.array_equal(traj.step_times, traj.times)
-        assert np.array_equal(traj.step_masses, states @ vol)
-        assert np.array_equal(traj.step_supnorms, np.max(np.abs(states), axis=2))
-        assert np.array_equal(traj.step_minima, states.min(axis=(1, 2)))
-        np.testing.assert_allclose(traj.step_times[1:] - traj.step_times[:-1],
-                                   traj.step_dts, rtol=1e-12)
-        assert np.issubdtype(traj.step_halvings.dtype, np.integer)
+        assert np.array_equal(steps.times, traj.times)
+        assert np.array_equal(steps.masses, states @ vol)
+        assert np.array_equal(steps.supnorms, np.max(np.abs(states), axis=2))
+        assert np.array_equal(steps.minima, states.min(axis=(1, 2)))
+        np.testing.assert_allclose(steps.times[1:] - steps.times[:-1],
+                                   steps.dts, rtol=1e-12)
+        assert np.issubdtype(steps.halvings.dtype, np.integer)
 
     def test_snapshot_cadence(self):
         system = zero_reactions(1)
@@ -542,8 +548,10 @@ class TestRun:
             "problem = Problem(grid, builtin_linear_decay(1), CoefficientField.constant(grid, [0.1]),",
             "                  BoundarySpec.uniform(1, 1, NoFluxWithDrift()))",
             "state = SimState(0.0, np.ones((1, 8)), 1.0)",
-            "traj = run(state, SolverConfig(dt=0.01, t_end=0.05, record_dt=1e-20), problem)",
-            "print(np.array_equal(traj.times, traj.step_times))",
+            "times = []",
+            "traj = run(state, SolverConfig(dt=0.01, t_end=0.05, record_dt=1e-20), problem,",
+            "           on_steps=lambda rows: times.append(rows[:, 0].copy()))",
+            "print(np.array_equal(traj.times, np.concatenate(times)))",
         ])
         src = str(Path(integrator.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -555,9 +563,10 @@ class TestRun:
         # 0.01 / 5e-324 overflows to inf, so the passed-point count cannot grow
         problem = make_problem(builtin_linear_decay(1), n=8, diffusion=0.1)
         state = SimState(0.0, np.ones((1, 8)), 1.0)
-        traj = run(state, SolverConfig(dt=0.01, t_end=0.05, record_dt=5e-324), problem)
-        assert traj.step_times.size == 6
-        assert np.array_equal(traj.times, traj.step_times)
+        traj, steps = run_with_steps(state, SolverConfig(dt=0.01, t_end=0.05, record_dt=5e-324),
+                                     problem)
+        assert steps.times.size == 6
+        assert np.array_equal(traj.times, steps.times)
 
     @pytest.mark.parametrize("record_dt", [-0.05, 0.0])
     def test_non_positive_record_dt_rejected(self, record_dt):
@@ -608,10 +617,10 @@ class TestRun:
         rng = np.random.default_rng(6)
         fields = rng.uniform(0.5, 1.5, size=(1, 64))
         state = SimState(0.0, fields, 1.0)
-        traj = run(state, SolverConfig(dt=0.05, t_end=0.5), problem)
-        total = traj.step_masses.sum(axis=1)
+        traj, steps = run_with_steps(state, SolverConfig(dt=0.05, t_end=0.5), problem)
+        total = steps.masses.sum(axis=1)
         assert np.max(np.abs(total - total[0])) < 1e-12
-        assert traj.step_minima.min() >= -1e-12
+        assert traj.min_value >= -1e-12
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data(), nx=st.integers(17, 24), ny=st.integers(17, 24))
@@ -630,8 +639,8 @@ class TestRun:
         problem = Problem(grid, system, coeff, BoundarySpec.uniform(2, 2, NoFluxWithDrift()))
         fields = draw(0.0, 2.0, (2, grid.ncells))
         cfg = SolverConfig(dt=10.0 ** data.draw(st.floats(-3.0, -1.0)), t_end=0.1)
-        traj = run(SimState(0.0, fields, 1.0), cfg, problem)
-        _, residual = mass_budget(traj, system)
+        _, steps = run_with_steps(SimState(0.0, fields, 1.0), cfg, problem)
+        residual, _ = mass_budget(steps.times, steps.masses, system, grid.domain_volume)
         assert np.max(np.abs(residual)) <= 1e-12
 
     def test_halved_systems_are_built_once(self, monkeypatch):
@@ -645,8 +654,8 @@ class TestRun:
         fields = np.random.default_rng(9).uniform(0.5, 1.5, size=(1, problem.grid.ncells))
         factored = count_sparse_lu(monkeypatch)
         cfg = SolverConfig(dt=0.5, t_end=1.0, record_dt=0.25)
-        traj = run(SimState(0.0, fields, 1e-6), cfg, problem)
-        assert traj.step_halvings[:11].min() == 4
+        _, steps = run_with_steps(SimState(0.0, fields, 1e-6), cfg, problem)
+        assert steps.halvings[:11].min() == 4
         assert len(factored) == 5
 
     def test_2d_factorizes_once_per_epoch(self, monkeypatch):
@@ -666,7 +675,7 @@ class TestRun:
         fields = rng.uniform(0.5, 1.5, size=(2, grid.ncells))
         traj = run(SimState(0.0, fields, 1e-6),
                    SolverConfig(dt=0.05, t_end=1.0), problem)
-        assert traj.step_halvings.sum() == 0
+        assert traj.halvings_total == 0
         assert factored == [(60, 60), (60, 60)]
 
     def test_one_factorization_per_run(self, monkeypatch):
@@ -680,11 +689,11 @@ class TestRun:
         problem = Problem(grid, system, coeff, BoundarySpec.uniform(2, 1, NoFluxWithDrift()))
         fields = np.stack([np.where(grid.cell_centers[0] < 0.5, 1.5, 1.0), np.full(32, 0.7)])
         cfg = SolverConfig(dt=0.01, t_end=40.0, record_dt=0.2)
-        traj = run(SimState(0.0, fields, 1e-6), cfg, problem)
+        _, steps = run_with_steps(SimState(0.0, fields, 1e-6), cfg, problem)
         assert calls == [(64, 64)]
-        assert np.all(traj.step_dts == cfg.dt)
-        assert abs(traj.step_times[-1] - cfg.t_end) <= 1e-12 * cfg.t_end
-        np.testing.assert_allclose(np.diff(traj.step_times), traj.step_dts, rtol=1e-10)
+        assert np.all(steps.dts == cfg.dt)
+        assert abs(steps.times[-1] - cfg.t_end) <= 1e-12 * cfg.t_end
+        np.testing.assert_allclose(np.diff(steps.times), steps.dts, rtol=1e-10)
 
 
 class TestEpsilonStudy:
