@@ -43,9 +43,10 @@ batch's step sizes, and a solo `run` when no member halves.
 scipy is imported where a scipy object is built -- the 2D CSR operator
 and the LU factors -- and not in `_march`, `step`, `TransportOperators.solve`
 or `TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
-never build an operator, so they never pay scipy's import time, and a 1D
-`run` or `epsilon-study` loads `scipy.linalg` for LAPACK at its first
-factorization and nothing from scipy.sparse.
+never build an operator, so they never pay scipy's import time.  A 1D
+`run` or `epsilon-study` loads, at its first factorization, only scipy's
+LAPACK extension (`_lapack`): the `scipy.linalg` package around it would
+cost 18 MB resident and 0.2 s.  It loads nothing from scipy.sparse.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,26 +172,49 @@ class Problem:
             raise ValueError("boundary spec and system disagree on species count")
 
 
+def _lapack():
+    """scipy's LAPACK extension `scipy.linalg._flapack`, loaded by its file path.
+
+    Only the light `import scipy` runs (on Windows it puts the bundled
+    OpenBLAS on the DLL path), not `scipy.linalg`.  Under its own name the
+    module is the one `scipy.linalg.lapack` finds, in either import order.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+        from importlib.util import module_from_spec, spec_from_loader
+
+        stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+        path = next(stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s))
+        spec = spec_from_loader(name, ExtensionFileLoader(name, path))
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 class TridiagonalLU:
     """LU factors of a tridiagonal matrix from LAPACK dgttrf, solved by dgttrs.
 
     Takes the sub-, main and super-diagonals, of sizes n - 1, n and n - 1.
     A zero pivot raises LinearSolveError.  scipy's wrappers reject fewer
     than three unknowns, so a smaller matrix is padded with identity rows.
+    Both routines are the very objects `scipy.linalg.lapack` exports, from
+    the extension module `_lapack` loads without that package.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
+        lapack = _lapack()
         self.n = diag.size
         self.pad = max(0, 3 - self.n)
         zeros, ones = np.zeros(self.pad), np.ones(self.pad)
-        *self.factors, info = dgttrf(np.append(lower, zeros), np.append(diag, ones),
-                                     np.append(upper, zeros))
+        *self.factors, info = lapack.dgttrf(np.append(lower, zeros), np.append(diag, ones),
+                                            np.append(upper, zeros))
         if info != 0:
             raise LinearSolveError(f"tridiagonal LU of a {self.n}-row system failed: "
                                    f"dgttrf info {info} (positive: a zero pivot)")
-        self._dgttrs = dgttrs
+        self._dgttrs = lapack.dgttrs
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for one right-hand side (n,) or for the columns of an (n, L) one."""

@@ -761,32 +761,52 @@ class TestEnergyOrderBudget:
         assert sorted(out.rglob("*")) == before
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss counts kilobytes on Linux")
+def fresh_peak_mb(*argv):
+    """The peak resident MB of `main(argv)`, which must return 0, in a fresh
+    process with BLAS on one thread, as the benchmark runs it.
+
+    The peak is the process's VmHWM.  Its ru_maxrss would not do: Linux
+    carries the spawning process's peak across exec, so under pytest every
+    child would read the test runner's peak.
+    """
+    script = ("import sys; from rdasim.cli import main; "
+              "assert main(sys.argv[1:]) == 0; "
+              "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))")
+    src = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"),
+        capture_output=True, text=True, check=True)
+    return int(done.stdout.split()[-2]) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc/self/status")
 class TestConstantMemory:
     def test_peak_memory_does_not_grow_with_the_step_count(self, tmp_path):
         # the shipped epidemic with dt = 0.05 to t = 200 and t = 2000: 4,000 and
-        # 40,000 steps, no halvings and 201 snapshots each.  Each run is a fresh
-        # process with BLAS on one thread, as the benchmark runs it.
+        # 40,000 steps, no halvings and 201 snapshots each
         def peak_mb(t_end):
             cfg = json.loads((REPO / "configs" / "epidemic.json").read_text())
             cfg["solver"].update(dt=0.05, t_end=t_end, record_dt=t_end / 200)
             path = write_config(tmp_path, cfg, f"epidemic_{t_end}.json")
-            script = ("import resource, sys; from rdasim.cli import main; "
-                      "assert main(sys.argv[1:]) == 0; "
-                      "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-            src = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-            done = subprocess.run(
-                [sys.executable, "-c", script, "run", "--config", str(path),
-                 "--out", str(tmp_path / f"out_{t_end}"), "--quiet"],
-                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
-                         OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"),
-                capture_output=True, text=True, check=True)
+            peak = fresh_peak_mb("run", "--config", str(path),
+                                 "--out", str(tmp_path / f"out_{t_end}"), "--quiet")
             summary = json.loads((tmp_path / f"out_{t_end}" / "summary.json").read_text())
             assert (summary["steps"], summary["halvings_total"]) == (round(t_end / 0.05), 0)
-            return int(done.stdout.split()[-1]) / 1024
+            return peak
 
         short, long = peak_mb(200.0), peak_mb(2000.0)
         assert abs(long - short) < 2.0, (short, long)
+
+    def test_1d_run_peaks_near_check(self, tmp_path):
+        # a 1D run loads scipy's LAPACK extension and not the scipy.linalg
+        # package (about 22 MB), so a fresh run of the shipped reversible
+        # config peaks within 8 MB of a fresh check of it (4 MB measured)
+        check, run = (fresh_peak_mb(command, "--config", str(REVERSIBLE),
+                                    "--out", str(tmp_path / command), "--quiet")
+                      for command in ("check", "run"))
+        assert run - check < 8.0, (check, run)
 
 
 class TestEnergyReportCommand:
@@ -1033,11 +1053,12 @@ class TestImportContract:
         stages = modules_after("scipy", *argvs)
         assert stages == [[]] * (2 + len(argvs))
 
-    def test_1d_run_and_ladder_load_no_sparse(self, tmp_path):
+    def test_1d_run_and_ladder_load_the_lapack_extension_not_scipy_linalg(self, tmp_path):
         path = write_config(tmp_path, heat_config(tmp_path / "out", cells=8, t_end=0.01))
         for command in ("run", "epsilon-study"):
             *_, after = modules_after("scipy", [command, "--config", str(path), "--quiet"])
-            assert "scipy.linalg" in after
+            assert "scipy.linalg._flapack" in after
+            assert "scipy.linalg" not in after
             assert [name for name in after if name.startswith("scipy.sparse")] == []
 
     def test_2d_run_loads_sparse_linalg(self, tmp_path):

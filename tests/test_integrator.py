@@ -135,6 +135,34 @@ class TestLinearSolve:
         x = direct_solve(random_m_matrix(25), np.zeros(25), (5, 5))
         assert np.array_equal(x, np.zeros(25))
 
+    @pytest.mark.parametrize("first", ["rdasim", "scipy.linalg"])
+    def test_lapack_routines_are_scipy_linalg_lapack_exports(self, first):
+        # the routines TridiagonalLU calls are the very objects that
+        # scipy.linalg.lapack exports, whichever is imported first in a fresh
+        # process, so the 1D solve is bit for bit scipy's
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from rdasim import integrator",
+            "def factorize():",
+            "    lu = integrator.TridiagonalLU(np.full(4, -1.0), np.full(5, 3.0), np.full(4, -1.0))",
+            "    return integrator._lapack().dgttrf, lu._dgttrs",
+            "if sys.argv[1] == 'rdasim':",
+            "    dgttrf, dgttrs = factorize()",
+            "    print('scipy.linalg' in sys.modules)",
+            "    import scipy.linalg.lapack as lapack",
+            "else:",
+            "    import scipy.linalg.lapack as lapack",
+            "    dgttrf, dgttrs = factorize()",
+            "print(dgttrf is lapack.dgttrf, dgttrs is lapack.dgttrs)",
+        ])
+        src = str(Path(integrator.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script, first],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False"] * (first == "rdasim") + ["True", "True"]
+
 
 def dense_transport_oracle(ops, dt, rhs):
     """Solve with the dense `assemble_transport` matrix of the operators' problem at t = 0."""
