@@ -20,10 +20,11 @@ sums them into a CSR matrix in one COO-to-CSR pass.
 Operators act pointwise (rows are divided by cell volume), so on uniform
 grids the pure-diffusion operator is symmetric; on non-uniform grids it
 is volume-similar to a symmetric matrix.  Only `assemble_transport`
-imports scipy here, and only a 2D run calls it: a 1D run sums the
-entries into the three bands of its tridiagonal system itself, and
-`check` and `energy-report` never assemble an operator, so none of them
-loads scipy.sparse.
+imports scipy here, and no command calls it: a run sums the entries
+itself, into the three bands of its tridiagonal system in 1D and into
+the CSC arrays of its sparse system in 2D, and `check` and
+`energy-report` never assemble an operator, so none of them loads
+scipy.sparse.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ remainder is within rounding of it.  On 1D grids the two-point flux makes
 each species' system tridiagonal, so the block-diagonal stack of them is
 one tridiagonal matrix, kept as its three bands summed straight from the
 assembled entries: LAPACK's tridiagonal LU (dgttrf) factorizes it, and
-dgttrs solves every step at that dt.  On 2D grids SuperLU factorizes
-it (scipy's `splu`, minimum-degree ordering), and each step is one pair
-of triangular solves.  A non-finite reaction stops the step with
-NonFiniteError.  `run` writes the reduced summaries of each accepted step
+dgttrs solves every step at that dt.  On 2D grids A is kept as its CSC
+arrays, summed from the same entries, and SuperLU factorizes the system
+(the `gstrf` that scipy's `splu` calls, minimum-degree ordering), so
+each step is one pair of triangular solves.  A non-finite reaction stops
+the step with NonFiniteError.  `run` writes the reduced summaries of each accepted step
 (time, masses, sup-norms, minimum, dt, halvings) as one row of a fixed
 block of rows, which it hands to the caller's `on_steps` each time the
 block fills, so its memory grows with the snapshots it records, not with
@@ -40,13 +41,15 @@ any member would halve is halved for the whole batch, so the members
 share one time grid; each member's numbers equal a solo replay of the
 batch's step sizes, and a solo `run` when no member halves.
 
-scipy is imported where a scipy object is built -- the 2D CSR operator
-and the LU factors -- and not in `_march`, `step`, `TransportOperators.solve`
-or `TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
-never build an operator, so they never pay scipy's import time.  A 1D
-`run` or `epsilon-study` loads, at its first factorization, only scipy's
-LAPACK extension (`_lapack`): the `scipy.linalg` package around it would
-cost 18 MB resident and 0.2 s.  It loads nothing from scipy.sparse.
+scipy is loaded where a scipy object is built -- the LU factors -- and
+not in `_march`, `step`, `TransportOperators.solve` or
+`TridiagonalLU.solve`, which run every step.  `check` and `energy-report`
+never build an operator, so they never pay scipy's load time.  At its
+first factorization a run or `epsilon-study` loads only the one scipy
+extension module it calls (`_scipy_extension`): LAPACK's `_flapack` in 1D,
+SuperLU's `_superlu` in 2D.  The `scipy.linalg` package would cost 18 MB
+resident and 0.2 s, and `scipy.sparse` with `scipy.sparse.linalg` 27 MB
+and 0.15 s; no run loads any of them.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from .grid import (
     CoefficientField,
     StructuredGrid,
     _transport_entries,
-    assemble_transport,
 )
 from .output import _CSV_CHUNK_ROWS
 from .reactions import STATE_TOL, ReactionSystem, truncate
@@ -172,20 +174,21 @@ class Problem:
             raise ValueError("boundary spec and system disagree on species count")
 
 
-def _lapack():
-    """scipy's LAPACK extension `scipy.linalg._flapack`, loaded by its file path.
+def _scipy_extension(name: str):
+    """scipy's compiled extension module `name`, loaded by its file path.
 
     Only the light `import scipy` runs (on Windows it puts the bundled
-    OpenBLAS on the DLL path), not `scipy.linalg`.  Under its own name the
-    module is the one `scipy.linalg.lapack` finds, in either import order.
+    OpenBLAS on the DLL path), not the packages around the module, such as
+    `scipy.linalg` or `scipy.sparse`.  Under its own name the module is the
+    one those packages find, in either import order, and it is loaded once
+    per process.
     """
-    name = "scipy.linalg._flapack"
     if name not in sys.modules:
         import scipy
         from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
         from importlib.util import module_from_spec, spec_from_loader
 
-        stem = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+        stem = os.path.join(scipy.__path__[0], *name.split(".")[1:])
         path = next(stem + s for s in EXTENSION_SUFFIXES if os.path.exists(stem + s))
         spec = spec_from_loader(name, ExtensionFileLoader(name, path))
         module = module_from_spec(spec)
@@ -201,11 +204,11 @@ class TridiagonalLU:
     A zero pivot raises LinearSolveError.  scipy's wrappers reject fewer
     than three unknowns, so a smaller matrix is padded with identity rows.
     Both routines are the very objects `scipy.linalg.lapack` exports, from
-    the extension module `_lapack` loads without that package.
+    the extension module `scipy.linalg._flapack`, loaded without that package.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
-        lapack = _lapack()
+        lapack = _scipy_extension("scipy.linalg._flapack")
         self.n = diag.size
         self.pad = max(0, 3 - self.n)
         zeros, ones = np.zeros(self.pad), np.ones(self.pad)
@@ -247,30 +250,82 @@ def _tridiagonal_bands(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return bands[0, :-1], bands[1], bands[2, :-1]
 
 
+def _csc_arrays(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int):
+    """The CSC arrays (data, indices, indptr) of the size-row matrix with these COO
+    entries, and the positions of its diagonal in `data`.
+
+    One `np.unique` of col * size + row sorts the positions column by column,
+    rows ascending, and one `np.bincount` adds each position's entries in
+    entry order, as scipy's COO-to-CSR conversion sums duplicates.  Every
+    diagonal position is stored, as zero where no entry lies on it, so the
+    shift by 1/dt is one indexed add that equals scipy's `setdiag`.  The
+    keys are int32 while size * size fits: at 128^2 cells that lowers a
+    fresh run's peak by 5 MB.
+    """
+    key = np.int32 if size * size <= np.iinfo(np.int32).max else np.int64
+    diagonal = np.arange(size, dtype=key)
+    keys = np.concatenate([diagonal * (size + 1), cols.astype(key) * size + rows])
+    positions, slots = np.unique(keys, return_inverse=True)
+    data = np.bincount(slots, np.concatenate([np.zeros(size), vals]), minlength=positions.size)
+    columns, indices = np.divmod(positions, size)
+    indptr = np.searchsorted(columns, np.arange(size + 1))
+    return data, indices.astype(np.intc), indptr.astype(np.intc), slots[:size].copy()
+
+
+def _csc_array(*args, **kwargs):
+    """scipy.sparse.csc_array, imported only if a factor's L or U is ever read."""
+    from scipy.sparse import csc_array
+
+    return csc_array(*args, **kwargs)
+
+
+def _sparse_lu(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+    """SuperLU's factors of the square matrix with these CSC arrays (indices intc).
+
+    The arguments of SuperLU's `gstrf` are the ones scipy's `splu` hands it
+    for a canonical CSC matrix with permc_spec="MMD_AT_PLUS_A" and
+    panel_size=1, so the factors are `splu`'s.  A failed factorization
+    raises LinearSolveError.
+    """
+    size = indptr.size - 1
+    options = dict(DiagPivotThresh=None,
+                   # 664k L + U nonzeros per 128^2 species, against 1.22M for COLAMD
+                   ColPerm="MMD_AT_PLUS_A",
+                   # a two-species 128^2 run peaked 11 MB lower than with the default
+                   PanelSize=1, Relax=None)
+    try:
+        return _scipy_extension("scipy.sparse.linalg._dsolve._superlu").gstrf(
+            size, data.size, data, indices, indptr,
+            csc_construct_func=_csc_array, ilu=False, options=options)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"sparse LU of a {size}-row system failed: {exc}") from None
+
+
 class TransportOperators:
     """The assembled transport operator of every species for one coefficient epoch.
 
     A is the block-diagonal operator of all species, summed from one
-    `_transport_entries` walk.  In 1D every block is tridiagonal, so A is
-    kept as its three bands, `bands` (no scipy.sparse matrix is built), and
-    the system I/dt + A is a TridiagonalLU of the bands with 1/dt added to
-    the diagonal.  In 2D A is `matrix`, the CSR `assemble_transport`
-    builds, and the system's factors are SuperLU's.  Each system is
-    factorized the first time its dt is solved and cached per dt value, so
-    every step is a direct solve.  At 128^2 cells the 2D L + U hold 664k
-    nonzeros per species (about 7 MB resident): a factorization takes
-    30-50 ms and a solve about 1.5 ms.  A singular system raises
-    LinearSolveError.
+    `_transport_entries` walk; no scipy.sparse matrix is built.  In 1D
+    every block is tridiagonal, so A is kept as its three bands, `bands`,
+    and the system I/dt + A is a TridiagonalLU of the bands with 1/dt added
+    to the diagonal.  In 2D A is `csc`, its CSC arrays (data, indices,
+    indptr) with the positions of its diagonal in data, and the system's
+    factors are SuperLU's, of data with 1/dt added at those positions.
+    Each system is factorized the first time its dt is solved and cached
+    per dt value, so every step is a direct solve.  At 128^2 cells the 2D
+    L + U hold 664k nonzeros per species (about 7 MB resident): a
+    factorization takes 30-50 ms and a solve about 1.5 ms.  A singular
+    system raises LinearSolveError.
     """
 
     def __init__(self, problem: Problem, t: float):
         self.problem = problem
         grid, coeff = problem.grid, problem.coefficients
+        entries = _transport_entries(grid, coeff, problem.boundary, t)
         if grid.dim == 1:
-            entries = _transport_entries(grid, coeff, problem.boundary, t)
             self.bands = _tridiagonal_bands(*entries, coeff.m * grid.ncells)
         else:
-            self.matrix = assemble_transport(grid, coeff, problem.boundary, t)
+            self.csc = _csc_arrays(*entries, coeff.m * grid.ncells)
         self._systems: dict[float, object] = {}
 
     def _system(self, dt: float):
@@ -280,21 +335,10 @@ class TransportOperators:
                 lower, diag, upper = self.bands
                 cached = TridiagonalLU(lower, diag + 1.0 / dt, upper)
             else:
-                block = self.matrix.tocsc()
-                block.setdiag(block.diagonal() + 1.0 / dt)
-                from scipy.sparse.linalg import splu
-
-                try:
-                    cached = splu(
-                        block,
-                        # 664k L + U nonzeros per 128^2 species, against 1.22M for COLAMD
-                        permc_spec="MMD_AT_PLUS_A",
-                        # a two-species 128^2 run peaks at 96 MB resident, not 107 MB
-                        panel_size=1,
-                    )
-                except RuntimeError as exc:
-                    raise LinearSolveError(f"sparse LU of a {block.shape[0]}-row system "
-                                           f"failed: {exc}") from None
+                data, indices, indptr, diagonal = self.csc
+                data = data.copy()
+                data[diagonal] += 1.0 / dt
+                cached = _sparse_lu(data, indices, indptr)
             self._systems[dt] = cached
         return cached
 

@@ -808,6 +808,18 @@ class TestConstantMemory:
                       for command in ("check", "run"))
         assert run - check < 8.0, (check, run)
 
+    def test_2d_run_peaks_near_check(self, tmp_path):
+        # a 2D run loads SuperLU's extension and neither scipy.sparse nor
+        # scipy.linalg (about 25 MB together), so a fresh run of a 16 x 16
+        # heat config peaks within 8 MB of a fresh check of it (2 MB measured)
+        cfg = heat_config(tmp_path / "out", t_end=0.01)
+        cfg["grid"] = {"cells": [16, 16], "extents": [[0.0, 1.0], [0.0, 1.0]]}
+        path = write_config(tmp_path, cfg)
+        check, run = (fresh_peak_mb(command, "--config", str(path),
+                                    "--out", str(tmp_path / command), "--quiet")
+                      for command in ("check", "run"))
+        assert run - check < 8.0, (check, run)
+
 
 class TestEnergyReportCommand:
     def test_recompute_after_run(self, tmp_path):
@@ -1061,9 +1073,11 @@ class TestImportContract:
             assert "scipy.linalg" not in after
             assert [name for name in after if name.startswith("scipy.sparse")] == []
 
-    def test_2d_run_loads_sparse_linalg(self, tmp_path):
+    def test_2d_run_and_ladder_load_the_superlu_extension_only(self, tmp_path):
         cfg = heat_config(tmp_path / "out", t_end=0.002)
         cfg["grid"] = {"cells": [6, 6], "extents": [[0.0, 1.0], [0.0, 1.0]]}
         path = write_config(tmp_path, cfg)
-        *_, after_run = modules_after("scipy", ["run", "--config", str(path), "--quiet"])
-        assert "scipy.sparse.linalg" in after_run
+        for command in ("run", "epsilon-study"):
+            *_, after = modules_after("scipy", [command, "--config", str(path), "--quiet"])
+            assert [name for name in after if name.startswith(("scipy.sparse", "scipy.linalg"))
+                    ] == ["scipy.sparse.linalg._dsolve._superlu"]

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -84,7 +83,8 @@ def direct_solve(a, b, shape, dt=np.inf):
     problem = Problem(grid, zero_reactions(1), CoefficientField.constant(grid, [1.0]),
                       BoundarySpec.uniform(1, 2, NoFluxWithDrift()))
     ops = TransportOperators(problem, 0.0)
-    ops.matrix = sp.csr_matrix(a)
+    entries = sp.coo_matrix(a)
+    ops.csc = integrator._csc_arrays(entries.row, entries.col, entries.data, grid.ncells)
     return ops.solve(dt, np.asarray(b, dtype=float)[None, :])[0]
 
 
@@ -146,7 +146,7 @@ class TestLinearSolve:
             "from rdasim import integrator",
             "def factorize():",
             "    lu = integrator.TridiagonalLU(np.full(4, -1.0), np.full(5, 3.0), np.full(4, -1.0))",
-            "    return integrator._lapack().dgttrf, lu._dgttrs",
+            "    return integrator._scipy_extension('scipy.linalg._flapack').dgttrf, lu._dgttrs",
             "if sys.argv[1] == 'rdasim':",
             "    dgttrf, dgttrs = factorize()",
             "    print('scipy.linalg' in sys.modules)",
@@ -163,6 +163,55 @@ class TestLinearSolve:
                               capture_output=True, text=True, check=True)
         assert done.stdout.split() == ["False"] * (first == "rdasim") + ["True", "True"]
 
+    @pytest.mark.parametrize("first", ["rdasim", "scipy.sparse.linalg"])
+    def test_superlu_is_the_extension_splu_uses(self, first):
+        # the 2D factors come from the very _superlu module that
+        # scipy.sparse.linalg.splu calls, whichever is imported first in a
+        # fresh process, and solve bit for bit as splu's factors of the
+        # shifted CSC matrix do, on blocky diffusivities with drift
+        script = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from rdasim import integrator",
+            "from rdasim.grid import BoundarySpec, CoefficientField, NoFluxWithDrift, "
+            "StructuredGrid, assemble_transport",
+            "from rdasim.reactions import builtin_reversible_reaction",
+            "rng = np.random.default_rng(0)",
+            "grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 1.0)], [32, 32])",
+            "blocks = 10.0 ** rng.integers(-3, 1, size=(2, 2, 4, 4))",
+            "diffusion = blocks.repeat(8, axis=2).repeat(8, axis=3).reshape(2, 2, -1)",
+            "coeff = CoefficientField(grid, diffusion, np.full((2, 2, grid.ncells), 0.3))",
+            "problem = integrator.Problem(grid, builtin_reversible_reaction(), coeff, "
+            "BoundarySpec.uniform(2, 2, NoFluxWithDrift()))",
+            "def factorize():",
+            "    return integrator.TransportOperators(problem, 0.0)._system(0.01)",
+            "if sys.argv[1] == 'rdasim':",
+            "    lu = factorize()",
+            "    print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', "
+            "'scipy.linalg'))))",
+            "    from scipy.sparse.linalg import splu",
+            "else:",
+            "    from scipy.sparse.linalg import splu",
+            "    lu = factorize()",
+            "superlu = sys.modules['scipy.sparse.linalg._dsolve._superlu']",
+            "print(integrator._scipy_extension(superlu.__name__) is superlu,",
+            "      splu.__globals__['_superlu'] is superlu, type(lu) is superlu.SuperLU)",
+            "block = assemble_transport(grid, coeff, problem.boundary).tocsc()",
+            "block.setdiag(block.diagonal() + 1.0 / 0.01)",
+            "reference = splu(block, permc_spec='MMD_AT_PLUS_A', panel_size=1)",
+            "rhs = rng.uniform(0.0, 2.0, size=(block.shape[0], 3))",
+            "print(lu.solve(rhs).tobytes() == reference.solve(rhs).tobytes())",
+        ])
+        src = str(Path(integrator.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script, first],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, check=True)
+        lines = done.stdout.splitlines()
+        if first == "rdasim":
+            assert lines.pop(0) == "['scipy.sparse.linalg._dsolve._superlu']"
+        assert lines == ["True True True", "True"]
+
 
 def dense_transport_oracle(ops, dt, rhs):
     """Solve with the dense `assemble_transport` matrix of the operators' problem at t = 0."""
@@ -178,13 +227,13 @@ def relative_error(u, ref):
 def count_sparse_lu(monkeypatch):
     """Record the shape of every 2D factorization made from here on."""
     factored = []
-    real_splu = scipy.sparse.linalg.splu
+    real_lu = integrator._sparse_lu
 
-    def counting_splu(a, **kwargs):
-        factored.append(a.shape)
-        return real_splu(a, **kwargs)
+    def counting_lu(data, indices, indptr):
+        factored.append((indptr.size - 1, indptr.size - 1))
+        return real_lu(data, indices, indptr)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    monkeypatch.setattr(integrator, "_sparse_lu", counting_lu)
     return factored
 
 
@@ -299,6 +348,57 @@ class TestTransportSolve:
         assert np.array_equal(diag, block.diagonal())
         assert np.array_equal(upper, block.diagonal(1))
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 3), nx=st.integers(1, 12), ny=st.integers(1, 12))
+    def test_2d_csc_arrays_equal_the_assembled_matrix(self, data, m, nx, ny):
+        # the CSC arrays handed to SuperLU are summed from the entries without
+        # scipy.sparse: bit for bit the CSR matrix's duplicates summed in entry
+        # order, converted to CSC and shifted by setdiag, every diagonal stored
+        def draw(lo, hi, shape):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+        grid = StructuredGrid([draw(0.05, 1.0, (nx,)), draw(0.05, 1.0, (ny,))])
+        coeff = CoefficientField(grid, draw(1e-3, 10.0, (m, 2, grid.ncells)),
+                                 draw(-2.0, 2.0, (m, 2, grid.ncells)))
+        walls = st.one_of(st.just(Dirichlet()), st.builds(Robin, st.floats(0.0, 5.0)),
+                          st.just(NoFluxWithDrift()))
+        boundary = BoundarySpec(tuple({side: data.draw(walls)
+                                       for side in ("x_lo", "x_hi", "y_lo", "y_hi")}
+                                      for _ in range(m)), 2)
+        dt = 10.0 ** data.draw(st.floats(-3.0, 0.0))
+        factored = []
+        real_lu = integrator._sparse_lu
+
+        def recording_lu(values, indices, indptr):
+            factored.append((values, indices, indptr))
+            return real_lu(values, indices, indptr)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "_sparse_lu", recording_lu)
+            ops = TransportOperators(Problem(grid, zero_reactions(m), coeff, boundary), 0.0)
+            ops.solve(dt, np.ones((m, grid.ncells)))
+        block = assemble_transport(grid, coeff, boundary).tocsc()
+        block.setdiag(block.diagonal() + 1.0 / dt)
+        [(values, indices, indptr)] = factored
+        assert np.array_equal(values, block.data)
+        assert np.array_equal(indices, block.indices)
+        assert np.array_equal(indptr, block.indptr)
+        assert indices.dtype == indptr.dtype == np.intc
+
+    @pytest.mark.parametrize("size", [46340, 46341])
+    def test_csc_arrays_past_int32_keys(self, size):
+        # col * size + row overflows int32 from 46341 rows on: the keys widen
+        rows = np.array([size - 1, 0, size - 1, 7, size - 1], dtype=np.int32)
+        cols = np.array([size - 1, size - 1, 3, 7, size - 1], dtype=np.int32)
+        vals = np.array([0.5, -1.0, 2.0, 0.25, 0.125])
+        data, indices, indptr, diagonal = integrator._csc_arrays(rows, cols, vals, size)
+        block = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr().tocsc()
+        block.setdiag(block.diagonal() + 4.0)
+        data[diagonal] += 4.0
+        assert np.array_equal(data, block.data)
+        assert np.array_equal(indices, block.indices)
+        assert np.array_equal(indptr, block.indptr)
+
     def test_2d_multi_column_solve_equals_member_solves(self):
         grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 2.0)], [9, 7])
         rng = np.random.default_rng(13)
@@ -369,7 +469,11 @@ class TestTransportSolve:
         # the same cancellation on a 2D grid: SuperLU finds an exactly zero pivot
         problem = make_problem(builtin_reversible_reaction(), n=4, dim=2)
         ops = TransportOperators(problem, 0.0)
-        ops.matrix = sp.block_diag([-sp.identity(16) / 0.1, ops.matrix[16:, 16:]], format="csr")
+        data, indices, indptr, diagonal = ops.csc
+        data = data.copy()
+        data[:indptr[16]] = 0.0
+        data[diagonal[:16]] = -1.0 / 0.1
+        ops.csc = data, indices, indptr, diagonal
         with pytest.raises(LinearSolveError, match="a 32-row system failed: .*singular"):
             ops.solve(0.1, np.ones((2, 16)))
 
