@@ -58,7 +58,6 @@ from .diagnostics import (
 )
 from .epidemic import (
     EpiParams,
-    EpiReport,
     EpiSteps,
     build_epi_coefficients,
     build_epi_system,

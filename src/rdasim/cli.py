@@ -273,21 +273,8 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
     if epi_steps is not None:
         # before the snapshot diagnostics, which then reuse the memory that
         # the tail fit over the step columns frees
-        epi_report = epidemic.decay_report(traj, epi_steps)
-        write_json(out_dir / "epi_report.json", {
-            "config_sha256": meta["config_sha256"],
-            "seed": seed,
-            "conservation_max_abs": epi_report.conservation_max_abs,
-            "final_fractions": epi_report.final_fractions,
-            "decayed": epi_report.decayed,
-            "s_fluctuation_final": float(epi_report.s_fluctuation[-1]),
-            "s_infinity": {
-                "estimate": epi_report.s_inf.estimate,
-                "tail_bound": epi_report.s_inf.tail_bound,
-                "decay_time": epi_report.s_inf.decay_time,
-                "fit_ok": epi_report.s_inf.fit_ok,
-            },
-        })
+        write_json(out_dir / "epi_report.json",
+                   {**meta, **epidemic.decay_report(traj, epi_steps)})
 
     p_list = cfg.get("diagnostics", {}).get("p_list", [1.0, 2.0])
     series = diagnostics.norm_series(traj, p_list)
@@ -359,7 +346,7 @@ def load_trajectory(traj_dir: Path):
             if state.t != t:
                 raise ValueError(f"checkpoint {name} holds t={state.t!r}, "
                                  f"but the index lists t={float(t)!r}")
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         raise ConfigError(f"corrupt trajectory at {traj_dir}: {exc}") from None
     return traj, index
 
@@ -367,6 +354,11 @@ def load_trajectory(traj_dir: Path):
 def cmd_energy_report(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
     traj, index = load_trajectory(out_dir / "trajectory")
     grid, system, coeff, *_ = _assemble(cfg, base_dir)
+    if traj.m != system.m or traj.grid.content_hash() != grid.content_hash():
+        raise ConfigError(
+            f"the trajectory holds {traj.m} species on grid {traj.grid.shape} "
+            f"(hash {traj.grid.content_hash():016x}), but the config has {system.m} "
+            f"species on grid {grid.shape} (hash {grid.content_hash():016x})")
     specs, searches = _resolve_energy_specs(cfg, system, coeff, seed)
     if not specs:
         specs = [EnergySpec(2, np.ones(system.m))]

@@ -378,7 +378,7 @@ def _scalar_field(spec, grid: StructuredGrid, base_dir: Path) -> np.ndarray:
     if isinstance(spec, (int, float)):
         return np.full(grid.ncells, float(spec))
     if "expr" in spec:
-        fn = compile_expression(spec["expr"], 0, allow_state=False, allow_time=False)
+        fn = compile_expression(spec["expr"], 0, allow_time=False)
         return np.broadcast_to(
             np.asarray(fn(grid.cell_centers, 0.0, None), dtype=float), (grid.ncells,)
         ).copy()
@@ -437,8 +437,7 @@ def build_coefficients(cfg: dict, grid: StructuredGrid, m: int,
         diff_e = (_diffusion_array(entry["diffusion"], grid, m, base_dir)
                   if "diffusion" in entry else diffusion)
         drift_e = (_drift_array(entry["drift"], grid, m, base_dir)
-                   if "drift" in entry else
-                   (drift if drift is not None else np.zeros((m, grid.dim, grid.ncells))))
+                   if "drift" in entry else drift)
         schedule.append((entry["t"], diff_e, drift_e))
     return CoefficientField(grid, diffusion, drift, schedule=schedule)
 

@@ -21,7 +21,8 @@ recovered and pathogen masses decay while the susceptible field settles at
 the limit  initial host mass - mortality * cumulative infected mass.
 
 The budget and the decay diagnostics read a run's step rows, which
-`EpiSteps` folds one block at a time as `integrator.run` hands them over.
+`EpiSteps` folds one block at a time as `integrator.run` hands them over;
+`decay_report` returns the body of `epi_report.json` as a plain dict.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ from .reactions import ReactionSystem
 __all__ = [
     "SPECIES",
     "EpiParams",
-    "EpiReport",
     "EpiSteps",
-    "SInfinityEstimate",
     "AssumptionViolation",
     "validate_params",
     "build_epi_system",
@@ -131,7 +130,7 @@ class EpiParams:
         raise ValueError(f"drift must be scalar, per-axis, or (dim, ncells); got {arr.shape}")
 
 
-def validate_params(params: EpiParams) -> list:
+def validate_params(params: EpiParams) -> None:
     """Check the scenario assumptions cellwise; raise on any violation.
 
     Checked: a positive lower bound for every diffusivity, finiteness of
@@ -169,7 +168,6 @@ def validate_params(params: EpiParams) -> list:
              f"(max {params.shedding.max():.6g})", over)
     if violations:
         raise AssumptionViolation(violations)
-    return violations
 
 
 def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
@@ -271,18 +269,8 @@ def conservation_residual(times: np.ndarray, masses: np.ndarray, params: EpiPara
     return host + params.mortality * cum - host0, carry
 
 
-@dataclass
-class SInfinityEstimate:
-    """Finite-horizon estimate of the limiting susceptible mass."""
-
-    estimate: float
-    tail_bound: float
-    decay_time: float
-    fit_ok: bool
-
-
 def s_infinity(times: np.ndarray, infected: np.ndarray, host0: float,
-               params: EpiParams) -> SInfinityEstimate:
+               params: EpiParams) -> dict:
     """Estimate the limiting susceptible mass and bound the horizon truncation.
 
     `times` and `infected` are the step series' time and infected-mass
@@ -292,7 +280,8 @@ def s_infinity(times: np.ndarray, infected: np.ndarray, host0: float,
     series (its last `_TAIL_FIT_FRACTION`): tail <= mortality *
     infected_mass(T) * fitted decay time.  A failed fit (non-decaying or
     too-short tail) is reported through fit_ok - the estimate itself is
-    still returned.
+    still returned.  Returns {"estimate", "tail_bound", "decay_time",
+    "fit_ok"}.
     """
     # the tail fit first: the trapezoid's smaller temporaries then reuse the
     # memory that the fit's larger ones free
@@ -314,8 +303,8 @@ def s_infinity(times: np.ndarray, infected: np.ndarray, host0: float,
 
     total_infected = float(np.trapezoid(infected, times))
     estimate = host0 - params.mortality * total_infected
-    return SInfinityEstimate(estimate=float(estimate), tail_bound=float(tail_bound),
-                             decay_time=decay_time, fit_ok=fit_ok)
+    return {"estimate": float(estimate), "tail_bound": float(tail_bound),
+            "decay_time": decay_time, "fit_ok": fit_ok}
 
 
 class EpiSteps:
@@ -361,28 +350,16 @@ class EpiSteps:
         self._rows = n + k
         return residual
 
-    def s_infinity(self) -> SInfinityEstimate:
-        times, infected = self._columns[:, :self._rows]
-        return s_infinity(times, infected, self.host0, self.params)
 
+def decay_report(traj, steps: EpiSteps) -> dict:
+    """The body of `epi_report.json` of one run, as a plain dict.
 
-@dataclass
-class EpiReport:
-    """Budget, flags and estimates of one scenario run."""
-
-    conservation_max_abs: float       # largest host-budget residual over the steps
-    s_fluctuation: np.ndarray         # ||s - mean(s)||_L2 snapshots
-    s_inf: SInfinityEstimate
-    final_fractions: dict             # species name -> final L1 / max L1
-    decayed: dict                     # species name -> final fraction <= DECAY_THRESHOLD
-
-
-def decay_report(traj, steps: EpiSteps) -> EpiReport:
-    """Decay diagnostics for the infected, recovered and pathogen compartments.
-
-    The final fractions and the host budget come from the step series that
-    `steps` folded (the fields are non-negative); the susceptible
-    fluctuation around its volume average uses the trajectory's snapshots.
+    conservation_max_abs, final_fractions (each of the infected, recovered
+    and pathogen compartments' final mass over its peak), decayed (that
+    fraction at or below DECAY_THRESHOLD) and s_infinity come from the step
+    series that `steps` folded; s_fluctuation_final is the last of the
+    susceptible fluctuations ||s - mean(s)||_L2 over the stacked snapshots,
+    whose bits a one-row matrix product would not reproduce.
     """
     grid = traj.grid
     s = traj.states[:, 0]
@@ -390,10 +367,11 @@ def decay_report(traj, steps: EpiSteps) -> EpiReport:
     peaks = steps.peaks[1:]
     fractions = np.divide(steps.final[1:], peaks, out=np.zeros(peaks.size), where=peaks > 0)
     final_fractions = dict(zip(SPECIES[1:], fractions.tolist()))
-    return EpiReport(
-        conservation_max_abs=float(steps.conservation_max_abs),
-        s_fluctuation=s_fluct,
-        s_inf=steps.s_infinity(),
-        final_fractions=final_fractions,
-        decayed={name: frac <= DECAY_THRESHOLD for name, frac in final_fractions.items()},
-    )
+    times, infected = steps._columns[:, :steps._rows]
+    return {
+        "conservation_max_abs": float(steps.conservation_max_abs),
+        "final_fractions": final_fractions,
+        "decayed": {name: frac <= DECAY_THRESHOLD for name, frac in final_fractions.items()},
+        "s_fluctuation_final": float(s_fluct[-1]),
+        "s_infinity": s_infinity(times, infected, steps.host0, steps.params),
+    }

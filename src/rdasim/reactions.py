@@ -388,19 +388,16 @@ def _validate_expr(tree: ast.AST, names: set[str], text: str):
             raise ExpressionError(f"construct {type(node).__name__} not allowed in {text!r}")
 
 
-def compile_expression(text: str, m: int = 0, allow_state: bool = True,
-                       allow_time: bool = True) -> Callable:
+def compile_expression(text: str, m: int = 0, allow_time: bool = True) -> Callable:
     """Compile a closed-form expression into an evaluator f(x, t, u).
 
     The grammar covers +, -, *, /, powers (^ or **), exp, and two-argument
-    min/max over the species symbols u1..um (unless allow_state is false),
-    the space symbols x, y, which are always valid, and the time symbol t
-    (unless allow_time is false).  Evaluation broadcasts over numpy arrays.
+    min/max over the species symbols u1..um (none when m is 0), the space
+    symbols x, y, which are always valid, and the time symbol t (unless
+    allow_time is false).  Evaluation broadcasts over numpy arrays.
     Positions default to zero when the caller passes x = None.
     """
-    names = {"x", "y"}
-    if allow_state:
-        names |= {f"u{i + 1}" for i in range(m)}
+    names = {"x", "y"} | {f"u{i + 1}" for i in range(m)}
     if allow_time:
         names |= {"t"}
     try:
@@ -413,7 +410,7 @@ def compile_expression(text: str, m: int = 0, allow_state: bool = True,
 
     def evaluate(x, t, u):
         env = dict(funcs)
-        if allow_state:
+        if m:
             uarr = np.asarray(u, dtype=float)
             for i in range(m):
                 env[f"u{i + 1}"] = uarr[i]

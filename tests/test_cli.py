@@ -584,13 +584,15 @@ class TestUnbuildableConfig:
         (("coefficients", "diffusion"), [{"csv": "words.csv"}], "'words.csv': could not convert"),
         (("coefficients", "diffusion"), [{"expr": "1 +"}], "cannot parse '1 +'"),
         (("coefficients", "diffusion"), [{"expr": "x - 0.5"}], "positive"),
+        (("coefficients", "diffusion"), [{"expr": "t"}], "unknown symbol 't'"),
         (("system", "initial"), ["exp(x"], "cannot parse 'exp(x'"),
         (("system", "initial"), ["u1 + 1"], "unknown symbol 'u1'"),
         (("system", "expressions"), ["u1 +* 2"], "cannot parse 'u1 +* 2'"),
         (("system",), {"builtin": "reversible", "builtin_args": {"nope": 1.0},
                        "initial": [1.0, 0.5]}, "nope"),
     ], ids=["missing-csv", "non-numeric-csv", "malformed-coefficient", "nonpositive-diffusion",
-            "malformed-initial", "state-in-initial", "malformed-reaction", "unknown-builtin-arg"])
+            "time-in-coefficient", "malformed-initial", "state-in-initial", "malformed-reaction",
+            "unknown-builtin-arg"])
     def test_exits_2_naming_the_cause(self, tmp_path, capsys, command, path, value, cause):
         (tmp_path / "words.csv").write_text("0,one\n")
         cfg = heat_config(tmp_path / "out")
@@ -936,6 +938,57 @@ class TestEnergyReportCommand:
         assert err.startswith("config error: corrupt trajectory")
         assert expected in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda index: [],
+        lambda index: None,
+        lambda index: {**index, "grid": []},
+        lambda index: {**index, "grid": {**index["grid"], "widths": 5}},
+    ], ids=["empty-list", "null", "grid-a-list", "widths-a-number"])
+    def test_malformed_index_exits_2(self, tmp_path, capsys, edit):
+        # valid JSON of the wrong shape is a corrupt trajectory, not a TypeError
+        out = tmp_path / "out"
+        path = write_config(tmp_path, heat_config(out, cells=8, t_end=0.01))
+        assert main(["run", "--config", str(path), "--quiet"]) == 0
+        index_path = out / "trajectory" / "trajectory.json"
+        index_path.write_text(json.dumps(edit(json.loads(index_path.read_text()))))
+        assert main(["energy-report", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: corrupt trajectory at ")
+        assert "Traceback" not in err
+        assert not (out / "energy_report.json").exists()
+
+    @staticmethod
+    def report_on_trajectory_of(other, tmp_path, capsys):
+        """energy-report with the 32-cell heat config on the trajectory `other` ran."""
+        out = Path(other["output"]["dir"])
+        assert main(["run", "--config", str(write_config(tmp_path, other, "other.json")),
+                     "--quiet"]) == 0
+        path = write_config(tmp_path, heat_config(out))
+        assert main(["energy-report", "--config", str(path), "--quiet"]) == 2
+        # it stops before any weight search or write
+        assert not (out / "energy_report.json").exists()
+        assert not (out / "energy_report.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the trajectory holds ")
+        assert "Traceback" not in err
+        return err
+
+    def test_trajectory_with_another_species_count_exits_2(self, tmp_path, capsys):
+        other = heat_config(tmp_path / "out")
+        other["system"].update(expressions=["0*u1", "0*u2"], mass_weights=[1.0, 1.0],
+                               initial=["1", "1"])
+        other["coefficients"]["diffusion"] = [1.0, 1.0]
+        other["diagnostics"]["energy"] = [{"p": 2, "weights": [1.0, 1.0]}]
+        err = self.report_on_trajectory_of(other, tmp_path, capsys)
+        assert ("holds 2 species on grid (32,) (hash " in err
+                and "but the config has 1 species on grid (32,) (hash " in err)
+
+    def test_trajectory_on_another_grid_exits_2(self, tmp_path, capsys):
+        other = heat_config(tmp_path / "out", cells=64)
+        err = self.report_on_trajectory_of(other, tmp_path, capsys)
+        assert ("holds 1 species on grid (64,) (hash " in err
+                and "but the config has 1 species on grid (32,) (hash " in err)
 
     def test_checkpoint_roundtrip_through_reload(self, tmp_path):
         out = tmp_path / "out"
