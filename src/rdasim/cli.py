@@ -106,14 +106,15 @@ def _assemble(cfg, base_dir: Path):
 
 
 def _energy_entries(cfg, m: int) -> list:
-    """The diagnostics.energy entries; an explicit weight list needs one entry per species."""
+    """The diagnostics.energy entries, each order p an int (the schema's "integer"
+    admits 4.0); an explicit weight list needs one entry per species."""
     entries = cfg.get("diagnostics", {}).get("energy", [])
     for k, entry in enumerate(entries):
         weights = entry.get("weights", "auto")
         if weights != "auto" and len(weights) != m:
             raise ConfigError(f"diagnostics.energy[{k}].weights has {len(weights)} "
                               f"entries for {m} species")
-    return entries
+    return [{**entry, "p": int(entry["p"])} for entry in entries]
 
 
 def _certified_energy(entry, system, faces, seed: int) -> tuple:
@@ -418,9 +419,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         base_dir = Path(args.config).resolve().parent
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        # the schema's "integer" admits an integral float such as 3.0
+        seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         out_dir = Path(args.out) if args.out else Path(cfg["output"]["dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: "
+                              f"{exc.strerror}") from None
         dispatch = {
             "check": cmd_check,
             "run": cmd_run,

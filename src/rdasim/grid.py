@@ -21,9 +21,8 @@ Operators act pointwise (rows are divided by cell volume), so on uniform
 grids the pure-diffusion operator is symmetric; on non-uniform grids it
 is volume-similar to a symmetric matrix.  Only `assemble_transport`
 imports scipy here, and no command calls it: a run sums the entries
-itself, into the three bands of its tridiagonal system in 1D and into
-the CSC arrays of its sparse system in 2D, and `check` and
-`energy-report` never assemble an operator, so none of them loads
+itself into the CSC arrays of its system, in 1D as in 2D, and `check`
+and `energy-report` never assemble an operator, so none of them loads
 scipy.sparse.
 """
 

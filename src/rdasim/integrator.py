@@ -12,23 +12,22 @@ every state respects, the step is retried with a halved dt; states are
 never clamped, and every solve is direct, so the discrete mass budget is
 exact up to rounding.
 
-All species' transport operators form one block-diagonal matrix A,
-assembled once per coefficient epoch.  The system I/dt + A is factorized
-once per dt in each epoch, whose last step takes the full dt when the
-remainder is within rounding of it.  On 1D grids the two-point flux makes
-each species' system tridiagonal, so the block-diagonal stack of them is
-one tridiagonal matrix, kept as its three bands summed straight from the
-assembled entries: LAPACK's tridiagonal LU (dgttrf) factorizes it, and
-dgttrs solves every step at that dt.  On 2D grids A is kept as its CSC
-arrays, summed from the same entries, and SuperLU factorizes the system
-(the `gstrf` that scipy's `splu` calls, minimum-degree ordering), so
-each step is one pair of triangular solves.  A non-finite reaction stops
-the step with NonFiniteError.  `run` writes the reduced summaries of each accepted step
-(time, masses, sup-norms, minimum, dt, halvings) as one row of a fixed
-block of rows, which it hands to the caller's `on_steps` each time the
-block fills, so its memory grows with the snapshots it records, not with
-its steps; it keeps the snapshots and the run's totals (steps, minimum,
-halvings).
+All species' transport operators form one block-diagonal matrix A, kept
+as its CSC arrays, summed straight from the assembled entries once per
+coefficient epoch.  The system I/dt + A adds 1/dt on their diagonal and
+is factorized once per dt in each epoch, whose last step takes the full
+dt when the remainder is within rounding of it; only the LU depends on
+the dimension.  In 1D the two-point flux makes the system tridiagonal:
+LAPACK's dgttrf factorizes its three diagonals, read from the CSC arrays,
+and dgttrs solves every step at that dt.  In 2D SuperLU factorizes it
+(the `gstrf` that scipy's `splu` calls, minimum-degree ordering), so each
+step is one pair of triangular solves.
+A non-finite reaction stops the step with NonFiniteError.  `run` writes
+the reduced summaries of each accepted step (time, masses, sup-norms,
+minimum, dt, halvings) as one row of a fixed block of rows, which it
+hands to the caller's `on_steps` each time the block fills, so its memory
+grows with the snapshots it records, not with its steps; it keeps the
+snapshots and the run's totals (steps, minimum, halvings).
 Checkpoints serialize a state as a flat little-endian binary record;
 loading checks its size.
 
@@ -200,22 +199,35 @@ def _scipy_extension(name: str):
 class TridiagonalLU:
     """LU factors of a tridiagonal matrix from LAPACK dgttrf, solved by dgttrs.
 
-    Takes the sub-, main and super-diagonals, of sizes n - 1, n and n - 1.
-    A zero pivot raises LinearSolveError.  scipy's wrappers reject fewer
-    than three unknowns, so a smaller matrix is padded with identity rows.
-    Both routines are the very objects `scipy.linalg.lapack` exports, from
-    the extension module `scipy.linalg._flapack`, loaded without that package.
+    Takes the CSC arrays (data, indices, indptr) of the matrix and reads
+    its sub-, main and super-diagonals from them.  A nonzero entry off the
+    three diagonals raises LinearSolveError, and so does a zero pivot.
+    scipy's wrappers reject fewer than three unknowns, so a smaller matrix
+    is padded with identity rows.  Both routines are the very objects
+    `scipy.linalg.lapack` exports, from the extension module
+    `scipy.linalg._flapack`, loaded without that package.
     """
 
-    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray):
+        self.n = n = indptr.size - 1
+        cols = np.repeat(np.arange(n), np.diff(indptr))
+        offset = indices - cols
+        # two comparisons, not np.abs, which a 1D run calls nowhere else
+        near = (-1 <= offset) & (offset <= 1)
+        stray = np.flatnonzero(~near & (data != 0.0))
+        if stray.size:
+            k = stray[0]
+            raise LinearSolveError(f"entry ({indices[k]}, {cols[k]}) of a {n}-row system "
+                                   f"lies off its three diagonals")
+        self.pad = max(0, 3 - n)
+        # rows: super-diagonal one column late, diagonal (identity padding), sub-diagonal
+        bands = np.zeros((3, n + self.pad))
+        bands[1, n:] = 1.0
+        bands[offset[near] + 1, cols[near]] = data[near]
         lapack = _scipy_extension("scipy.linalg._flapack")
-        self.n = diag.size
-        self.pad = max(0, 3 - self.n)
-        zeros, ones = np.zeros(self.pad), np.ones(self.pad)
-        *self.factors, info = lapack.dgttrf(np.append(lower, zeros), np.append(diag, ones),
-                                            np.append(upper, zeros))
+        *self.factors, info = lapack.dgttrf(bands[2, :-1], bands[1], bands[0, 1:])
         if info != 0:
-            raise LinearSolveError(f"tridiagonal LU of a {self.n}-row system failed: "
+            raise LinearSolveError(f"tridiagonal LU of a {n}-row system failed: "
                                    f"dgttrf info {info} (positive: a zero pivot)")
         self._dgttrs = lapack.dgttrs
 
@@ -229,46 +241,29 @@ class TridiagonalLU:
         return x[:self.n]
 
 
-def _tridiagonal_bands(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                       size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sub-, main and super-diagonals of the size-row matrix with these COO entries.
-
-    Band b = col - row + 1 of position min(row, col) is bin b * size + min(row, col)
-    of one `np.bincount`, which adds each bin's entries in entry order, as
-    scipy's COO-to-CSR conversion sums duplicates.  A nonzero entry off the
-    three diagonals raises LinearSolveError.
-    """
-    offset = cols - rows
-    near = np.abs(offset) <= 1
-    stray = np.flatnonzero(~near & (vals != 0.0))
-    if stray.size:
-        k = stray[0]
-        raise LinearSolveError(f"entry ({rows[k]}, {cols[k]}) of a {size}-row system "
-                               f"lies off its three diagonals")
-    bins = (offset[near] + 1) * size + np.minimum(rows, cols)[near]
-    bands = np.bincount(bins, vals[near], minlength=3 * size).reshape(3, size)
-    return bands[0, :-1], bands[1], bands[2, :-1]
-
-
 def _csc_arrays(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, size: int):
     """The CSC arrays (data, indices, indptr) of the size-row matrix with these COO
     entries, and the positions of its diagonal in `data`.
 
-    One `np.unique` of col * size + row sorts the positions column by column,
-    rows ascending, and one `np.bincount` adds each position's entries in
-    entry order, as scipy's COO-to-CSR conversion sums duplicates.  Every
-    diagonal position is stored, as zero where no entry lies on it, so the
-    shift by 1/dt is one indexed add that equals scipy's `setdiag`.  The
-    keys are int32 while size * size fits: at 128^2 cells that lowers a
-    fresh run's peak by 5 MB.
+    A stable argsort of the keys col * size + row orders the positions column
+    by column, rows ascending, `searchsorted` finds each entry's position, and
+    one `np.bincount` adds each position's entries in entry order, as scipy's
+    COO-to-CSR conversion sums duplicates (with `np.unique`, which touches
+    more of numpy, a fresh 1D run peaked 0.3 MB higher and hetero2d 1.7 MB
+    higher).  Every diagonal position is stored, as zero where no entry lies
+    on it, so the shift by 1/dt is one indexed add that equals scipy's
+    `setdiag`.  The keys are int32 while size * size fits: at 128^2 cells
+    that lowers a fresh run's peak by 5 MB.
     """
     key = np.int32 if size * size <= np.iinfo(np.int32).max else np.int64
     diagonal = np.arange(size, dtype=key)
     keys = np.concatenate([diagonal * (size + 1), cols.astype(key) * size + rows])
-    positions, slots = np.unique(keys, return_inverse=True)
+    ordered = keys[np.argsort(keys, kind="stable")]
+    positions = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    slots = np.searchsorted(positions, keys)
     data = np.bincount(slots, np.concatenate([np.zeros(size), vals]), minlength=positions.size)
     columns, indices = np.divmod(positions, size)
-    indptr = np.searchsorted(columns, np.arange(size + 1))
+    indptr = np.searchsorted(columns, np.arange(size + 1, dtype=key))
     return data, indices.astype(np.intc), indptr.astype(np.intc), slots[:size].copy()
 
 
@@ -305,41 +300,33 @@ class TransportOperators:
     """The assembled transport operator of every species for one coefficient epoch.
 
     A is the block-diagonal operator of all species, summed from one
-    `_transport_entries` walk; no scipy.sparse matrix is built.  In 1D
-    every block is tridiagonal, so A is kept as its three bands, `bands`,
-    and the system I/dt + A is a TridiagonalLU of the bands with 1/dt added
-    to the diagonal.  In 2D A is `csc`, its CSC arrays (data, indices,
-    indptr) with the positions of its diagonal in data, and the system's
-    factors are SuperLU's, of data with 1/dt added at those positions.
-    Each system is factorized the first time its dt is solved and cached
-    per dt value, so every step is a direct solve.  At 128^2 cells the 2D
-    L + U hold 664k nonzeros per species (about 7 MB resident): a
-    factorization takes 30-50 ms and a solve about 1.5 ms.  A singular
-    system raises LinearSolveError.
+    `_transport_entries` walk into `csc`, its CSC arrays (data, indices,
+    indptr) with the positions of its diagonal in data; no scipy.sparse
+    matrix is built.  The system I/dt + A is data with 1/dt added at those
+    positions, factorized by a TridiagonalLU in 1D, where every block is
+    tridiagonal, and by SuperLU (`_sparse_lu`) in 2D.  Each system is
+    factorized the first time its dt is solved and cached per dt value, so
+    every step is a direct solve.  At 128^2 cells the 2D L + U hold 664k
+    nonzeros per species (about 7 MB resident): a factorization takes
+    30-50 ms and a solve about 1.5 ms.  A singular system raises
+    LinearSolveError.
     """
 
     def __init__(self, problem: Problem, t: float):
         self.problem = problem
         grid, coeff = problem.grid, problem.coefficients
         entries = _transport_entries(grid, coeff, problem.boundary, t)
-        if grid.dim == 1:
-            self.bands = _tridiagonal_bands(*entries, coeff.m * grid.ncells)
-        else:
-            self.csc = _csc_arrays(*entries, coeff.m * grid.ncells)
+        self.csc = _csc_arrays(*entries, coeff.m * grid.ncells)
         self._systems: dict[float, object] = {}
 
     def _system(self, dt: float):
         cached = self._systems.get(dt)
         if cached is None:
-            if self.problem.grid.dim == 1:
-                lower, diag, upper = self.bands
-                cached = TridiagonalLU(lower, diag + 1.0 / dt, upper)
-            else:
-                data, indices, indptr, diagonal = self.csc
-                data = data.copy()
-                data[diagonal] += 1.0 / dt
-                cached = _sparse_lu(data, indices, indptr)
-            self._systems[dt] = cached
+            data, indices, indptr, diagonal = self.csc
+            data = data.copy()
+            data[diagonal] += 1.0 / dt
+            factorize = TridiagonalLU if self.problem.grid.dim == 1 else _sparse_lu
+            cached = self._systems[dt] = factorize(data, indices, indptr)
         return cached
 
     def solve(self, dt: float, rhs: np.ndarray) -> np.ndarray:

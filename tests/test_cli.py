@@ -608,6 +608,77 @@ class TestUnbuildableConfig:
         assert "Traceback" not in err
 
 
+def outputs_without_config_identity(out):
+    """Every file under `out`, with the config's hash and echo left out of the reports."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        raw = path.read_bytes()
+        if path.suffix == ".json":
+            raw = {k: v for k, v in json.loads(raw).items()
+                   if k not in ("config_sha256", "config_echo")}
+        elif path.suffix == ".csv":
+            raw = [line for line in raw.splitlines() if not line.startswith(b"# config_sha256=")]
+        files[str(path.relative_to(out))] = raw
+    return files
+
+
+class TestCommandLineFaults:
+    """Bad seeds and unusable paths exit 2 naming the cause, before anything is written."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("check", "reversible"), ("run", "reversible"), ("check", "heat"), ("run", "heat"),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command, config):
+        out = tmp_path / "out"
+        code = main([command, "--config", str(REPO / "configs" / f"{config}.json"),
+                     "--out", str(out), "--seed", "-1", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: seed must be non-negative, got -1")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_integral_floats_read_as_integers(self, tmp_path, command):
+        # draft 2020-12 counts 3.0 as an integer: the seed and the energy
+        # order are read as ints, so only the config's own hash and echo differ
+        outputs = []
+        for seed, p in ((3, 4), (3.0, 4.0)):
+            cfg = json.loads(REVERSIBLE.read_text())
+            cfg["seed"], cfg["diagnostics"]["energy"][0]["p"] = seed, p
+            cfg["solver"]["t_end"] = 1.0
+            out = tmp_path / f"out-{seed!r}"
+            path = write_config(tmp_path, cfg, name=f"config-{seed!r}.json")
+            assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 0
+            outputs.append(outputs_without_config_identity(out))
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, case):
+        path = tmp_path / "config.json"
+        if case == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(json.dumps(heat_config(tmp_path / "out")).encode("utf-16"))
+        assert main(["check", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_out_naming_a_file_exits_2_naming_it(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        config = write_config(tmp_path, heat_config(tmp_path / "unused"))
+        assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {out}")
+        assert "Traceback" not in err
+        assert out.read_text() == "not a directory"
+
+
 class TestNonFiniteReaction:
     @pytest.mark.parametrize("cells, extents", [
         ([16], [[0.0, 1.0]]),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,23 +75,30 @@ def zero_reactions(m):
     )
 
 
-def direct_solve(a, b, shape, dt=np.inf):
-    """Solve (I/dt + a) x = b by the 2D transport path, with `a` as the one species' operator.
+def direct_solve(a, b, dim, dt=np.inf):
+    """Solve (I/dt + a) x = b by the transport path of a `dim`-D grid, with `a` as the one
+    species' operator: through TridiagonalLU in 1D and SuperLU in 2D.
 
-    The default infinite step makes the shifted system `a` itself.
+    The 2D grid is n x 1.  The default infinite step makes the shifted system `a` itself.
     """
-    grid = StructuredGrid.uniform([(0.0, 1.0)] * 2, list(shape))
+    n = a.shape[0]
+    grid = StructuredGrid.uniform([(0.0, 1.0)] * dim, [n] + [1] * (dim - 1))
     problem = Problem(grid, zero_reactions(1), CoefficientField.constant(grid, [1.0]),
-                      BoundarySpec.uniform(1, 2, NoFluxWithDrift()))
+                      BoundarySpec.uniform(1, dim, NoFluxWithDrift()))
     ops = TransportOperators(problem, 0.0)
     entries = sp.coo_matrix(a)
     ops.csc = integrator._csc_arrays(entries.row, entries.col, entries.data, grid.ncells)
     return ops.solve(dt, np.asarray(b, dtype=float)[None, :])[0]
 
 
-def random_m_matrix(n, seed=1):
+def random_m_matrix(n, dim=2, seed=1):
+    """A random M-matrix: tridiagonal, every neighbour coupled, for a 1D solve; 5% dense in 2D."""
     rng = np.random.default_rng(seed)
-    off = -np.abs(rng.standard_normal((n, n))) * (rng.random((n, n)) < 0.05)
+    off = -np.abs(rng.standard_normal((n, n)))
+    if dim == 1:
+        off *= np.abs(np.subtract.outer(np.arange(n), np.arange(n))) == 1
+    else:
+        off *= rng.random((n, n)) < 0.05
     np.fill_diagonal(off, 0.0)
     return sp.csr_matrix(off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.5, 2.0, n)))
 
@@ -99,11 +107,12 @@ class TestLinearSolve:
     def test_identity(self):
         # a zero operator stores no diagonal: the shift must insert all of it
         b = np.random.default_rng(0).standard_normal(20)
-        x = direct_solve(sp.csr_matrix((20, 20)), b, (4, 5), dt=1.0)
-        assert np.array_equal(x, b)
+        for dim in (1, 2):
+            x = direct_solve(sp.csr_matrix((20, 20)), b, dim, dt=1.0)
+            assert np.array_equal(x, b)
 
     def test_tridiagonal_vs_banded_oracle(self):
-        # Dirichlet Laplacian rows [2, -1] on a 50 x 1 grid; first basis vector load
+        # Dirichlet Laplacian rows [2, -1] on 50 cells; first basis vector load
         n = 50
         low = np.full(n - 1, -1.0)
         a = sp.diags([low, np.full(n, 2.0), low], [-1, 0, 1]).tocsr()
@@ -114,26 +123,30 @@ class TestLinearSolve:
         ab[1] = a.diagonal(0)
         ab[2, :-1] = a.diagonal(-1)
         oracle = scipy.linalg.solve_banded((1, 1), ab, b)
-        x = direct_solve(a, b, (n, 1))
-        assert np.max(np.abs(x - oracle)) < 1e-12
+        for dim in (1, 2):
+            x = direct_solve(a, b, dim)
+            assert np.max(np.abs(x - oracle)) < 1e-12
 
     def test_random_m_matrix_converges(self):
         # the direct solve leaves a residual at rounding level
-        a = random_m_matrix(100)
         b = np.random.default_rng(1).standard_normal(100)
-        x = direct_solve(a, b, (10, 10))
-        assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
+        for dim in (1, 2):
+            a = random_m_matrix(100, dim)
+            x = direct_solve(a, b, dim)
+            assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
 
     def test_tiny_right_hand_side(self):
         # no absolute threshold: a right-hand side of 1e-20 solves as well as one of 1
-        a = random_m_matrix(100)
         b = 1e-20 * np.random.default_rng(1).standard_normal(100)
-        x = direct_solve(a, b, (10, 10))
-        assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
+        for dim in (1, 2):
+            a = random_m_matrix(100, dim)
+            x = direct_solve(a, b, dim)
+            assert np.linalg.norm(a @ x - b) <= 1e-13 * np.linalg.norm(b)
 
     def test_zero_right_hand_side(self):
-        x = direct_solve(random_m_matrix(25), np.zeros(25), (5, 5))
-        assert np.array_equal(x, np.zeros(25))
+        for dim in (1, 2):
+            x = direct_solve(random_m_matrix(25, dim), np.zeros(25), dim)
+            assert np.array_equal(x, np.zeros(25))
 
     @pytest.mark.parametrize("first", ["rdasim", "scipy.linalg"])
     def test_lapack_routines_are_scipy_linalg_lapack_exports(self, first):
@@ -145,7 +158,10 @@ class TestLinearSolve:
             "import numpy as np",
             "from rdasim import integrator",
             "def factorize():",
-            "    lu = integrator.TridiagonalLU(np.full(4, -1.0), np.full(5, 3.0), np.full(4, -1.0))",
+            "    i = np.arange(5)",
+            "    csc = integrator._csc_arrays(np.r_[i, i[1:], i[:-1]], np.r_[i, i[:-1], i[1:]],",
+            "                                 np.r_[np.full(5, 3.0), np.full(8, -1.0)], 5)",
+            "    lu = integrator.TridiagonalLU(*csc[:3])",
             "    return integrator._scipy_extension('scipy.linalg._flapack').dgttrf, lu._dgttrs",
             "if sys.argv[1] == 'rdasim':",
             "    dgttrf, dgttrs = factorize()",
@@ -224,29 +240,18 @@ def relative_error(u, ref):
     return np.max(np.abs(u - ref)) / np.max(np.abs(ref))
 
 
-def count_sparse_lu(monkeypatch):
-    """Record the shape of every 2D factorization made from here on."""
+def count_factorizations(monkeypatch):
+    """Record the shape of every factorization, 1D or 2D, made from here on."""
     factored = []
-    real_lu = integrator._sparse_lu
 
-    def counting_lu(data, indices, indptr):
-        factored.append((indptr.size - 1, indptr.size - 1))
-        return real_lu(data, indices, indptr)
+    def counting(real_lu):
+        def counting_lu(data, indices, indptr):
+            factored.append((indptr.size - 1, indptr.size - 1))
+            return real_lu(data, indices, indptr)
+        return counting_lu
 
-    monkeypatch.setattr(integrator, "_sparse_lu", counting_lu)
-    return factored
-
-
-def count_tridiagonal_lu(monkeypatch):
-    """Record the shape of every 1D factorization made from here on."""
-    factored = []
-    real_lu = integrator.TridiagonalLU
-
-    def counting_lu(lower, diag, upper):
-        factored.append((diag.size, diag.size))
-        return real_lu(lower, diag, upper)
-
-    monkeypatch.setattr(integrator, "TridiagonalLU", counting_lu)
+    for name in ("TridiagonalLU", "_sparse_lu"):
+        monkeypatch.setattr(integrator, name, counting(getattr(integrator, name)))
     return factored
 
 
@@ -317,8 +322,9 @@ class TestTransportSolve:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 3), ncells=st.integers(1, 40))
     def test_1d_bands_equal_the_assembled_diagonals(self, data, m, ncells):
-        # the bands are summed from the entries without scipy.sparse: bit for
-        # bit the diagonals of the CSR matrix, shifted as the 2D path shifts it
+        # the bands that reach dgttrf are read from the CSC arrays without
+        # scipy.sparse: bit for bit the diagonals of the shifted CSR matrix,
+        # padded with identity below three unknowns
         def draw(lo, hi, shape):
             return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
 
@@ -331,22 +337,24 @@ class TestTransportSolve:
                                       for _ in range(m)), 1)
         dt = 10.0 ** data.draw(st.floats(-3.0, 0.0))
         factored = []
-        real_lu = integrator.TridiagonalLU
+        lapack = integrator._scipy_extension("scipy.linalg._flapack")
 
-        def recording_lu(lower, diag, upper):
+        def recording_dgttrf(lower, diag, upper):
             factored.append((lower, diag, upper))
-            return real_lu(lower, diag, upper)
+            return lapack.dgttrf(lower, diag, upper)
 
+        recording = SimpleNamespace(dgttrf=recording_dgttrf, dgttrs=lapack.dgttrs)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(integrator, "TridiagonalLU", recording_lu)
+            mp.setattr(integrator, "_scipy_extension", lambda name: recording)
             ops = TransportOperators(Problem(grid, zero_reactions(m), coeff, boundary), 0.0)
             ops.solve(dt, np.ones((m, ncells)))
         block = assemble_transport(grid, coeff, boundary).tocsc()
         block.setdiag(block.diagonal() + 1.0 / dt)
+        pad = max(0, 3 - m * ncells)
         [(lower, diag, upper)] = factored
-        assert np.array_equal(lower, block.diagonal(-1))
-        assert np.array_equal(diag, block.diagonal())
-        assert np.array_equal(upper, block.diagonal(1))
+        assert np.array_equal(lower, np.append(block.diagonal(-1), np.zeros(pad)))
+        assert np.array_equal(diag, np.append(block.diagonal(), np.ones(pad)))
+        assert np.array_equal(upper, np.append(block.diagonal(1), np.zeros(pad)))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), m=st.integers(1, 3), nx=st.integers(1, 12), ny=st.integers(1, 12))
@@ -418,7 +426,7 @@ class TestTransportSolve:
             assert stacked[:, l::3].tobytes() == ops.solve(0.05, b).tobytes()
 
     def test_one_factorization_per_dt(self, monkeypatch):
-        calls = count_tridiagonal_lu(monkeypatch)
+        calls = count_factorizations(monkeypatch)
         problem = make_problem(builtin_reversible_reaction(), n=16, diffusion=0.2, drift=0.3)
         ops = TransportOperators(problem, 0.0)
         rhs = np.ones((2, 16))
@@ -452,16 +460,20 @@ class TestTransportSolve:
 
         monkeypatch.setattr(integrator, "_transport_entries", stray_entry)
         problem = make_problem(builtin_reversible_reaction(), n=8)
+        ops = TransportOperators(problem, 0.0)
+        # the entries are checked where the first system is factorized
         with pytest.raises(LinearSolveError, match=r"entry \(10, 13\) of a 16-row system"):
-            TransportOperators(problem, 0.0)
+            ops.solve(0.1, np.ones((2, 8)))
 
     def test_1d_singular_system_raises(self):
         # A = -I/dt on species 0 cancels the shifted identity: every pivot is zero
         problem = make_problem(builtin_reversible_reaction(), n=8)
         ops = TransportOperators(problem, 0.0)
-        lower, diag, upper = (band.copy() for band in ops.bands)
-        lower[:8], diag[:8], upper[:8] = 0.0, -1.0 / 0.1, 0.0
-        ops.bands = lower, diag, upper
+        data, indices, indptr, diagonal = ops.csc
+        data = data.copy()
+        data[:indptr[8]] = 0.0
+        data[diagonal[:8]] = -1.0 / 0.1
+        ops.csc = data, indices, indptr, diagonal
         with pytest.raises(LinearSolveError, match="dgttrf info 1 "):
             ops.solve(0.1, np.ones((2, 8)))
 
@@ -784,7 +796,7 @@ class TestRun:
         )
         problem = make_problem(sink, n=24, diffusion=0.05, drift=0.2, dim=2)
         fields = np.random.default_rng(9).uniform(0.5, 1.5, size=(1, problem.grid.ncells))
-        factored = count_sparse_lu(monkeypatch)
+        factored = count_factorizations(monkeypatch)
         cfg = SolverConfig(dt=0.5, t_end=1.0, record_dt=0.25)
         _, steps = run_with_steps(SimState(0.0, fields, 1e-6), cfg, problem)
         assert steps.halvings[:11].min() == 4
@@ -803,7 +815,7 @@ class TestRun:
         )
         problem = Problem(grid, builtin_reversible_reaction(), coeff,
                           BoundarySpec.uniform(2, 2, NoFluxWithDrift()))
-        factored = count_sparse_lu(monkeypatch)
+        factored = count_factorizations(monkeypatch)
         fields = rng.uniform(0.5, 1.5, size=(2, grid.ncells))
         traj = run(SimState(0.0, fields, 1e-6),
                    SolverConfig(dt=0.05, t_end=1.0), problem)
@@ -813,7 +825,7 @@ class TestRun:
     def test_one_factorization_per_run(self, monkeypatch):
         # the problem of configs/reversible.json: after 3999 steps of 0.01, t
         # lies past 39.99 by rounding, so the remainder falls short of dt
-        calls = count_tridiagonal_lu(monkeypatch)
+        calls = count_factorizations(monkeypatch)
         system = builtin_reversible_reaction()
         grid = StructuredGrid.uniform([(0.0, 1.0)], [32])
         jump = np.where(grid.cell_centers[0] < 0.5, 0.1, 0.01)
@@ -934,7 +946,7 @@ class TestEpsilonLadder:
         fields = rng.uniform(0.5, 1.5, size=(2, grid.ncells))
         members = [SimState(0.0, fields, e) for e in (1e-1, 1e-2, 1e-3)]
         cfg = SolverConfig(dt=0.05, t_end=1.0, record_dt=0.2)
-        factored = count_sparse_lu(monkeypatch)
+        factored = count_factorizations(monkeypatch)
         times, states = integrator._march_ladder(members, cfg, problem)
         assert factored == [(60, 60), (60, 60)]
         for member, member_states in zip(members, states):
@@ -963,7 +975,7 @@ class TestEpsilonLadder:
             assembled.append(t)
             return real_entries(grid, coefficients, boundary, t)
 
-        factored = count_tridiagonal_lu(monkeypatch)
+        factored = count_factorizations(monkeypatch)
         monkeypatch.setattr(integrator, "_transport_entries", counting_entries)
         problem, members, cfg = shipped_ladder("reversible")
         report = epsilon_refinement_study(problem, members[0].fields,
