@@ -22,7 +22,6 @@ from .grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
-    assemble_transport,
     discrete_norm,
     face_diffusivity,
 )

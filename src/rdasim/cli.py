@@ -56,6 +56,7 @@ from .output import (
     write_vtk_structured_points,
 )
 from .reactions import (
+    ExpressionError,
     check_intermediate_sum,
     check_mass_control,
     check_polynomial_growth,
@@ -436,7 +437,7 @@ def main(argv=None) -> int:
             "epsilon-study": cmd_epsilon_study,
         }
         return dispatch[args.command](cfg, base_dir, out_dir, seed, args.quiet)
-    except ConfigError as exc:
+    except (ConfigError, ExpressionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AssumptionViolation, WeightSearchError) as exc:

@@ -6,17 +6,12 @@ keys everywhere; values representing per-cell fields accept a number
 CSV file mapping cell index to value.  A configuration carries either a
 generic `system` block (builtin name or one expression per species) or an
 epidemic `scenario` block, never both.
-
-`_conforms` walks CONFIG_SCHEMA itself to decide whether a config is
-valid.  jsonschema is imported only to explain an invalid config, with
-the message of its best-matching error, so a valid config never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +28,7 @@ from .grid import (
 )
 from .integrator import SolverConfig
 from .reactions import BUILTIN_SYSTEMS, compile_expression, system_from_expressions
+from .schema import _violation
 
 __all__ = [
     "ConfigError",
@@ -268,65 +264,10 @@ CONFIG_SCHEMA = {
 }
 
 
-# the draft 2020-12 types, as jsonschema checks them: a bool is neither a
-# number nor an integer, and a float with no fractional part is an integer
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
-    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
-    "integer": lambda v: ((isinstance(v, int) and not isinstance(v, bool))
-                          or (isinstance(v, float) and v.is_integer())),
-}
-
-
-def _conforms(value, schema: dict) -> bool:
-    """Whether `value` is valid under `schema`, as a draft 2020-12 validator decides.
-
-    Only the keywords CONFIG_SCHEMA uses are read.  Every enum member and
-    const in it is a string, which `==` matches to an equal string only.
-    A keyword that constrains one JSON type ignores values of the others,
-    and a NaN passes `minimum`, as it does in jsonschema.
-    """
-    if "oneOf" in schema and sum(_conforms(value, s) for s in schema["oneOf"]) != 1:
-        return False
-    types = schema.get("type", [])
-    if types and not any(_TYPES[t](value) for t in ([types] if isinstance(types, str) else types)):
-        return False
-    if ("enum" in schema and value not in schema["enum"]
-            or "const" in schema and value != schema["const"]):
-        return False
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        return (all(key in value for key in schema.get("required", []))
-                and (schema.get("additionalProperties", True) or value.keys() <= props.keys())
-                and all(_conforms(value[k], sub) for k, sub in props.items() if k in value))
-    if isinstance(value, list):
-        return (schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value))
-                and all(_conforms(item, schema.get("items", {})) for item in value))
-    if _TYPES["number"](value):
-        return not ("minimum" in schema and value < schema["minimum"]
-                    or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"])
-    return True
-
-
 def validate_config(cfg: dict) -> dict:
-    """Schema plus cross-field validation; returns the config unchanged.
-
-    `_conforms` decides whether the config fits CONFIG_SCHEMA.  Only when
-    it does not is jsonschema imported, to raise the message of its
-    best-matching error, so a valid config never pays for that import.
-    """
-    if not _conforms(cfg, CONFIG_SCHEMA):
-        import jsonschema
-
-        validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-        error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
-        if error is not None:
-            path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-            raise ConfigError(f"invalid config at {path}: {error.message}")
+    """Schema (`_violation`) plus cross-field validation; returns the config unchanged."""
+    if bad := _violation(cfg, CONFIG_SCHEMA):
+        raise ConfigError(f"invalid config at {'/'.join(map(str, bad[0])) or '<root>'}: {bad[1]}")
     grid = cfg["grid"]
     if len(grid["cells"]) != len(grid["extents"]):
         raise ConfigError("grid cells and extents must have the same dimension")

@@ -14,16 +14,13 @@ flat-index array and the width meshes along each axis into the interior
 faces and the wall faces of each side.  Each face's diffusion and upwind
 coefficients are summed into one flux pair, and the wall terms are
 added to the diagonal; the entries of all species are COO triplets of
-one block-diagonal matrix, as plain numpy arrays.  `assemble_transport`
-sums them into a CSR matrix in one COO-to-CSR pass.
+one block-diagonal matrix, as plain numpy arrays, which a run sums into
+the CSC arrays of its system without scipy.sparse, in 1D as in 2D.
+`check` and `energy-report` never assemble an operator.
 
 Operators act pointwise (rows are divided by cell volume), so on uniform
 grids the pure-diffusion operator is symmetric; on non-uniform grids it
-is volume-similar to a symmetric matrix.  Only `assemble_transport`
-imports scipy here, and no command calls it: a run sums the entries
-itself into the CSC arrays of its system, in 1D as in 2D, and `check`
-and `energy-report` never assemble an operator, so none of them loads
-scipy.sparse.
+is volume-similar to a symmetric matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ __all__ = [
     "BoundarySpec",
     "face_diffusivity",
     "face_diffusivities",
-    "assemble_transport",
     "discrete_norm",
 ]
 
@@ -312,33 +308,13 @@ def face_diffusivities(grid: StructuredGrid, coeff: CoefficientField) -> np.ndar
         for axis, (left, right, _, h_left, h_right) in enumerate(interior)], axis=1))
 
 
-def assemble_transport(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
-                       t: float = 0.0):
-    """Block-diagonal transport operator of every species, as one CSR matrix.
-
-    Block i, rows and columns i * ncells to (i + 1) * ncells, is species
-    i's negative diffusion divergence plus its upwind drift divergence.
-    Interior faces use distance-weighted harmonic means of the adjacent
-    per-cell diffusivities, so 1D piecewise-constant interface problems are
-    reproduced exactly at cell centers, and the average of the two cell
-    drifts, transported from the upwind cell.  Dirichlet walls eliminate
-    the ghost cell via a mirror value of zero and Robin walls add
-    alpha * area / volume to the diagonal; both admit outflow against a
-    zero exterior state.  Total-flux-zero walls drop both face terms, so
-    the volume-weighted column sums vanish (discrete conservation).  Each
-    block is a weakly diagonally dominant M-matrix.  One COO-to-CSR
-    conversion sums the entries of `_transport_entries`.
-    """
-    import scipy.sparse as sp
-
-    rows, cols, vals = _transport_entries(grid, coeff, bc, t)
-    size = coeff.m * grid.ncells
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-
-
 def _transport_entries(grid: StructuredGrid, coeff: CoefficientField, bc: BoundarySpec,
                        t: float):
-    """The COO entries of `assemble_transport`'s matrix, as numpy arrays (rows, cols, vals).
+    """The COO entries of every species' transport operator, as numpy arrays (rows, cols, vals).
+
+    Block i, rows and columns i * ncells to (i + 1) * ncells, is species
+    i's negative diffusion divergence plus its upwind drift divergence, a
+    weakly diagonally dominant M-matrix.
 
     Each face's diffusion and upwind coefficients are summed into one flux
     a*u_left + b*u_right, which leaves the left cell and enters the right

@@ -350,7 +350,7 @@ BUILTIN_SYSTEMS = {
 
 
 class ExpressionError(ValueError):
-    """A user expression failed to parse or used a disallowed construct."""
+    """A user expression failed to parse, used a disallowed construct or raised ArithmeticError."""
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -395,7 +395,8 @@ def compile_expression(text: str, m: int = 0, allow_time: bool = True) -> Callab
     min/max over the species symbols u1..um (none when m is 0), the space
     symbols x, y, which are always valid, and the time symbol t (unless
     allow_time is false).  Evaluation broadcasts over numpy arrays.
-    Positions default to zero when the caller passes x = None.
+    Positions default to zero when the caller passes x = None.  Python's own
+    ArithmeticError, such as 1/0, is an ExpressionError naming the expression.
     """
     names = {"x", "y"} | {f"u{i + 1}" for i in range(m)}
     if allow_time:
@@ -423,7 +424,10 @@ def compile_expression(text: str, m: int = 0, allow_time: bool = True) -> Callab
             env["y"] = xarr[1] if xarr.shape[0] > 1 else 0.0
         if allow_time:
             env["t"] = t
-        return eval(code, {"__builtins__": {}}, env)
+        try:
+            return eval(code, {"__builtins__": {}}, env)
+        except ArithmeticError as exc:
+            raise ExpressionError(f"{exc} in {text!r}") from None
 
     return evaluate
 

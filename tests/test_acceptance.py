@@ -35,7 +35,6 @@ from rdasim.grid import (
     Dirichlet,
     NoFluxWithDrift,
     StructuredGrid,
-    assemble_transport,
     discrete_norm,
     face_diffusivities,
 )
@@ -47,6 +46,7 @@ from rdasim.integrator import (
     run,
 )
 from rdasim.reactions import builtin_reversible_reaction, truncate
+from assembly import assemble_transport
 from steprows import run_with_steps
 
 TRAJECTORIES = {}

@@ -3,6 +3,7 @@
 import copy
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,13 +21,13 @@ from rdasim.cli import load_trajectory, main
 from rdasim.config import (
     CONFIG_SCHEMA,
     ConfigError,
-    _conforms,
     canonical_echo,
     config_hash,
     load_config,
     validate_config,
 )
 from rdasim.grid import discrete_norm
+from rdasim.schema import _violation
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -200,6 +201,27 @@ class TestConfigValidation:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, path, value, message", [
+        ("reversible", ("solver", "epsilon"), float("nan"), "solver/epsilon: nan"),
+        ("reversible", ("solver", "dt"), float("nan"), "solver/dt: nan"),
+        ("heat", ("solver", "t_end"), float("inf"), "solver/t_end: inf"),
+        ("epidemic", ("solver", "t_end"), float("nan"), "solver/t_end: nan"),
+        # the schema names builtin_args an object and nothing more
+        ("reversible", ("system",), {"builtin": "linear_decay", "builtin_args": {
+            "rate": float("nan")}, "initial": [1.0, 0.7]}, "system/builtin_args/rate: nan"),
+    ], ids=["epsilon-nan", "dt-nan", "t_end-inf", "epidemic-t_end-nan", "builtin-arg-nan"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, config, path, value, message):
+        # Python's json reads NaN and Infinity; every number must be finite
+        cfg = json.loads((REPO / "configs" / f"{config}.json").read_text())
+        *head, key = path
+        value_at(cfg, head)[key] = value
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: invalid config at {message} is not a finite number\n"
+        assert not out.exists()
+
     def test_null_record_dt_is_valid(self, tmp_path):
         cfg = heat_config(tmp_path / "out")
         cfg["solver"]["record_dt"] = None
@@ -264,8 +286,28 @@ def value_at(document, path):
 
 
 # a value at, next to or across each bound and type the schema draws
-EDGE_VALUES = [None, True, False, 0, 1, -1, 0.0, 1.0, 1.5, -0.5, float("nan"),
+EDGE_VALUES = [None, True, False, 0, 1, -1, 0.0, 1.0, 1.5, -0.5, float("nan"), float("inf"),
                "", "auto", "noflux", [], {}]
+
+
+def non_finite_paths(document):
+    """The path to every NaN or infinite number in a JSON document."""
+    return [path for path in instance_paths(document)
+            if isinstance(value_at(document, path), float)
+            and not math.isfinite(value_at(document, path))]
+
+
+def error_pairs(errors):
+    """(path, message) of every jsonschema error, and of every error in their contexts."""
+    for error in errors:
+        yield tuple(error.absolute_path), error.message
+        yield from error_pairs(error.context)
+
+
+def best_match(cfg):
+    """(path, message) of jsonschema's best-matching error for `cfg`, or None."""
+    error = jsonschema.exceptions.best_match(SCHEMA_VALIDATOR.iter_errors(cfg))
+    return None if error is None else (tuple(error.absolute_path), error.message)
 
 
 def single_edits(cfg):
@@ -330,7 +372,8 @@ def base_configs(tmp_path_factory):
 
 
 class TestSchemaWalker:
-    """`_conforms` accepts a config if and only if jsonschema does."""
+    """`_violation` rejects a config if and only if jsonschema does or the config
+    holds a non-finite number, and names a violation as jsonschema does."""
 
     def test_walks_every_keyword_the_schema_uses(self):
         walked = {"type", "enum", "const", "required", "properties", "additionalProperties",
@@ -342,23 +385,43 @@ class TestSchemaWalker:
         # the walker compares enum members and consts with ==, exact for strings only
         assert all(isinstance(member, str) for node in nodes
                    for member in node.get("enum", []) + [node.get("const", "")])
+        # "is too long" is jsonschema's wording for a positive maxItems only
+        assert all(node.get("maxItems", 1) > 0 for node in nodes)
 
     def test_shipped_configs_conform(self, base_configs):
-        assert all(_conforms(cfg, CONFIG_SCHEMA) for cfg in base_configs)
+        assert all(_violation(cfg, CONFIG_SCHEMA) is None for cfg in base_configs)
 
     def test_agrees_with_jsonschema_one_edit_from_a_shipped_config(self, base_configs):
-        verdicts = {True: 0, False: 0}
+        # with finite numbers the walker names best_match's path and message;
+        # an edit to NaN or inf is rejected at the number it wrote
+        verdicts = {True: 0, False: 0, "non-finite": 0}
         for cfg in (edited for base in base_configs for edited in single_edits(base)):
-            verdict = _conforms(cfg, CONFIG_SCHEMA)
-            assert verdict == SCHEMA_VALIDATOR.is_valid(cfg), cfg
-            verdicts[verdict] += 1
+            found = _violation(cfg, CONFIG_SCHEMA)
+            if bad := non_finite_paths(cfg):
+                [path] = bad
+                assert found == (path, f"{value_at(cfg, path)!r} is not a finite number"), cfg
+                verdicts["non-finite"] += 1
+                continue
+            assert found == best_match(cfg), cfg
+            verdicts[found is None] += 1
         assert min(verdicts.values()) > 100
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_agrees_with_jsonschema_on_mutated_configs(self, base_configs, data):
+        # of several violations the walker names one that jsonschema reports,
+        # perhaps inside a oneOf's context, or a non-finite number
         cfg = data.draw(mutated_configs(base_configs))
-        assert _conforms(cfg, CONFIG_SCHEMA) == SCHEMA_VALIDATOR.is_valid(cfg)
+        found = _violation(cfg, CONFIG_SCHEMA)
+        if bad := non_finite_paths(cfg):
+            assert found is not None
+            path, message = found
+            assert (path in bad and message.endswith(" is not a finite number")
+                    or found in set(error_pairs(SCHEMA_VALIDATOR.iter_errors(cfg)))), cfg
+            return
+        assert (found is None) == SCHEMA_VALIDATOR.is_valid(cfg)
+        if found is not None:
+            assert found in set(error_pairs(SCHEMA_VALIDATOR.iter_errors(cfg)))
 
     @pytest.mark.parametrize("path, value, valid", [
         # under draft 2020-12 a float with no fractional part is an integer
@@ -376,24 +439,32 @@ class TestSchemaWalker:
         (("diagnostics", "energy", 0, "weights"), True, False),
         (("bc", "all"), 1, False),
         (("bc", "all"), True, False),
-        # minimum constrains numbers only, and a NaN passes it
+        # minimum constrains numbers only; a NaN passes it in jsonschema,
+        # but the walker rejects every non-finite number
         (("solver", "record_dt"), None, True),
-        (("solver", "dt"), float("nan"), True),
+        (("solver", "dt"), float("nan"), False),
         (("solver", "dt"), 0, False),
     ])
     def test_draft_2020_12_traps(self, tmp_path, path, value, valid):
         cfg = heat_config(tmp_path / "out")
         *head, key = path
         value_at(cfg, head)[key] = value
-        assert SCHEMA_VALIDATOR.is_valid(cfg) == valid
-        assert _conforms(cfg, CONFIG_SCHEMA) == valid
+        if non_finite_paths(cfg):
+            assert SCHEMA_VALIDATOR.is_valid(cfg)
+            assert _violation(cfg, CONFIG_SCHEMA) == (path, "nan is not a finite number")
+        else:
+            assert SCHEMA_VALIDATOR.is_valid(cfg) == valid
+            assert _violation(cfg, CONFIG_SCHEMA) == best_match(cfg)
+        assert (_violation(cfg, CONFIG_SCHEMA) is None) == valid
 
     @pytest.mark.parametrize("value, valid", [(1, False), (1.5, True), ("1", False)])
     def test_one_of_needs_exactly_one_branch(self, value, valid):
         # CONFIG_SCHEMA's branches are disjoint, so this schema overlaps them
         schema = {"oneOf": [{"type": "number"}, {"type": "integer"}]}
-        assert jsonschema.validators.validator_for(schema)(schema).is_valid(value) == valid
-        assert _conforms(value, schema) == valid
+        validator = jsonschema.validators.validator_for(schema)(schema)
+        assert validator.is_valid(value) == valid
+        error = jsonschema.exceptions.best_match(validator.iter_errors(value))
+        assert _violation(value, schema) == (None if valid else ((), error.message))
 
 
 def reversible_config(out_dir, diffusion, weights, cells=32):
@@ -606,6 +677,22 @@ class TestUnbuildableConfig:
         assert err.startswith("config error: ")
         assert cause in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check", "run", "epsilon-study"])
+    @pytest.mark.parametrize("key", ["expressions", "initial"])
+    def test_arithmetic_error_exits_2_naming_the_expression(self, tmp_path, capsys, command,
+                                                             key):
+        # Python divides two int constants itself, so 1/0 raises where numpy gives inf
+        out = tmp_path / "out"
+        cfg = heat_config(out, cells=8, t_end=0.01)
+        cfg["system"][key] = ["1/0"]
+        config = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(config), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "division by zero in '1/0'" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 def outputs_without_config_identity(out):
@@ -1165,20 +1252,18 @@ def modules_after(package, *argvs, exit_code=0):
 
 class TestImportContract:
     """scipy is loaded only by the commands that assemble or solve, and
-    jsonschema only to explain an invalid config."""
+    jsonschema by none: the config's own walker explains a violation."""
 
     def test_valid_config_loads_no_jsonschema(self, tmp_path):
         argvs = [[command, "--config", str(REVERSIBLE), "--out", str(tmp_path), "--quiet"]
                  for command in ("check", "run", "energy-report", "epsilon-study")]
         assert modules_after("jsonschema", *argvs) == [[]] * (2 + len(argvs))
 
-    def test_invalid_config_loads_jsonschema_and_exits_2(self, tmp_path):
+    def test_invalid_config_exits_2_and_loads_no_jsonschema(self, tmp_path):
         cfg = json.loads(REVERSIBLE.read_text())
         cfg["grid"]["bogus"] = 1
         argv = ["check", "--config", str(write_config(tmp_path, cfg)), "--quiet"]
-        *imports, after = modules_after("jsonschema", argv, exit_code=2)
-        assert imports == [[], []]
-        assert "jsonschema" in after
+        assert modules_after("jsonschema", argv, exit_code=2) == [[], [], []]
 
     def test_check_and_energy_report_load_no_scipy(self, tmp_path, reversible_out):
         argvs = [["check", "--config", str(REPO / "configs" / f"{name}.json"),

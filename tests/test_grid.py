@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assembly import assemble_transport
 from rdasim.energy import EnergySpec, certify_weights, energy_time_derivative
 from rdasim.grid import (
     BoundarySpec,
@@ -13,7 +14,6 @@ from rdasim.grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
-    assemble_transport,
     discrete_norm,
     face_diffusivities,
     face_diffusivity,

@@ -24,7 +24,6 @@ from rdasim.grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
-    assemble_transport,
     discrete_norm,
 )
 from rdasim.diagnostics import mass_budget
@@ -42,6 +41,7 @@ from rdasim.integrator import (
     run,
     step,
 )
+from assembly import assemble_transport
 from steprows import run_with_steps
 
 from rdasim.reactions import (
@@ -173,7 +173,8 @@ class TestLinearSolve:
             "print(dgttrf is lapack.dgttrf, dgttrs is lapack.dgttrs)",
         ])
         src = str(Path(integrator.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tests = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", script, first],
                               env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, check=True)
@@ -190,7 +191,7 @@ class TestLinearSolve:
             "import numpy as np",
             "from rdasim import integrator",
             "from rdasim.grid import BoundarySpec, CoefficientField, NoFluxWithDrift, "
-            "StructuredGrid, assemble_transport",
+            "StructuredGrid",
             "from rdasim.reactions import builtin_reversible_reaction",
             "rng = np.random.default_rng(0)",
             "grid = StructuredGrid.uniform([(0.0, 1.0), (0.0, 1.0)], [32, 32])",
@@ -212,6 +213,7 @@ class TestLinearSolve:
             "superlu = sys.modules['scipy.sparse.linalg._dsolve._superlu']",
             "print(integrator._scipy_extension(superlu.__name__) is superlu,",
             "      splu.__globals__['_superlu'] is superlu, type(lu) is superlu.SuperLU)",
+            "from assembly import assemble_transport",
             "block = assemble_transport(grid, coeff, problem.boundary).tocsc()",
             "block.setdiag(block.diagonal() + 1.0 / 0.01)",
             "reference = splu(block, permc_spec='MMD_AT_PLUS_A', panel_size=1)",
@@ -219,7 +221,8 @@ class TestLinearSolve:
             "print(lu.solve(rhs).tobytes() == reference.solve(rhs).tobytes())",
         ])
         src = str(Path(integrator.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        tests = str(Path(__file__).resolve().parent)
+        path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", script, first],
                               env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, check=True)
