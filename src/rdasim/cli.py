@@ -257,6 +257,8 @@ def cmd_run(cfg, base_dir: Path, out_dir: Path, seed: int, quiet: bool) -> int:
         residual, budget_carry = diagnostics.mass_budget(times, masses, system,
                                                          grid.domain_volume, budget_carry)
         budget_max_abs = np.maximum(budget_max_abs, np.max(np.abs(residual)))
+        if not np.isfinite(budget_max_abs):
+            raise SolverError(f"the mass budget overflows float range by t={times[-1]:.6g}")
         if epi_steps is not None:
             write_host(np.column_stack([times, epi_steps.add(times, masses)]))
 

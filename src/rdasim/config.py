@@ -438,8 +438,6 @@ def build_boundary(cfg: dict, m: int, dim: int) -> BoundarySpec:
 
 
 def build_initial(entries, grid: StructuredGrid, m: int) -> np.ndarray:
-    if entries is None:
-        raise ConfigError("an initial state is required to run (system.initial)")
     if len(entries) != m:
         raise ConfigError(f"need {m} initial entries, got {len(entries)}")
     # an initial entry is a number or a bare expression string, never a CSV
@@ -456,19 +454,22 @@ def build_epi_params(cfg: dict, grid: StructuredGrid, base_dir: Path) -> EpiPara
     block = cfg["scenario"]["epi"]
     return EpiParams(
         grid=grid,
-        diffusivities=[_scalar_field(d, grid, base_dir) for d in block["diffusivities"]],
+        diffusivities=np.stack([_scalar_field(d, grid, base_dir) for d in block["diffusivities"]]),
         contact_rate=_scalar_field(block["contact_rate"], grid, base_dir),
         uptake_rate=_scalar_field(block["uptake_rate"], grid, base_dir),
         shedding=_scalar_field(block["shedding"], grid, base_dir),
-        waning_rate=block["waning_rate"],
-        recovery_rate=block["recovery_rate"],
-        mortality=block["mortality"],
-        pathogen_decay=block["pathogen_decay"],
         drift=_vector_field(block.get("drift", 0.0), grid, base_dir),
+        waning_rate=float(block["waning_rate"]),
+        recovery_rate=float(block["recovery_rate"]),
+        mortality=float(block["mortality"]),
+        pathogen_decay=float(block["pathogen_decay"]),
     )
 
 
 def build_solver_config(cfg: dict) -> SolverConfig:
     # only the keys the config sets, so SolverConfig's defaults apply;
     # epsilon is the truncation strength, which the state carries
-    return SolverConfig(**{k: v for k, v in cfg["solver"].items() if k != "epsilon"})
+    try:
+        return SolverConfig(**{k: v for k, v in cfg["solver"].items() if k != "epsilon"})
+    except ValueError as exc:  # the schema leaves only a t_end within rounding of 0
+        raise ConfigError(f"invalid config at solver/t_end: {exc}") from None

@@ -84,13 +84,13 @@ def no_growth(series: np.ndarray, tol: float = DEFAULT_GROWTH_TOL) -> bool:
     """Trend test: the last value stays within (1 + tol) of the early maximum.
 
     The early maximum is taken over the first three entries (or all of a
-    shorter series).
+    shorter series).  A series with an inf or NaN is not bounded.
     """
     series = np.asarray(series, dtype=float)
     if series.size == 0:
         return True
     head = series[: min(3, series.size)]
-    return bool(series[-1] <= np.max(head) * (1.0 + tol))
+    return bool(np.isfinite(series).all() and series[-1] <= np.max(head) * (1.0 + tol))
 
 
 def energy_trace(traj: Trajectory, specs) -> np.ndarray:

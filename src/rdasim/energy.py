@@ -47,7 +47,8 @@ __all__ = [
     "select_weights",
 ]
 
-# the most multi-indices one energy spec may enumerate (config input reaches it)
+# the most rows, multi-indices or factorials, an energy spec's tables may hold
+# (config input reaches it)
 INDEX_CAP = 10**6
 
 # exponent magnitude beyond which float powers are accumulated in log space
@@ -83,11 +84,11 @@ def _index_tuples(m: int, p: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_index_budget(m: int, p: int) -> None:
+    # the coefficients need p + 1 factorials, which bounds p when m = 1
     n = count_multi_indices(m, p)
-    if n > INDEX_CAP:
-        raise IndexBudgetError(
-            f"enumeration of {n} multi-indices (m={m}, p={p}) exceeds cap {INDEX_CAP}"
-        )
+    if max(n, p + 1) > INDEX_CAP:
+        raise IndexBudgetError(f"enumeration of {n} multi-indices and {p + 1} factorials "
+                               f"(m={m}, p={p}) exceeds cap {INDEX_CAP}")
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +117,7 @@ class EnergySpec:
     `weights` may be any non-empty sequence of strictly positive values; it
     is stored as a read-only float array, since the coefficient tables,
     computed once and reused, depend on it.  Construction fails if the
-    multi-index enumeration for (m, p) exceeds `INDEX_CAP`.
+    tables for (m, p) would exceed `INDEX_CAP` rows.
     """
 
     p: int

@@ -69,76 +69,44 @@ class AssumptionViolation(RuntimeError):
         self.violations = violations
 
 
-def _cellwise(grid: StructuredGrid, value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.ncells, float(arr))
-    arr = arr.ravel()
-    if arr.size != grid.ncells:
-        raise ValueError(f"{name} has {arr.size} values for {grid.ncells} cells")
-    return arr
-
-
 @dataclass
 class EpiParams:
-    """Parameter pack for the host-pathogen scenario.
-
-    Per-cell fields accept scalars (broadcast) or length-ncells arrays.
-    The pathogen drift is a (dim, ncells) field, a per-axis list, or a
-    scalar.
+    """The scenario's inputs as `config.build_epi_params` builds them: per-cell
+    arrays of the shapes below and four float rates, which `validate_params`
+    checks.
     """
 
     grid: StructuredGrid
-    diffusivities: object            # (4, ncells) or per-species scalars
-    contact_rate: object             # sigma_I
-    uptake_rate: object              # sigma_B
-    shedding: object                 # phi
+    diffusivities: np.ndarray        # (4, ncells)
+    contact_rate: np.ndarray         # sigma_I, (ncells,)
+    uptake_rate: np.ndarray          # sigma_B, (ncells,)
+    shedding: np.ndarray             # phi, (ncells,)
+    drift: np.ndarray                # pathogen drift, (dim, ncells)
     waning_rate: float               # recovered -> susceptible
     recovery_rate: float             # infected -> recovered
     mortality: float                 # infected removal
     pathogen_decay: float
-    drift: object = 0.0              # pathogen drift
-
-    def __post_init__(self):
-        g = self.grid
-        diff = self.diffusivities
-        if np.asarray(diff, dtype=object).ndim == 0:
-            diff = [diff] * 4
-        if len(diff) != 4:
-            raise ValueError("need one diffusivity per species (4)")
-        self.diffusivities = np.stack([_cellwise(g, d, f"diffusivity[{k}]")
-                                       for k, d in enumerate(diff)])
-        self.contact_rate = _cellwise(g, self.contact_rate, "contact_rate")
-        self.uptake_rate = _cellwise(g, self.uptake_rate, "uptake_rate")
-        self.shedding = _cellwise(g, self.shedding, "shedding")
-        self.drift = self._drift_field(self.drift)
-        for name in ("waning_rate", "recovery_rate", "mortality", "pathogen_decay"):
-            val = float(getattr(self, name))
-            if not val > 0:
-                raise ValueError(f"{name} must be positive, got {val}")
-            setattr(self, name, val)
-
-    def _drift_field(self, value) -> np.ndarray:
-        g = self.grid
-        arr = np.asarray(value, dtype=float)
-        if arr.ndim == 0:
-            return np.full((g.dim, g.ncells), float(arr))
-        if arr.ndim == 1 and arr.size == g.dim:
-            return np.repeat(arr[:, None], g.ncells, axis=1)
-        if arr.shape == (g.dim, g.ncells):
-            return arr
-        raise ValueError(f"drift must be scalar, per-axis, or (dim, ncells); got {arr.shape}")
 
 
 def validate_params(params: EpiParams) -> None:
-    """Check the scenario assumptions cellwise; raise on any violation.
+    """The scenario's one validator: shapes and rates, then its assumptions cellwise.
 
-    Checked: a positive lower bound for every diffusivity, finiteness of
-    the drift, two-sided positive bounds for both transmission rates, and
-    the shedding bound (shedding never exceeds the mortality rate, the
-    hypothesis behind the decay of the epidemic).  The raised error lists
-    every violation with its cell locations.
+    A field whose shape is not the one `EpiParams` lists, or a rate that is
+    not positive, raises ValueError.  AssumptionViolation then lists, with
+    their cell locations, the violations of: a positive lower bound for
+    every diffusivity, a finite drift, two-sided positive bounds for both
+    transmission rates, and the shedding bound (shedding never exceeds the
+    mortality rate, the hypothesis behind the decay of the epidemic).
     """
+    n = params.grid.ncells
+    shapes = dict(diffusivities=(4, n), contact_rate=(n,), uptake_rate=(n,), shedding=(n,),
+                  drift=(params.grid.dim, n))
+    for name, shape in shapes.items():
+        if np.shape(getattr(params, name)) != shape:
+            raise ValueError(f"{name} has shape {np.shape(getattr(params, name))}, not {shape}")
+    for name in ("waning_rate", "recovery_rate", "mortality", "pathogen_decay"):
+        if not getattr(params, name) > 0:
+            raise ValueError(f"{name} must be positive, got {getattr(params, name)}")
     violations = []
 
     def flag(assumption, message, cells):
@@ -186,13 +154,9 @@ def build_epi_system(params: EpiParams) -> tuple[ReactionSystem, BoundarySpec]:
     """
     validate_params(params)
     grid = params.grid
-    sigma_i = params.contact_rate
-    sigma_b = params.uptake_rate
-    phi = params.shedding
-    gamma_w = params.waning_rate
-    lam = params.recovery_rate
-    alpha = params.mortality
-    delta_b = params.pathogen_decay
+    sigma_i, sigma_b, phi = params.contact_rate, params.uptake_rate, params.shedding
+    gamma_w, lam = params.waning_rate, params.recovery_rate
+    alpha, delta_b = params.mortality, params.pathogen_decay
 
     uniform_rates = all(np.ptp(arr) == 0.0 for arr in (sigma_i, sigma_b, phi))
     exchange = np.array([

@@ -136,6 +136,11 @@ class SimState:
         return self.fields.shape[0]
 
 
+def _rounding(t_end: float) -> float:
+    """How near t_end a time counts as t_end: 1e-12 of it, and 1e-12 below 1."""
+    return 1e-12 * max(1.0, abs(t_end))
+
+
 @dataclass
 class SolverConfig:
     dt: float
@@ -144,8 +149,10 @@ class SolverConfig:
     record_dt: float | None = None  # None records every accepted step
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end <= 0:
-            raise ValueError("dt and t_end must be positive")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not self.t_end > _rounding(self.t_end):
+            raise ValueError(f"t_end {self.t_end!r} lies within rounding of 0: no step is taken")
         if self.record_dt is not None and not self.record_dt > 0:
             raise ValueError(f"record_dt must be positive or None, got {self.record_dt}")
 
@@ -308,15 +315,19 @@ class TransportOperators:
     factorized the first time its dt is solved and cached per dt value, so
     every step is a direct solve.  At 128^2 cells the 2D L + U hold 664k
     nonzeros per species (about 7 MB resident): a factorization takes
-    30-50 ms and a solve about 1.5 ms.  A singular system raises
-    LinearSolveError.
+    30-50 ms and a solve about 1.5 ms.  A non-finite entry of A (when D/h^2
+    overflows, say) or a singular system raises LinearSolveError.
     """
 
     def __init__(self, problem: Problem, t: float):
         self.problem = problem
         grid, coeff = problem.grid, problem.coefficients
         entries = _transport_entries(grid, coeff, problem.boundary, t)
-        self.csc = _csc_arrays(*entries, coeff.m * grid.ncells)
+        self.csc = data, indices, indptr, _ = _csc_arrays(*entries, coeff.m * grid.ncells)
+        if not np.isfinite(data).all():
+            k = np.flatnonzero(~np.isfinite(data))[0]
+            raise LinearSolveError(f"entry ({indices[k]}, {indptr.searchsorted(k, 'right') - 1})"
+                                   f" of the transport operator at t={t:.6g} is {data[k]}")
         self._systems: dict[float, object] = {}
 
     def _system(self, dt: float):
@@ -422,7 +433,7 @@ def _march(state: SimState, cfg: SolverConfig, problem: Problem):
     epoch's operators are released once the generator is exhausted.
     """
     t_end = cfg.t_end
-    eps_round = 1e-12 * max(1.0, abs(t_end))
+    eps_round = _rounding(t_end)
     switches = [s for s in problem.coefficients.switch_times() if state.t < s < t_end]
     t0, passed = state.t, 0.0
     centers = _reaction_points(problem.grid, state.fields)

@@ -61,15 +61,15 @@ def desk_epi_params(grid):
     jump = np.where(grid.cell_centers[0] < 0.5, 0.1, 0.01)
     return EpiParams(
         grid=grid,
-        diffusivities=[jump, jump, jump, jump],
-        contact_rate=1.0,
-        uptake_rate=1.0,
-        shedding=0.25,
+        diffusivities=np.stack([jump, jump, jump, jump]),
+        contact_rate=np.ones(grid.ncells),
+        uptake_rate=np.ones(grid.ncells),
+        shedding=np.full(grid.ncells, 0.25),
+        drift=np.full((grid.dim, grid.ncells), 0.05),
         waning_rate=0.1,
         recovery_rate=0.2,
         mortality=0.3,
         pathogen_decay=0.5,
-        drift=0.05,
     )
 
 

@@ -1,19 +1,22 @@
 """Config validation, command dispatch, serialization, determinism."""
 
+import contextlib
 import copy
 import importlib.util
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rdasim import integrator, output
@@ -39,6 +42,15 @@ def reversible_out(tmp_path_factory):
     """Output directory of one `run` of the shipped reversible config."""
     out = tmp_path_factory.mktemp("reversible")
     assert main(["run", "--config", str(REVERSIBLE), "--out", str(out), "--quiet"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def heat_out(tmp_path_factory):
+    """Output directory of one `run` of the shipped heat config."""
+    out = tmp_path_factory.mktemp("heat")
+    assert main(["run", "--config", str(REPO / "configs" / "heat.json"), "--out", str(out),
+                 "--quiet"]) == 0
     return out
 
 
@@ -221,6 +233,20 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err == f"config error: invalid config at {message} is not a finite number\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "epsilon-study"])
+    @pytest.mark.parametrize("t_end", [1e-12, 1e-300])
+    def test_t_end_within_rounding_of_zero_exits_2(self, tmp_path, capsys, command, t_end):
+        # a run stops within rounding of t_end, so it would take no step
+        cfg = json.loads(REVERSIBLE.read_text())
+        cfg["solver"]["t_end"] = t_end
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid config at solver/t_end: ")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_null_record_dt_is_valid(self, tmp_path):
         cfg = heat_config(tmp_path / "out")
@@ -905,20 +931,101 @@ class TestEnergyWeightLength:
 class TestEnergyOrderBudget:
     """An energy order too large to enumerate is a config error, with exit 2."""
 
-    @pytest.mark.parametrize("weights", [[1.0, 2.0], "auto"], ids=["explicit", "auto"])
+    @pytest.mark.parametrize("config, p, weights", [
+        ("reversible", 2000000, [1.0, 2.0]),
+        ("reversible", 2000000, "auto"),
+        # one species has one multi-index of any order, but p + 1 factorials;
+        # 2^63 would overflow the int64 index table
+        ("heat", 2**63, [1.0]),
+    ], ids=["explicit", "auto", "one-species"])
     @pytest.mark.parametrize("command", ["check", "run", "energy-report"])
-    def test_exits_2_naming_the_order(self, tmp_path, capsys, reversible_out, command, weights):
-        cfg = json.loads(REVERSIBLE.read_text())
-        cfg["diagnostics"]["energy"] = [{"p": 2000000, "weights": weights}]
+    def test_exits_2_naming_the_order(self, tmp_path, capsys, request, command, config, p,
+                                      weights):
+        cfg = json.loads((REPO / "configs" / f"{config}.json").read_text())
+        cfg["diagnostics"]["energy"] = [{"p": p, "weights": weights}]
         path = write_config(tmp_path, cfg)
-        out = reversible_out if command == "energy-report" else tmp_path / "out"
+        # energy-report reads a stored trajectory, so it gets as far as the energies
+        out = (request.getfixturevalue(f"{config}_out") if command == "energy-report"
+               else tmp_path / "out")
         before = sorted(out.rglob("*")) if out.exists() else []
         assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: diagnostics.energy entry with p=2000000: "
-                              "enumeration of 2000001 multi-indices")
+        count = math.comb(p + len(cfg["system"]["initial"]) - 1, p)
+        assert err.startswith(f"config error: diagnostics.energy entry with p={p}: "
+                              f"enumeration of {count} multi-indices and {p + 1} factorials")
         assert "Traceback" not in err
         assert sorted(out.rglob("*")) == before
+
+
+def fuzz_base(name):
+    """A shipped config cut to 8 cells and 50 steps of its dt."""
+    cfg = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    cfg["grid"]["cells"] = [8]
+    cfg["solver"]["t_end"] = 50 * cfg["solver"]["dt"]
+    return cfg
+
+
+FUZZ_BASES = {name: fuzz_base(name) for name in ("epidemic", "heat", "reversible")}
+# beyond the schema's bounds and float range, and strings that do not parse or evaluate
+FUZZ_VALUES = [0, -1, 1e300, -1e300, 2**63, float("nan"), float("inf"), float("-inf"), "",
+               "1/0", "0/0", "exp(1000)", [], {}, None, True]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A base's name and one or two of its leaves, each with an edge value."""
+    name = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    base = FUZZ_BASES[name]
+    leaves = [path for path in instance_paths(base)
+              if not isinstance(value_at(base, path), (dict, list))]
+    return name, draw(st.lists(st.tuples(st.sampled_from(leaves), st.sampled_from(FUZZ_VALUES)),
+                               min_size=1, max_size=2))
+
+
+def within_budget(cfg):
+    """Whether a config is invalid, or runs on at most 8 cells for at most 50 steps of dt."""
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        return True
+    solver = cfg["solver"]
+    return math.prod(cfg["grid"]["cells"]) <= 8 and solver["t_end"] <= 50 * solver["dt"]
+
+
+class TestFuzzedConfigs:
+    """Every edited config exits 0, 2, 3 or 4 without a traceback, and a run that
+    exits 0 took steps and reports finite solver numbers."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(case=fuzzed_configs())
+    @example(case=("heat", [(("diagnostics", "energy"), [{"p": 2**63, "weights": [1.0]}])]))
+    @example(case=("reversible", [(("solver", "t_end"), 1e-12)]))
+    @example(case=("heat", [(("grid", "extents"), [[0.0, 1e-300]])]))
+    @example(case=("reversible", [(("diagnostics", "energy"),
+                                   [{"p": 4, "weights": [1.0, 1e20]}])]))
+    # found by this fuzzer: K1 * mass overflows float range
+    @example(case=("heat", [(("system", "mass_constants", 0), 1e300),
+                            (("system", "initial", 0), 1e300)]))
+    def test_check_and_run_exit_cleanly(self, case):
+        name, edits = case
+        cfg = copy.deepcopy(FUZZ_BASES[name])
+        for (*head, key), value in edits:
+            value_at(cfg, head)[key] = value
+        assume(within_budget(cfg))
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"):
+            path = write_config(Path(tmp), cfg)
+            out = Path(tmp) / "out"
+            for command in ("check", "run"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main([command, "--config", str(path), "--out", str(out), "--quiet"])
+                assert code in (0, 2, 3, 4), (command, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+            if code == 0:
+                summary = json.loads((out / "summary.json").read_text())
+                assert summary["steps"] > 0
+                assert all(math.isfinite(float(summary[key])) for key in (
+                    "final_time", "min_value", "mass_budget_max_abs", "halvings_total"))
 
 
 def fresh_peak_mb(*argv):
@@ -1202,6 +1309,58 @@ class TestGrowthFixtureFlag:
         assert main(["energy-report", "--config", str(path), "--quiet"]) == 0
         payload = json.loads((out / "energy_report.json").read_text())
         assert payload["energies"][0]["bounded_no_growth"] is False
+
+
+class TestInfiniteEnergy:
+    def test_run_flags_an_infinite_energy_unbounded(self, tmp_path):
+        # weights the certificate rejects: 1e20^16 overflows at every snapshot
+        out = tmp_path / "out"
+        cfg = json.loads(REVERSIBLE.read_text())
+        cfg["diagnostics"]["energy"] = [{"p": 4, "weights": [1.0, 1e20]}]
+        cfg["solver"]["t_end"] = 1.0
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                         "--quiet"]) == 0
+        (record,) = json.loads((out / "summary.json").read_text())["energy"]
+        assert record["sup_value"] == record["initial_value"] == "inf"
+        assert record["bounded_no_growth"] is False
+
+
+class TestNonFiniteOperator:
+    @pytest.mark.parametrize("cells, extents", [
+        ([8], [[0.0, 1e-300]]),
+        ([4, 4], [[0.0, 1e-300], [0.0, 1.0]]),
+    ], ids=["1d", "2d"])
+    def test_exits_4_naming_the_entry(self, tmp_path, capsys, cells, extents):
+        # D/h^2 overflows to inf: unchecked, 1D would halve 20 times over a NaN
+        # state and 2D's SuperLU would call the system singular
+        out = tmp_path / "out"
+        cfg = heat_config(out, t_end=0.01)
+        cfg["grid"] = {"cells": cells, "extents": extents}
+        with np.errstate(over="ignore"):
+            assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err == "solver failure: entry (0, 0) of the transport operator at t=0 is inf\n"
+        assert list(out.iterdir()) == []
+
+
+class TestOverflowingMassBudget:
+    @pytest.mark.parametrize("system, length", [
+        ({"mass_constants": [1e300, 0.0], "initial": [1e300]}, 1.0),  # K1 * mass
+        ({"initial": [1e300]}, 2.0**63),                              # the mass itself
+        ({"mass_constants": [0.0, 1e300]}, 1e300),                    # K2 * |domain|
+    ], ids=["k1-mass", "mass", "k2-volume"])
+    def test_exits_4_leaving_no_outputs(self, tmp_path, capsys, system, length):
+        # each product overflows float range, so the budget would read inf or NaN
+        out = tmp_path / "out"
+        cfg = heat_config(out, cells=8, t_end=0.01)
+        cfg["grid"]["extents"] = [[0.0, length]]
+        cfg["system"].update(system)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--quiet"]) == 4
+        err = capsys.readouterr().err
+        assert err == "solver failure: the mass budget overflows float range by t=0.01\n"
+        assert list(out.iterdir()) == []
 
 
 class TestVtkOrdering:

@@ -273,3 +273,10 @@ class TestNoGrowth:
 
     def test_growth(self):
         assert not no_growth(np.exp(np.linspace(0, 1, 20)))
+
+    @pytest.mark.parametrize("series", [np.full(10, np.inf), [1.0, 1.0, np.inf, 1.0],
+                                        [1.0, np.nan, 1.0, 1.0]],
+                             ids=["all-inf", "inf-inside", "nan-inside"])
+    def test_non_finite_is_not_bounded(self, series):
+        # inf <= inf: the trend comparison alone would call an infinite energy bounded
+        assert not no_growth(series)

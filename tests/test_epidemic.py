@@ -32,15 +32,15 @@ def desk_params(grid=None, shedding=0.25, drift=0.05):
     jump = np.where(grid.cell_centers[0] < 0.5, 0.1, 0.01)
     return EpiParams(
         grid=grid,
-        diffusivities=[jump, jump, jump, jump],
-        contact_rate=1.0,
-        uptake_rate=1.0,
-        shedding=shedding,
+        diffusivities=np.stack([jump, jump, jump, jump]),
+        contact_rate=np.ones(grid.ncells),
+        uptake_rate=np.ones(grid.ncells),
+        shedding=np.full(grid.ncells, shedding, dtype=float),
+        drift=np.full((grid.dim, grid.ncells), drift),
         waning_rate=0.1,
         recovery_rate=0.2,
         mortality=0.3,
         pathogen_decay=0.5,
-        drift=drift,
     )
 
 
@@ -111,12 +111,26 @@ class TestValidateParams:
         d = np.ones(8)
         d[0] = 0.0
         params = EpiParams(
-            grid=grid, diffusivities=[d, d, d, d], contact_rate=1.0,
-            uptake_rate=1.0, shedding=0.1, waning_rate=0.1, recovery_rate=0.2,
-            mortality=0.3, pathogen_decay=0.5,
+            grid=grid, diffusivities=np.stack([d, d, d, d]), contact_rate=np.ones(8),
+            uptake_rate=np.ones(8), shedding=np.full(8, 0.1), drift=np.zeros((1, 8)),
+            waning_rate=0.1, recovery_rate=0.2, mortality=0.3, pathogen_decay=0.5,
         )
         with pytest.raises(AssumptionViolation, match="diffusivity-lower-bound"):
             validate_params(params)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("contact_rate", 1.0, r"contact_rate has shape \(\), not \(64,\)"),
+        ("diffusivities", np.ones((3, 64)), r"diffusivities has shape \(3, 64\), not \(4, 64\)"),
+        ("drift", np.zeros(64), r"drift has shape \(64,\), not \(1, 64\)"),
+        ("mortality", 0.0, "mortality must be positive, got 0.0"),
+        ("waning_rate", np.nan, "waning_rate must be positive, got nan"),
+    ], ids=["scalar-rate", "three-diffusivities", "flat-drift", "zero-rate", "nan-rate"])
+    def test_shape_or_rate_fault_is_a_value_error(self, name, value, message):
+        # checked before the assumptions, which read these fields cell by cell
+        params = desk_params(shedding=0.6)
+        setattr(params, name, value)
+        with pytest.raises(ValueError, match=message):
+            build_epi_system(params)
 
     def test_transmission_must_be_positive(self):
         params = desk_params()
@@ -230,8 +244,11 @@ class TestMatrixFormEvaluator:
         shape = () if uniform else (self.CELLS,)
         sigma_i, sigma_b = (data.draw(arrays(float, shape, elements=rates)) for _ in range(2))
         phi = data.draw(arrays(float, shape, elements=st.floats(0.0, alpha)))
-        params = EpiParams(grid=grid, diffusivities=0.1, contact_rate=sigma_i,
-                           uptake_rate=sigma_b, shedding=phi, waning_rate=gamma_w,
+        # a uniform rate is the same value in every cell
+        sigma_i, sigma_b, phi = (np.broadcast_to(r, self.CELLS) for r in (sigma_i, sigma_b, phi))
+        params = EpiParams(grid=grid, diffusivities=np.full((4, self.CELLS), 0.1),
+                           contact_rate=sigma_i, uptake_rate=sigma_b, shedding=phi,
+                           drift=np.zeros((1, self.CELLS)), waning_rate=gamma_w,
                            recovery_rate=lam, mortality=alpha, pathogen_decay=delta_b)
         system, _ = build_epi_system(params)
         rates_per_cell = (params.contact_rate, params.uptake_rate, params.shedding)
