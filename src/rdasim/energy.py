@@ -104,10 +104,13 @@ def _poly_weights(p: int, idx: np.ndarray) -> np.ndarray:
 
     The factorials are Python integers (object dtype), so every quotient is
     exact before the conversion to float; the order of a row never exceeds
-    p, so its factorial product divides p!.
+    p, so its factorial product divides p!.  They are built as a running
+    product: p + 1 separate factorials would take time quadratic in p.
     """
-    factorials = np.array([math.factorial(k) for k in range(p + 1)], dtype=object)
-    return (math.factorial(p) // factorials[idx].prod(axis=1)).astype(float)
+    factorials = [1]
+    for k in range(1, p + 1):
+        factorials.append(factorials[-1] * k)
+    return (factorials[p] // np.array(factorials, dtype=object)[idx].prod(axis=1)).astype(float)
 
 
 @dataclass(eq=False)
@@ -222,7 +225,8 @@ def energy_density(u, spec: EnergySpec):
             zero_hit = (batch[active] == 0.0).any(axis=0) if active.any() else np.zeros(batch.shape[1], bool)
             if active.any():
                 term += row[active].astype(float) @ logu[active]
-            vals = np.exp(term)
+            with np.errstate(over="ignore"):
+                vals = np.exp(term)  # inf: the energy is reported as not bounded
             vals[zero_hit] = 0.0
             out += vals
     return float(out[0]) if single else out

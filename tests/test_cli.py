@@ -1312,15 +1312,16 @@ class TestGrowthFixtureFlag:
 
 
 class TestInfiniteEnergy:
+    # numpy's overflow warning must not reach stderr: the record says inf
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_run_flags_an_infinite_energy_unbounded(self, tmp_path):
         # weights the certificate rejects: 1e20^16 overflows at every snapshot
         out = tmp_path / "out"
         cfg = json.loads(REVERSIBLE.read_text())
         cfg["diagnostics"]["energy"] = [{"p": 4, "weights": [1.0, 1e20]}]
         cfg["solver"]["t_end"] = 1.0
-        with np.errstate(over="ignore"):
-            assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
-                         "--quiet"]) == 0
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out),
+                     "--quiet"]) == 0
         (record,) = json.loads((out / "summary.json").read_text())["energy"]
         assert record["sup_value"] == record["initial_value"] == "inf"
         assert record["bounded_no_growth"] is False
@@ -1331,14 +1332,15 @@ class TestNonFiniteOperator:
         ([8], [[0.0, 1e-300]]),
         ([4, 4], [[0.0, 1e-300], [0.0, 1.0]]),
     ], ids=["1d", "2d"])
+    # numpy's overflow warnings must not reach stderr ahead of the named error
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_exits_4_naming_the_entry(self, tmp_path, capsys, cells, extents):
         # D/h^2 overflows to inf: unchecked, 1D would halve 20 times over a NaN
         # state and 2D's SuperLU would call the system singular
         out = tmp_path / "out"
         cfg = heat_config(out, t_end=0.01)
         cfg["grid"] = {"cells": cells, "extents": extents}
-        with np.errstate(over="ignore"):
-            assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--quiet"]) == 4
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--quiet"]) == 4
         err = capsys.readouterr().err
         assert err == "solver failure: entry (0, 0) of the transport operator at t=0 is inf\n"
         assert list(out.iterdir()) == []

@@ -125,6 +125,27 @@ class TestMultinomialCoefficient:
         for row, w in zip(idx.tolist(), weights):
             assert w == float(multinomial(p, row))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equal_independent_factorials(self, m):
+        # rows of order p, and of the lower orders p - 1 and p - 2 the
+        # derivative tables read, for every p <= 60
+        for p in range(61):
+            factorials = np.array([math.factorial(k) for k in range(p + 1)], dtype=object)
+            for q in range(max(0, p - 2), p + 1):
+                idx = _index_array(m, q)
+                expected = (math.factorial(p) // factorials[idx].prod(axis=1)).astype(float)
+                assert _poly_weights(p, idx).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("p", [1, 60, 3000])
+    def test_factorials_are_one_running_product(self, monkeypatch, p):
+        # p + 1 separate factorials take time quadratic in p: 0.5 s at p = 3000
+        calls = []
+        real = math.factorial
+        monkeypatch.setattr(math, "factorial", lambda k: calls.append(k) or real(k))
+        # one species: the only row is (p,), weighted 1, as in EnergySpec(p, [1.0])
+        assert _poly_weights(p, _index_array(1, p)).tolist() == [1.0]
+        assert len(calls) <= 1
+
 
 class TestEnergyDensity:
     def test_multinomial_reduction(self):

@@ -24,6 +24,7 @@ from rdasim.grid import (
     NoFluxWithDrift,
     Robin,
     StructuredGrid,
+    _transport_entries,
     discrete_norm,
 )
 from rdasim.diagnostics import mass_budget
@@ -87,7 +88,7 @@ def direct_solve(a, b, dim, dt=np.inf):
                       BoundarySpec.uniform(1, dim, NoFluxWithDrift()))
     ops = TransportOperators(problem, 0.0)
     entries = sp.coo_matrix(a)
-    ops.csc = integrator._csc_arrays(entries.row, entries.col, entries.data, grid.ncells)
+    ops.csc = integrator._csc_arrays(entries.row, entries.col, entries.data, grid.ncells)[:4]
     return ops.solve(dt, np.asarray(b, dtype=float)[None, :])[0]
 
 
@@ -396,13 +397,58 @@ class TestTransportSolve:
         assert np.array_equal(indptr, block.indptr)
         assert indices.dtype == indptr.dtype == np.intc
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 2), m=st.integers(1, 3),
+           switches=st.integers(1, 3))
+    def test_later_epochs_sum_into_the_first_pattern(self, data, dim, m, switches):
+        # the pattern depends only on the grid and the walls: each later epoch
+        # sums its own entries into the first epoch's arrays, bit for bit the
+        # arrays `_csc_arrays` builds from those entries alone
+        def draw(lo, hi, shape):
+            return data.draw(arrays(np.float64, shape, elements=st.floats(lo, hi)))
+
+        grid = StructuredGrid([draw(0.05, 1.0, (data.draw(st.integers(1, 12)),))
+                               for _ in range(dim)])
+        shape = (m, dim, grid.ncells)
+        coeff = CoefficientField(grid, draw(1e-3, 10.0, shape), draw(-2.0, 2.0, shape),
+                                 schedule=[(0.25 * k, draw(1e-3, 10.0, shape),
+                                            draw(-2.0, 2.0, shape))
+                                           for k in range(1, switches + 1)])
+        walls = st.one_of(st.just(Dirichlet()), st.builds(Robin, st.floats(0.0, 5.0)),
+                          st.just(NoFluxWithDrift()))
+        boundary = BoundarySpec(tuple({side: data.draw(walls)
+                                       for side in ("x_lo", "x_hi", "y_lo", "y_hi")[:2 * dim]}
+                                      for _ in range(m)), dim)
+        built = []
+
+        class Recording(TransportOperators):
+            def __init__(self, problem, t, pattern=None):
+                super().__init__(problem, t, pattern)
+                built.append((t, self.csc))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrator, "TransportOperators", Recording)
+            run(SimState(0.0, np.ones((m, grid.ncells)), 1.0), SolverConfig(dt=0.1, t_end=1.0),
+                Problem(grid, zero_reactions(m), coeff, boundary))
+        assert len(built) == switches + 1
+        (_, first), *later = built
+        for t, csc in later:
+            entries = _transport_entries(grid, coeff, boundary, t)
+            expected = integrator._csc_arrays(*entries, m * grid.ncells)[:4]
+            for got, want in zip(csc, expected):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            # the first epoch's pattern, not a copy of it
+            assert all(got is kept for got, kept in zip(csc[1:], first[1:]))
+
     @pytest.mark.parametrize("size", [46340, 46341])
     def test_csc_arrays_past_int32_keys(self, size):
         # col * size + row overflows int32 from 46341 rows on: the keys widen
         rows = np.array([size - 1, 0, size - 1, 7, size - 1], dtype=np.int32)
         cols = np.array([size - 1, size - 1, 3, 7, size - 1], dtype=np.int32)
         vals = np.array([0.5, -1.0, 2.0, 0.25, 0.125])
-        data, indices, indptr, diagonal = integrator._csc_arrays(rows, cols, vals, size)
+        data, indices, indptr, diagonal, slots = integrator._csc_arrays(rows, cols, vals, size)
+        # the slots sum the entries into the same data bit for bit
+        assert np.array_equal(np.bincount(slots, vals, minlength=data.size), data)
         block = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr().tocsc()
         block.setdiag(block.diagonal() + 4.0)
         data[diagonal] += 4.0
@@ -824,6 +870,56 @@ class TestRun:
                    SolverConfig(dt=0.05, t_end=1.0), problem)
         assert traj.halvings_total == 0
         assert factored == [(60, 60), (60, 60)]
+
+    @pytest.mark.parametrize("dim, switches", [(1, 1), (2, 3), (2, 0)])
+    def test_pattern_is_computed_once_per_run(self, monkeypatch, dim, switches):
+        # k switches: a run and a ladder each build k + 1 operators, and only
+        # the first computes the sparsity pattern; with no switch, no epoch
+        # reads it, so its entry slots are not kept
+        problem = make_problem(builtin_reversible_reaction(), n=6, drift=0.3,
+                               bc=Dirichlet(), dim=dim)
+        grid, coeff = problem.grid, problem.coefficients
+        rng = np.random.default_rng(dim)
+        problem.coefficients = CoefficientField(
+            grid, coeff.epochs[0][1], coeff.epochs[0][2],
+            schedule=[(k / (switches + 1), rng.uniform(0.01, 1.0, size=(2, dim, grid.ncells)),
+                       rng.uniform(-1.0, 1.0, size=(2, dim, grid.ncells)))
+                      for k in range(1, switches + 1)])
+        built, patterns = [], []
+        real_init, real_csc_arrays = TransportOperators.__init__, integrator._csc_arrays
+
+        def counting_init(self, *args):
+            built.append(self)
+            real_init(self, *args)
+
+        def counting_csc_arrays(*args):
+            patterns.append(args[-1])
+            return real_csc_arrays(*args)
+
+        monkeypatch.setattr(TransportOperators, "__init__", counting_init)
+        monkeypatch.setattr(integrator, "_csc_arrays", counting_csc_arrays)
+        fields = rng.uniform(0.5, 1.5, size=(2, grid.ncells))
+        cfg = SolverConfig(dt=0.05, t_end=1.0)
+        run(SimState(0.0, fields, 1e-6), cfg, problem)
+        epsilon_refinement_study(problem, fields, [1e-2, 1e-4], cfg)
+        assert len(built) == 2 * (switches + 1)
+        assert patterns == [2 * grid.ncells] * 2
+        assert all((ops.pattern is None) == (switches == 0) for ops in built)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_later_epoch_overflow_names_its_entry(self, dim):
+        # D/h^2 overflows only after the switch: the epoch that sums its values
+        # into the kept pattern still checks them, and numpy stays silent
+        problem = make_problem(builtin_linear_decay(m=1), n=8, dim=dim)
+        grid = problem.grid
+        huge = np.full((1, dim, grid.ncells), 1e308)
+        problem.coefficients = CoefficientField(grid, problem.coefficients.epochs[0][1],
+                                                schedule=[(0.5, huge, None)])
+        with pytest.raises(LinearSolveError,
+                           match=r"entry \(0, 0\) of the transport operator at t=0.5 is inf"):
+            run(SimState(0.0, np.ones((1, grid.ncells)), 1.0),
+                SolverConfig(dt=0.1, t_end=1.0), problem)
 
     def test_one_factorization_per_run(self, monkeypatch):
         # the problem of configs/reversible.json: after 3999 steps of 0.01, t
